@@ -16,17 +16,11 @@ parse(serialize(flow)) reproduces every matrix bit-identically.
 
 Exit codes: 0 success / all checks pass; 1 a verification or certification
 check failed (witness on stderr/stdout); 2 usage, parse, or input errors.
-The environment variable METRICFLOW_THREADS caps BLAS parallelism (it must
-be set before numpy is first imported to take effect).
+The environment variable METRICFLOW_THREADS caps BLAS parallelism; the
+package ``__init__`` applies it, before numpy is first imported.
 """
 
 from __future__ import annotations
-
-import os
-
-if os.environ.get("METRICFLOW_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["METRICFLOW_THREADS"])
 
 import argparse
 import csv

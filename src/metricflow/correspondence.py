@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .flow_core import ConjHeatFlowField, MetricFlow, MetricFlowPair, TimeGrid
 from .ot_core import (
@@ -71,6 +70,7 @@ from .ot_core import (
     _fit_marginals,
     check_metric_axioms,
     glue_couplings,
+    linprog,
     w1_distance,
 )
 
@@ -547,6 +547,7 @@ class _FDistanceProblem:
         self.idxs = tuple(int(i) for i in c.time_indices)
         self.grid = c.grid
         self._costs: dict = {}
+        self._solves: dict = {}
         self._mu = []
         for which, pair in enumerate(self.pairs):
             per_t = {}
@@ -600,7 +601,11 @@ class _FDistanceProblem:
         """Min-max LP at one time: the coupling of the two basepoint
         measures minimizing the largest s-integral. Returns
         ``(r_t, coupling, integrals dict)`` with r_t re-certified from the
-        marginal-repaired coupling."""
+        marginal-repaired coupling. Each distinct ``(t_idx, s_list)`` is
+        solved once per problem; the E-search asks for many repeats."""
+        key = (t_idx, tuple(s_list))
+        if key in self._solves:
+            return self._solves[key]
         mu1, mu2 = self.mu(0, t_idx), self.mu(1, t_idx)
         n1, n2 = mu1.n, mu2.n
         nq = n1 * n2
@@ -617,26 +622,28 @@ class _FDistanceProblem:
             a_ub[row, nq] = -1.0
         cvec = np.zeros(nq + 1)
         cvec[nq] = 1.0
+        # rows [A_ub; A_eq] in CSC form, explicit zeros dropped, with
+        # -inf <= A_ub x <= 0 and A_eq x = b_eq
+        a = np.vstack((a_ub, a_eq))
+        cols, rows = np.nonzero(a.T)
+        indptr = np.zeros(nq + 2, dtype=np.int32)
+        np.cumsum(np.count_nonzero(a, axis=0), out=indptr[1:])
         res = linprog(
             cvec,
-            A_ub=a_ub,
-            b_ub=np.zeros(len(s_list)),
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=[(0.0, None)] * nq + [(0.0, None)],
-            method="highs",
-            options={
-                "primal_feasibility_tolerance": 1e-10,
-                "dual_feasibility_tolerance": 1e-10,
-            },
+            indptr,
+            rows.astype(np.int32),
+            a[rows, cols],
+            np.concatenate([np.full(len(s_list), -np.inf), b_eq]),
+            np.concatenate([np.zeros(len(s_list)), b_eq]),
         )
-        if not res.success:  # pragma: no cover - defensive
+        if res.x is None:  # pragma: no cover - defensive
             raise InternalInvariantError(f"min-max transport LP failed at t_idx={t_idx}: {res.message}")
         plan = _fit_marginals(res.x[:nq].reshape(n1, n2), mu1.weights, mu2.weights)
         coupling = Coupling(matrix=plan)
         integrals = {s: float(np.sum(costs[s] * plan)) for s in s_list}
         r_t = max(integrals.values()) if integrals else 0.0
-        return r_t, coupling, integrals
+        self._solves[key] = (r_t, coupling, integrals)
+        return self._solves[key]
 
 
 def _resolve_J(grid: TimeGrid, idxs: tuple, J) -> tuple:

@@ -54,6 +54,7 @@ from .ot_core import (
     ProbMeasure,
     StructuralError,
     check_metric_axioms,
+    mass_distribution_fn,
     product_space,
     variance,
     w1_distance,
@@ -935,8 +936,6 @@ def mass_distribution_lower_bound_check(
     so is an empty eps-range (tau H > 1/8). ``eps_values`` defaults to a
     geometric sample of the valid range.
     """
-    from .ot_core import mass_distribution_fn  # local import to avoid cycle noise
-
     pre = []
     t_idx = None
     top_idx = None

@@ -44,9 +44,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import erf
-from scipy.optimize import minimize_scalar
 
 from .flow_core import ConjHeatFlowField, MetricFlow, TimeGrid
 from .ot_core import (
@@ -84,6 +82,10 @@ def min_C() -> float:
     bounded 1-d maximization so the returned value is the numerical maximum,
     which agrees with 256/e to ~1e-10.
     """
+    # imported on use, as is expm below: scipy.optimize and scipy.linalg add
+    # about 0.4 s to the start of a command, and most commands need neither
+    from scipy.optimize import minimize_scalar
+
     res = minimize_scalar(
         lambda a: -16.0 * a * a * math.exp(-a * a / 16.0),
         bounds=(0.0, 64.0),
@@ -323,6 +325,8 @@ def static_flow(
 def cycle_semigroup(m: int, rate: float, lags: Sequence[float]) -> dict:
     """Transition kernels P(tau) = expm(tau Q) of the continuous-time walk on
     an m-cycle (jump rate ``rate``, half to each neighbor)."""
+    from scipy.linalg import expm
+
     if m < 3:
         raise InputError("cycle needs at least 3 points")
     q = np.zeros((m, m))

@@ -39,13 +39,12 @@ numbers.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 __all__ = [
     "MetricflowError",
@@ -451,32 +450,112 @@ class W1Result(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _highs():
+    """SciPy's HiGHS bindings, and the options scipy.optimize.linprog(
+    method="highs") sets with this package's feasibility tolerances (every
+    other option keeps its default); each solve copies them into its own
+    HiGHS instance. Imported on the first solve: ``scipy.optimize`` adds
+    about 0.4 s to the start of a command, which commands that solve no LP
+    (``verify`` of a two-point flow, for one) need not pay.
+    """
+    from scipy.optimize._highspy import _core
+
+    options = _core.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = 0
+    options.dual_feasibility_tolerance = 1e-10
+    options.log_to_console = False
+    options.output_flag = False
+    options.primal_feasibility_tolerance = 1e-10
+    options.simplex_strategy = 1  # dual simplex
+    return _core, options
+
+
+# linprog's post-solve feasibility tolerance: 10 * sqrt(tol) with tol = 1e-9
+_LP_CHECK_TOL = 10.0 * math.sqrt(1e-9)
+
+
+class LPSolution(NamedTuple):
+    """Primal values and row duals of a solved LP; both are ``None`` when the
+    solve failed, and ``message`` then says why."""
+
+    x: np.ndarray | None
+    row_dual: np.ndarray | None
+    message: str
+
+
+def linprog(c, indptr, indices, data, lhs, rhs) -> LPSolution:
+    """Solve ``min c @ x  s.t.  lhs <= A x <= rhs,  x >= 0`` with HiGHS.
+
+    ``A`` is given in CSC form (``indptr``, ``indices``, ``data``); ``c``,
+    ``lhs`` and ``rhs`` are float arrays. This is the call ``scipy.optimize.linprog(method="highs")`` makes, without its
+    input cleaning: the same arrays, bounds and options reach a fresh HiGHS
+    instance (a reused one could warm-start and return another vertex), and
+    the solution is accepted under linprog's own rule, an optimal model
+    status and no bound or row violated by more than ``_LP_CHECK_TOL``.
+
+    Every LP of the package goes through this function. Callers look it up
+    as a module attribute, ``ot_core.linprog`` and ``correspondence.linprog``
+    (imported from here), and the name stays ``linprog``: the benchmark's
+    per-layer tracer (``perfbench/tracer.py``) rebinds that attribute in
+    both modules to count and time transport and min-max solves apart.
+    """
+    core, options = _highs()
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
+    lp.num_row_ = lp.a_matrix_.num_row_ = len(rhs)
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = indptr
+    lp.a_matrix_.index_ = indices
+    lp.a_matrix_.value_ = data
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(c.size)
+    lp.col_upper_ = np.full(c.size, np.inf)
+    lp.row_lower_ = lhs
+    lp.row_upper_ = rhs
+
+    highs = core._Highs()
+    highs.passOptions(options)
+    highs.passModel(lp)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != core.HighsModelStatus.kOptimal:
+        return LPSolution(None, None, f"model status is {highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    row = np.array(solution.row_value)
+    tol = _LP_CHECK_TOL
+    # NaN fails every comparison, so it is refused here too
+    if not (
+        np.all(x >= -tol)
+        and np.all(row >= lhs - tol)
+        and np.all(row <= rhs + tol)
+    ):
+        return LPSolution(None, None, f"solution violates its constraints by more than {tol:.2e}")
+    return LPSolution(x, np.array(solution.row_dual), "optimal")
+
+
 def _transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Solve min <cost, q> over couplings of (a, b). Returns (plan, duals)."""
     n1, n2 = cost.shape
-    rows = sp.vstack(
-        [
-            sp.kron(sp.eye(n1, format="csr"), np.ones((1, n2)), format="csr"),
-            sp.kron(np.ones((1, n1)), sp.eye(n2, format="csr"), format="csr"),
-        ],
-        format="csr",
-    )
+    # column k = i*n2 + j of the marginal constraints has ones in rows i and n1 + j
+    indices = np.empty((n1, n2, 2), dtype=np.int32)
+    indices[:, :, 0] = np.arange(n1, dtype=np.int32)[:, None]
+    indices[:, :, 1] = n1 + np.arange(n2, dtype=np.int32)
+    ab = np.concatenate([a, b])
     res = linprog(
-        c=cost.ravel(),
-        A_eq=rows,
-        b_eq=np.concatenate([a, b]),
-        bounds=(0, None),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
+        cost.ravel(),
+        np.arange(0, 2 * n1 * n2 + 1, 2, dtype=np.int32),
+        indices.ravel(),
+        np.ones(2 * n1 * n2),
+        ab,
+        ab,
     )
-    if not res.success:
+    if res.x is None:
         raise CertificateError(f"transport LP failed: {res.message}")
     plan = res.x.reshape(n1, n2)
-    duals = np.asarray(res.eqlin.marginals, dtype=float)
-    return plan, duals[:n1], duals[n1:]
+    return plan, res.row_dual[:n1], res.row_dual[n1:]
 
 
 def _fit_marginals(plan: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float = 1e-13):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.sparse as sp
 
 import metricflow as mf
 from metricflow import (
@@ -16,6 +18,7 @@ from metricflow import (
     ProbMeasure,
     TimeGrid,
 )
+from metricflow import correspondence
 
 from conftest import C_STAR, two_point_space
 
@@ -310,6 +313,43 @@ def test_f_distance_exhaustive_cuts_spike(spiked_corr):
     assert exh.value == pytest.approx(math.sqrt(0.5), abs=1e-12)
     assert exh.E_measure == pytest.approx(0.5, abs=1e-15)
     assert exh.value <= emp.value
+
+
+def test_f_distance_minmax_lps_solved_once_and_match_linprog(tp_corr, monkeypatch):
+    """The exhaustive E-search asks for the same (t, active s) LP under many
+    candidate sets: each distinct LP is solved once, and each solve returns
+    the vertex scipy's linprog returns on the same dense constraints."""
+    c, f1, f2 = tp_corr
+    p1, p2 = tp_pair(f1, ProbMeasure.uniform(2)), tp_pair(f2, ProbMeasure.delta(0, 2))
+    solve = correspondence.linprog
+    calls = []
+
+    def spy(*lp):
+        res = solve(*lp)
+        calls.append((lp, res))
+        return res
+
+    monkeypatch.setattr(correspondence, "linprog", spy)
+    rep = mf.f_distance_within(c, p1, p2, e_mode="exhaustive")
+    assert rep.mode == "exhaustive"
+    fingerprints = {b"".join(np.asarray(arr).tobytes() for arr in lp) for lp, _ in calls}
+    assert len(calls) > len(c.time_indices)
+    assert len(fingerprints) == len(calls)
+    for (cvec, indptr, indices, data, lhs, rhs), res in calls:
+        a = sp.csc_array((data, indices, indptr), shape=(len(rhs), len(cvec))).toarray()
+        n_ub = int(np.isinf(lhs).sum())
+        ref = scipy.optimize.linprog(
+            cvec,
+            A_ub=a[:n_ub],
+            b_ub=rhs[:n_ub],
+            A_eq=a[n_ub:],
+            b_eq=rhs[n_ub:],
+            bounds=(0, None),
+            method="highs",
+            options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+        )
+        assert np.array_equal(res.x, ref.x)
+        assert np.all(data != 0.0)
 
 
 def test_f_distance_greedy_is_flagged_and_weaker(spiked_corr):

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import metricflow as mf
@@ -17,6 +19,7 @@ from metricflow import (
     InputError,
     ProbMeasure,
 )
+from metricflow.ot_core import _transport_lp, linprog
 
 from conftest import euclidean_space, random_measure, random_space, two_point_space
 
@@ -205,6 +208,93 @@ def test_certificate_validate_rejects_tampering():
     )
     with pytest.raises(CertificateError):
         bad.validate(space, mu, nu)
+
+
+_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+def _scipy_linprog(c, a_ub, a_eq, b_eq):
+    """The public route: ``scipy.optimize.linprog(method="highs")``.
+    Returns ``(x, ineq duals, eq duals)``."""
+    n_ub = 0 if a_ub is None else a_ub.shape[0]
+    res = scipy.optimize.linprog(
+        c,
+        A_ub=a_ub,
+        b_ub=None if a_ub is None else np.zeros(n_ub),
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=(0, None),
+        method="highs",
+        options=_LP_OPTIONS,
+    )
+    assert res.success, res.message
+    ineq = np.zeros(0) if a_ub is None else res.ineqlin.marginals
+    return res.x, ineq, res.eqlin.marginals
+
+
+def _transport_case(rng, n: int, ties: bool, zeros: bool):
+    cost = rng.uniform(0.0, 2.0, (n, n))
+    if ties:
+        cost = np.round(cost * 2.0) / 2.0
+    a, b = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+    if zeros:
+        a[: n // 2] = 0.0
+        b[n // 3 :: 2] = 0.0
+    return cost, a / a.sum(), b / b.sum()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 24])
+def test_transport_lp_is_bit_identical_to_scipy_linprog(n):
+    """The direct HiGHS route returns linprog's vertex and duals bit for
+    bit, on tied costs and on marginals with zero entries too."""
+    rng = np.random.default_rng(1000 + n)
+    a_eq = sp.vstack(
+        [sp.kron(sp.eye(n), np.ones((1, n))), sp.kron(np.ones((1, n)), sp.eye(n))], format="csr"
+    )
+    for ties in (False, True):
+        for zeros in (False, True):
+            for _ in range(4):
+                cost, a, b = _transport_case(rng, n, ties, zeros)
+                plan, alpha, beta = _transport_lp(cost, a, b)
+                x, _, duals = _scipy_linprog(cost.ravel(), None, a_eq, np.concatenate([a, b]))
+                assert np.array_equal(plan.ravel(), x)
+                assert np.array_equal(np.concatenate([alpha, beta]), duals)
+
+
+def test_minmax_lp_is_bit_identical_to_scipy_linprog():
+    """A min-max coupling LP (minimise z with <c_s, q> <= z for three cost
+    rows, q a coupling) through the package helper and through linprog."""
+    rng = np.random.default_rng(7)
+    n1, n2, n_ub = 3, 4, 3
+    nq = n1 * n2
+    a_eq = np.zeros((n1 + n2, nq + 1))
+    for i in range(n1):
+        a_eq[i, i * n2 : (i + 1) * n2] = 1.0
+    for j in range(n2):
+        a_eq[n1 + j, j:nq:n2] = 1.0
+    b_eq = np.concatenate([rng.dirichlet(np.ones(n1)), rng.dirichlet(np.ones(n2))])
+    a_ub = np.zeros((n_ub, nq + 1))
+    a_ub[:, :nq] = np.round(rng.uniform(0.0, 1.0, (n_ub, nq)) * 4.0) / 4.0
+    a_ub[:, nq] = -1.0
+    c = np.zeros(nq + 1)
+    c[nq] = 1.0
+    x, ineq, eq = _scipy_linprog(c, a_ub, a_eq, b_eq)
+    a = sp.csc_array(np.vstack((a_ub, a_eq)))
+    res = linprog(
+        c,
+        a.indptr,
+        a.indices,
+        a.data,
+        np.concatenate([np.full(n_ub, -np.inf), b_eq]),
+        np.concatenate([np.zeros(n_ub), b_eq]),
+    )
+    assert np.array_equal(res.x, x)
+    assert np.array_equal(res.row_dual, np.concatenate([ineq, eq]))
+
+
+def test_transport_lp_refuses_unequal_masses():
+    with pytest.raises(CertificateError, match="transport LP failed: model status is Infeasible"):
+        _transport_lp(np.ones((2, 2)), np.array([0.5, 0.5]), np.array([0.5, 0.6]))
 
 
 def test_wp_distance_consistency():
