@@ -327,9 +327,7 @@ def build_union_correspondence(
     constant eps_t = half the relation's distortion at that time. Flows
     must live on the same time grid.
     """
-    if flow1.grid.n != flow2.grid.n or any(
-        abs(a - b) > EXACT_TOL * max(1.0, abs(a)) for a, b in zip(flow1.grid.times, flow2.grid.times)
-    ):
+    if not flow1.grid.matches(flow2.grid):
         raise InputError("flows live on different time grids")
     if time_indices is None:
         time_indices = tuple(range(flow1.grid.n))
@@ -690,10 +688,7 @@ def f_distance_within(
     if c.n_flows != 2:
         raise InputError("f_distance_within expects a two-flow correspondence (use pair_view)")
     for pair in (pair1, pair2):
-        if pair.flow.grid.n != c.grid.n or any(
-            abs(a - b) > EXACT_TOL * max(1.0, abs(a))
-            for a, b in zip(pair.flow.grid.times, c.grid.times)
-        ):
+        if not pair.flow.grid.matches(c.grid):
             raise InputError("flow pair lives on a different time grid than the correspondence")
     idxs = tuple(int(i) for i in c.time_indices)
     J_idx = _resolve_J(c.grid, idxs, J)

@@ -156,10 +156,11 @@ def _phi_inv_pair(u: np.ndarray, v: np.ndarray):
     """
     m = np.minimum(u, v)
     valid = m > 0.0
-    safe = np.where(valid, m, 0.5)
-    x = _SQRT2 * ndtri(safe)  # Phi(f) = ndtr(f / sqrt2)
+    all_valid = bool(valid.all())
+    x = _SQRT2 * ndtri(m if all_valid else np.where(valid, m, 0.5))  # Phi(f) = ndtr(f / sqrt2)
     f = np.where(u <= v, x, -x)
-    f = np.where(valid, f, np.where(u > v, np.inf, -np.inf))
+    if not all_valid:
+        f = np.where(valid, f, np.where(u > v, np.inf, -np.inf))
     return f, valid
 
 
@@ -203,6 +204,12 @@ class TimeGrid:
         if abs(arr[i] - t) > EXACT_TOL * max(1.0, abs(t)):
             raise InputError(f"time {t!r} is not on the grid {self.times}")
         return i
+
+    def matches(self, other: "TimeGrid") -> bool:
+        """Same length and times within EXACT_TOL * max(1, |t|), t from this grid."""
+        return self.n == other.n and all(
+            abs(a - b) <= EXACT_TOL * max(1.0, abs(a)) for a, b in zip(self.times, other.times)
+        )
 
     def weights(self) -> np.ndarray:
         t = np.asarray(self.times)
@@ -346,17 +353,25 @@ class MetricFlow:
         if s_idx == t_idx:
             return np.eye(self.slices[s_idx].n)
         key = (s_idx, t_idx)
-        if key in self._memo:
-            return self._memo[key]
-        if self.is_markov:
-            mat = self._adjacent[t_idx - 1]
-            for i in range(t_idx - 2, s_idx - 1, -1):
-                mat = mat @ self._adjacent[i]
-        else:
+        if not self.is_markov:
             if key not in self._pairs:
                 raise InputError(f"no stored kernel for pair {key}")
-            mat = self._pairs[key]
-        self._memo[key] = mat
+            return self._pairs[key]
+        memo = self._memo
+        if key in memo:
+            return memo[key]
+        # K(j, t) = K(j+1, t) @ adj[j]: walk down from the nearest memoized
+        # (i, t), memoizing every step. This is the left-to-right product
+        # adj[t-1] @ ... @ adj[s], so each K(j, t) has one float order.
+        for i in range(s_idx + 1, t_idx):
+            mat = memo.get((i, t_idx))
+            if mat is not None:
+                break
+        else:
+            i = t_idx - 1
+            mat = memo[(i, t_idx)] = self._adjacent[i]
+        for j in range(i - 1, s_idx - 1, -1):
+            mat = memo[(j, t_idx)] = mat @ self._adjacent[j]
         return mat
 
     # -- derived quantities -------------------------------------------------
@@ -472,13 +487,12 @@ def _h_concentration(flow: MetricFlow):
     best = 0.0
     witness = None
     times = flow.grid.times
+    d2 = [s.dist ** 2 for s in flow.slices]
     for t_idx in range(flow.grid.n):
-        d_t2 = flow.slices[t_idx].dist ** 2
         for s_idx in range(t_idx):
             k = flow.kernel(s_idx, t_idx)
-            d_s2 = flow.slices[s_idx].dist ** 2
-            var = k @ d_s2 @ k.T
-            num = var - d_t2
+            var = k @ d2[s_idx] @ k.T
+            num = var - d2[t_idx]
             ratio = num / (times[t_idx] - times[s_idx])
             i, j = np.unravel_index(int(ratio.argmax()), ratio.shape)
             cand = float(ratio[i, j])
@@ -561,6 +575,20 @@ def hcenter_mass_bound_check(
 # ---------------------------------------------------------------------------
 
 
+def _worst_decrease(vals) -> float:
+    """max(0, max_{a<b} vals[a] - vals[b]) by a running prefix maximum.
+
+    Equal bit for bit to the double loop over pairs: rounding x - c is
+    monotone in x, so the largest vals[a] gives the largest rounded drop.
+    """
+    worst = 0.0
+    top = vals[0]
+    for v in vals[1:]:
+        worst = max(worst, top - v)
+        top = max(top, v)
+    return worst
+
+
 def w1_kernel_monotonicity_check(
     flow: MetricFlow,
     mu1: ConjHeatFlowField,
@@ -576,10 +604,7 @@ def w1_kernel_monotonicity_check(
         w1_distance(flow.slices[i], mu1.measure_at(i), mu2.measure_at(i)).value
         for i in common
     ]
-    worst = 0.0
-    for a in range(len(common)):
-        for b in range(a + 1, len(common)):
-            worst = max(worst, vals[a] - vals[b])
+    worst = _worst_decrease(vals)
     return CheckRecord(
         name="w1-monotonicity",
         passed=worst <= slack,
@@ -638,10 +663,7 @@ def var_plus_Ht_monotonicity_check(
         + H * flow.grid.times[i]
         for i in common
     ]
-    worst = 0.0
-    for a in range(len(common)):
-        for b in range(a + 1, len(common)):
-            worst = max(worst, vals[a] - vals[b])
+    worst = _worst_decrease(vals)
     return CheckRecord(
         name="var-plus-Ht-monotonicity",
         passed=worst <= slack,
@@ -819,9 +841,7 @@ def cartesian_product_flow(f1: MetricFlow, f2: MetricFlow) -> MetricFlow:
     (nu^{12} = nu^1 x nu^2). If both factors are H_i-concentrated the product
     is (H_1 + H_2)-concentrated; heat flows of products of functions factor.
     Requires identical time grids."""
-    if f1.grid.n != f2.grid.n or any(
-        abs(a - b) > EXACT_TOL * max(1.0, abs(a)) for a, b in zip(f1.grid.times, f2.grid.times)
-    ):
+    if not f1.grid.matches(f2.grid):
         raise InputError("product flows need identical time grids")
     slices = tuple(product_space(a, b) for a, b in zip(f1.slices, f2.slices))
     meta = {
@@ -1064,8 +1084,8 @@ class FlowVerifyReport:
         raise KeyError(name)
 
 
-def _sweep_two_point(k, d_s, d_t, tau, u_step, a_step, slack):
-    """Complete extremal sweep of the smoothing axiom on a two-point slice.
+def _sweep_two_point(groups, u_step, a_step):
+    """Complete extremal sweep of the smoothing axiom on two-point slices.
 
     Initial data u_s = Phi(f_s) with f_s exactly T^{-1/2}-Lipschitz is, up to
     symmetry and monotone domination, parametrized by the value u = Phi(f_s)
@@ -1076,51 +1096,63 @@ def _sweep_two_point(k, d_s, d_t, tau, u_step, a_step, slack):
     data over all (u, a, sign) on a grid is complete at that resolution.
     The propagated value is tracked together with its complement so the
     output slope is recovered accurately in both tails.
+
+    ``groups`` holds one (k, d_s, d_t, tau) per slice pair. The tables that
+    do not depend on the pair (the u and A grids and Phi at ±f for each
+    chunk of slopes) are computed once and shared by every pair; the slope
+    sign -1 is swept only for pairs whose kernel is asymmetric. Returns one
+    (worst_ratio, worst_excess, n_cases, saturated) per group.
     """
-    du = float(d_s[0, 1])
-    dt_ = float(d_t[0, 1])
     u = np.arange(u_step, 1.0, u_step)
     f_plus = phi_inv(u)
-    u_plus = u
-    v_plus = phi(-f_plus)
+    u_plus = u[None, :]
+    v_plus = phi(-f_plus)[None, :]
     a = np.arange(0.0, 1.0, a_step)
     big_a = a / (1.0 - a)
-    # bound(A) = (tau + T)^{-1/2} with T = (d_s / A)^2
-    bound = big_a * du / np.sqrt(tau * big_a**2 + du * du)
-    symmetric = abs(k[0, 0] - k[1, 1]) == 0.0
-    sigmas = (1.0,) if symmetric else (1.0, -1.0)
-    p00, p01 = float(k[0, 0]), float(k[0, 1])
-    p10, p11 = float(k[1, 0]), float(k[1, 1])
 
-    worst_ratio = 0.0
-    worst_excess = -math.inf
-    n_cases = 0
-    saturated = 0
+    pairs = []
+    for k, d_s, d_t, tau in groups:
+        du = float(d_s[0, 1])
+        # bound(A) = (tau + T)^{-1/2} with T = (d_s / A)^2
+        bound = (big_a * du / np.sqrt(tau * big_a**2 + du * du))[:, None]
+        p00, p01, p10, p11 = (float(p) for p in k.ravel())
+        symmetric = abs(k[0, 0] - k[1, 1]) == 0.0
+        pairs.append((p00 * u_plus, p00 * v_plus, p01, p10 * u_plus, p10 * v_plus, p11,
+                      float(d_t[0, 1]), bound, symmetric))
+    out = [[0.0, -math.inf, 0, 0] for _ in groups]  # worst ratio, worst excess, cases, saturated
+
     chunk = 128
-    for sigma in sigmas:
+    for sigma in (1.0, -1.0):
+        active = [i for i, pair in enumerate(pairs) if sigma > 0.0 or not pair[-1]]
+        if not active:
+            continue
         for lo in range(0, big_a.size, chunk):
             hi = min(big_a.size, lo + chunk)
-            A_blk = big_a[lo:hi][:, None]
-            f_minus = f_plus[None, :] + sigma * A_blk
+            f_minus = f_plus[None, :] + sigma * big_a[lo:hi][:, None]
             u_minus = phi(f_minus)
             v_minus = phi(-f_minus)
-            u0 = p00 * u_plus[None, :] + p01 * u_minus
-            v0 = p00 * v_plus[None, :] + p01 * v_minus
-            u1 = p10 * u_plus[None, :] + p11 * u_minus
-            v1 = p10 * v_plus[None, :] + p11 * v_minus
-            f0, ok0 = _phi_inv_pair(u0, v0)
-            f1, ok1 = _phi_inv_pair(u1, v1)
-            valid = ok0 & ok1
-            n_cases += valid.size
-            saturated += int(valid.size - int(valid.sum()))
-            ratio = np.where(valid, np.abs(f0 - f1), 0.0) / dt_
-            excess = ratio - bound[lo:hi][:, None]
-            worst_excess = max(worst_excess, float(excess.max()))
-            pos = bound[lo:hi][:, None] > 0.0
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rr = np.where(pos, ratio / np.where(pos, bound[lo:hi][:, None], 1.0), 0.0)
-            worst_ratio = max(worst_ratio, float(rr.max()))
-    return worst_ratio, worst_excess, n_cases, saturated
+            for i in active:
+                pu0, pv0, p01, pu1, pv1, p11, dt_, bound, _ = pairs[i]
+                f0, ok0 = _phi_inv_pair(pu0 + p01 * u_minus, pv0 + p01 * v_minus)
+                f1, ok1 = _phi_inv_pair(pu1 + p11 * u_minus, pv1 + p11 * v_minus)
+                valid = ok0 & ok1
+                res = out[i]
+                res[2] += valid.size
+                res[3] += int(valid.size - int(valid.sum()))
+                ratio = np.where(valid, np.abs(f0 - f1), 0.0) / dt_
+                # x - b and x / b (b > 0) round monotonically in x, so each
+                # slope row's extremes come from its largest ratio
+                top = ratio.max(axis=1, keepdims=True)
+                blk = bound[lo:hi]
+                res[1] = max(res[1], float((top - blk).max()))
+                pos = blk > 0.0
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    rr = np.where(pos, top / np.where(pos, blk, 1.0), 0.0)
+                res[0] = max(res[0], float(rr.max()))
+    return [tuple(res) for res in out]
+
+
+_SIGNS = np.array([-1.0, 1.0])
 
 
 def _battery_cone(k, d_s, d_t, tau, T_values, offsets, seeds, rng, slack):
@@ -1140,18 +1172,22 @@ def _battery_cone(k, d_s, d_t, tau, T_values, offsets, seeds, rng, slack):
     saturated = 0
     for T in T_values:
         lam = T ** -0.5
-        cols = []
-        for y0 in range(n_s):
-            base = lam * d_s[:, y0]
-            for sign in (1.0, -1.0):
-                for c in offsets:
-                    cols.append(sign * base + c)
-        for _ in range(seeds):
-            j = rng.integers(0, n_s, size=3)
-            sg = rng.choice([-1.0, 1.0], size=3)
-            cc = rng.uniform(-3.0, 3.0, size=3)
-            cols.append(np.max(sg[None, :] * lam * d_s[:, j] + cc[None, :], axis=1))
-        f_s = np.stack(cols, axis=1)
+        # columns ordered by anchor y0, then sign (+, -), then offset
+        cones = (
+            np.array([1.0, -1.0])[None, None, :, None] * (lam * d_s)[:, :, None, None]
+            + np.asarray(offsets, dtype=float)[None, None, None, :]
+        ).reshape(n_s, -1)
+        # per seed: anchors, signs, offsets, drawn in this order from rng;
+        # _SIGNS[integers(0, 2)] reads the stream as choice([-1, 1]) does
+        J = np.empty((seeds, 3), dtype=np.int64)
+        S = np.empty((seeds, 3), dtype=np.int64)
+        C = np.empty((seeds, 3))
+        for i in range(seeds):
+            J[i] = rng.integers(0, n_s, size=3)
+            S[i] = rng.integers(0, 2, size=3)
+            C[i] = rng.uniform(-3.0, 3.0, size=3)
+        seeded = np.max(_SIGNS[S][None] * lam * d_s[:, J] + C[None], axis=2)
+        f_s = np.concatenate([cones, seeded], axis=1)
         u_s = phi(f_s)
         v_s = phi(-f_s)
         u_t = k @ u_s
@@ -1201,6 +1237,54 @@ def _dedupe_pairs(flow: MetricFlow):
             if not placed:
                 groups.append((tau, k, d_s, d_t, [(s_idx, t_idx)]))
     return groups
+
+
+def _reproduction_audit(flow: MetricFlow):
+    """Worst max |K(t1,t3) - K(t2,t3) K(t1,t2)| over grid triples t1 < t2 < t3
+    whose three kernels exist, with its first witness in (t1, t2, t3) order.
+
+    Each time's kernels to later times are fetched once and stacked per run
+    of later times with equal slice size (a mask marks the missing ones), so
+    each (t1, t2) costs one batched product per run.
+    """
+    n = flow.grid.n
+    sizes = [s.n for s in flow.slices]
+    cuts = [t for t in range(1, n) if sizes[t] != sizes[t - 1]]
+    runs = list(zip([0] + cuts, cuts + [n]))  # [lo, hi) with equal slice size
+    kernels = {}
+    stacks = []  # per t: {run lo: (first t3, stacked K(t, t3), present)}
+    for t in range(n):
+        per = {}
+        for lo, hi in runs:
+            start = max(lo, t + 1)
+            if start >= hi:
+                continue
+            stack = np.zeros((hi - start, sizes[lo], sizes[t]))
+            present = np.zeros(hi - start, dtype=bool)
+            for t3 in range(start, hi):
+                try:
+                    kernels[(t, t3)] = stack[t3 - start] = flow.kernel(t, t3)
+                except InputError:
+                    continue
+                present[t3 - start] = True
+            per[lo] = (start, stack, present)
+        stacks.append(per)
+
+    worst, witness = 0.0, ()
+    for t1 in range(n):
+        for t2 in range(t1 + 1, n):
+            k12 = kernels.get((t1, t2))
+            if k12 is None:
+                continue
+            for lo, (start, rhs, present) in stacks[t2].items():
+                start1, lhs, present1 = stacks[t1][lo]
+                off = start - start1
+                res = np.abs(lhs[off:] - np.matmul(rhs, k12)).max(axis=(1, 2))
+                res = np.where(present & present1[off:], res, -1.0)
+                i = int(res.argmax())
+                if res[i] > worst:
+                    worst, witness = float(res[i]), ((t1, t2, start + i),)
+    return worst, witness
 
 
 def verify_flow_axioms(
@@ -1269,24 +1353,7 @@ def verify_flow_axioms(
 
     # reproduction over all triples (skipping pairs with no stored kernel —
     # legal for explicitly-stored flows covering only part of the grid)
-    worst_rep = 0.0
-    rep_witness = ()
-    for t1 in range(flow.grid.n):
-        for t2 in range(t1 + 1, flow.grid.n):
-            try:
-                k12 = flow.kernel(t1, t2)
-            except InputError:
-                continue
-            for t3 in range(t2 + 1, flow.grid.n):
-                try:
-                    lhs = flow.kernel(t1, t3)
-                    rhs = flow.kernel(t2, t3) @ k12
-                except InputError:
-                    continue
-                res = float(np.abs(lhs - rhs).max())
-                if res > worst_rep:
-                    worst_rep = res
-                    rep_witness = ((t1, t2, t3),)
+    worst_rep, rep_witness = _reproduction_audit(flow)
     records.append(
         CheckRecord(
             "reproduction", worst_rep <= reproduction_tol, worst_rep, rep_witness
@@ -1299,13 +1366,19 @@ def verify_flow_axioms(
         rng = np.random.default_rng(rng_seed)
         if T_values is None:
             T_values = (0.01, 0.1, 1.0, 10.0)
-        for tau, k, d_s, d_t, members in _dedupe_pairs(flow):
+        groups = _dedupe_pairs(flow)
+        complete = [
+            mode == "exhaustive-2pt" and d_s.shape[0] == 2 and d_t.shape[0] == 2
+            for _, _, d_s, d_t, _ in groups
+        ]
+        sweeps = iter(_sweep_two_point(
+            [(k, d_s, d_t, tau) for (tau, k, d_s, d_t, _), c in zip(groups, complete) if c],
+            u_step, a_step,
+        ))
+        for (tau, k, d_s, d_t, members), is_complete in zip(groups, complete):
             s_idx, t_idx = members[0]
-            two_point = d_s.shape[0] == 2 and d_t.shape[0] == 2
-            if two_point and mode == "exhaustive-2pt":
-                ratio, excess, n_cases, sat = _sweep_two_point(
-                    k, d_s, d_t, tau, u_step, a_step, slack
-                )
+            if is_complete:
+                ratio, excess, n_cases, sat = next(sweeps)
                 verdict = "complete"
             else:
                 t_vals = tuple(sorted(set(T_values) | {tau, 4.0 * tau}))

@@ -3,6 +3,7 @@ concentration constants and centers, monotonicity checks, and the
 mass-distribution lower bound."""
 
 import math
+from functools import reduce
 
 import mpmath
 import numpy as np
@@ -13,14 +14,16 @@ from metricflow import (
     FiniteMetricSpace,
     InputError,
     MetricFlow,
+    MetricFlowPair,
     ProbMeasure,
     StructuralError,
     TimeGrid,
     phi,
     phi_inv,
 )
+from metricflow import flow_core
 
-from conftest import C_STAR, euclidean_space
+from conftest import C_STAR, euclidean_space, random_space
 
 
 def two_point_kernel_p(C, D, tau):
@@ -525,3 +528,219 @@ def test_field_accessors(two_point_flow_fx):
     mu = mf.conj_backward(two_point_flow_fx, 0.5, ProbMeasure.uniform(2))
     with pytest.raises(ValueError):
         mu.measure_at(two_point_flow_fx.grid.n - 1)  # after the anchor
+
+
+# ---------------------------------------------------------------------------
+# fast paths pinned bit for bit to their direct definitions
+# ---------------------------------------------------------------------------
+
+
+def _stochastic(rng, n_rows, n_cols):
+    k = rng.random((n_rows, n_cols)) + 0.05
+    return k / k.sum(axis=1, keepdims=True)
+
+
+def _random_markov(rng, sizes):
+    grid = TimeGrid(tuple(np.cumsum(rng.uniform(0.05, 0.3, len(sizes)))))
+    slices = tuple(random_space(rng, n) for n in sizes)
+    adj = [_stochastic(rng, sizes[i + 1], sizes[i]) for i in range(len(sizes) - 1)]
+    return MetricFlow(grid, slices, adjacent_kernels=adj), adj
+
+
+def _left_to_right(adj, s, t):
+    """adj[t-1] @ adj[t-2] @ ... @ adj[s], multiplied left to right."""
+    return reduce(np.matmul, [adj[i] for i in range(t - 1, s - 1, -1)])
+
+
+@pytest.mark.parametrize("first", ["inner-first", "conj-backward", "longest-first"])
+def test_kernel_composition_bit_identical(first):
+    rng = np.random.default_rng(11)
+    flow, adj = _random_markov(rng, [6] * 30)
+    if first == "inner-first":
+        flow.kernel(5, 20)
+        flow.kernel(0, 20)
+    elif first == "conj-backward":
+        mf.conj_backward(flow, flow.grid.times[20], ProbMeasure.uniform(6))
+    else:
+        flow.kernel(0, 29)
+    for s_idx, t_idx in ((5, 20), (0, 20), (0, 29), (3, 4), (12, 29), (0, 1), (27, 29)):
+        assert np.array_equal(flow.kernel(s_idx, t_idx), _left_to_right(adj, s_idx, t_idx))
+
+
+def _brute_reproduction(flow):
+    worst, witness = 0.0, ()
+    for t1 in range(flow.grid.n):
+        for t2 in range(t1 + 1, flow.grid.n):
+            try:
+                k12 = flow.kernel(t1, t2)
+            except InputError:
+                continue
+            for t3 in range(t2 + 1, flow.grid.n):
+                try:
+                    res = float(np.abs(flow.kernel(t1, t3) - flow.kernel(t2, t3) @ k12).max())
+                except InputError:
+                    continue
+                if res > worst:
+                    worst, witness = res, ((t1, t2, t3),)
+    return worst, witness
+
+
+def _audit(flow):
+    rec = mf.verify_flow_axioms(flow, mode="skip").record("reproduction")
+    return rec.worst, rec.details
+
+
+def test_reproduction_audit_matches_triple_loop_markov():
+    rng = np.random.default_rng(5)
+    flow, _ = _random_markov(rng, [5] * 24)
+    worst, witness = _brute_reproduction(flow)
+    assert worst > 0.0  # ulp-level residuals, many of them tied
+    assert _audit(flow) == (worst, witness)
+
+
+def test_reproduction_audit_matches_triple_loop_pair_stored():
+    """Missing pairs are skipped, unequal slice sizes split the batches, and
+    perturbed kernels give residuals far above rounding."""
+    rng = np.random.default_rng(9)
+    sizes = [3, 2, 2, 3, 3, 3, 2, 3]
+    markov, _ = _random_markov(rng, sizes)
+    pairs = {}
+    for s_idx in range(len(sizes)):
+        for t_idx in range(s_idx + 1, len(sizes)):
+            if (s_idx + 2 * t_idx) % 5 == 0:
+                continue  # missing pair
+            k = markov.kernel(s_idx, t_idx)
+            if (s_idx * t_idx) % 3 == 1:  # breaks reproduction by a fixed amount
+                k = 0.5 * k + 0.5 * _stochastic(rng, *k.shape)
+            pairs[(s_idx, t_idx)] = k
+    flow = MetricFlow(markov.grid, markov.slices, pair_kernels=pairs)
+    worst, witness = _brute_reproduction(flow)
+    assert worst > 1e-3
+    assert _audit(flow) == (worst, witness)
+
+
+def _reference_sweep(k, d_s, d_t, tau, u_step, a_step):
+    """The sweep for one slice pair, written as its definition: every
+    (sign, slope, u) case, one slope chunk at a time."""
+    du, dt_ = float(d_s[0, 1]), float(d_t[0, 1])
+    u = np.arange(u_step, 1.0, u_step)
+    f_plus = phi_inv(u)
+    v_plus = phi(-f_plus)
+    a = np.arange(0.0, 1.0, a_step)
+    big_a = a / (1.0 - a)
+    bound = big_a * du / np.sqrt(tau * big_a**2 + du * du)
+    sigmas = (1.0,) if k[0, 0] == k[1, 1] else (1.0, -1.0)
+    worst_ratio, worst_excess, n_cases, saturated = 0.0, -math.inf, 0, 0
+    for sigma in sigmas:
+        for lo in range(0, big_a.size, 128):
+            b = bound[lo:lo + 128][:, None]
+            f_minus = f_plus[None, :] + sigma * big_a[lo:lo + 128][:, None]
+            u_minus, v_minus = phi(f_minus), phi(-f_minus)
+            f0, ok0 = flow_core._phi_inv_pair(k[0, 0] * u[None, :] + k[0, 1] * u_minus,
+                                              k[0, 0] * v_plus[None, :] + k[0, 1] * v_minus)
+            f1, ok1 = flow_core._phi_inv_pair(k[1, 0] * u[None, :] + k[1, 1] * u_minus,
+                                              k[1, 0] * v_plus[None, :] + k[1, 1] * v_minus)
+            valid = ok0 & ok1
+            n_cases += valid.size
+            saturated += int(valid.size - valid.sum())
+            ratio = np.where(valid, np.abs(f0 - f1), 0.0) / dt_
+            worst_excess = max(worst_excess, float((ratio - b).max()))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rr = np.where(b > 0.0, ratio / np.where(b > 0.0, b, 1.0), 0.0)
+            worst_ratio = max(worst_ratio, float(rr.max()))
+    return worst_ratio, worst_excess, n_cases, saturated
+
+
+def test_multi_group_sweep_matches_single_pair_sweeps():
+    d1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    d2 = np.array([[0.0, 0.7], [0.7, 0.0]])
+    groups = [
+        (np.array([[0.8, 0.2], [0.2, 0.8]]), d1, d1, 0.3),
+        (np.array([[0.9, 0.1], [0.35, 0.65]]), d1, d2, 0.2),  # asymmetric: both signs
+        (np.array([[0.0, 1.0], [0.4, 0.6]]), d2, d2, 0.05),  # saturates at steep slopes
+    ]
+    for u_step, a_step in ((0.05, 0.04), (1e-3, 1e-3)):
+        together = flow_core._sweep_two_point(groups, u_step, a_step)
+        for g, res in zip(groups, together):
+            assert flow_core._sweep_two_point([g], u_step, a_step) == [res]
+            assert res == _reference_sweep(*g, u_step, a_step)
+    assert together[2][3] > 0  # the fine grid reaches the saturated cases
+
+
+def _reference_battery(k, d_s, d_t, tau, T_values, offsets, seeds, rng):
+    """The cone battery with each seeded column drawn and built on its own."""
+    pair_i, pair_j = np.triu_indices(d_t.shape[0], k=1)
+    worst_ratio, worst_excess = 0.0, -math.inf
+    for T in T_values:
+        lam = T ** -0.5
+        cols = [sign * (lam * d_s[:, y0]) + c
+                for y0 in range(d_s.shape[0]) for sign in (1.0, -1.0) for c in offsets]
+        for _ in range(seeds):
+            j = rng.integers(0, d_s.shape[0], size=3)
+            sg = rng.choice([-1.0, 1.0], size=3)
+            cc = rng.uniform(-3.0, 3.0, size=3)
+            cols.append(np.max(sg[None, :] * lam * d_s[:, j] + cc[None, :], axis=1))
+        f_s = np.stack(cols, axis=1)
+        f_t, _ = flow_core._phi_inv_pair(k @ phi(f_s), k @ phi(-f_s))
+        bound = (tau + T) ** -0.5
+        ratio = np.abs(f_t[pair_i] - f_t[pair_j]) / d_t[pair_i, pair_j][:, None]
+        worst_excess = max(worst_excess, float((ratio - bound).max()))
+        worst_ratio = max(worst_ratio, float(ratio.max()) / bound)
+    return worst_ratio, worst_excess
+
+
+@pytest.mark.parametrize("offsets", [(), (-1.5, 0.0, 1.5)])
+def test_cone_battery_reads_the_choice_stream(offsets):
+    rng = np.random.default_rng(2)
+    d_s, d_t = random_space(rng, 5).dist, random_space(rng, 4).dist
+    k = _stochastic(rng, 4, 5)
+    args = (k, d_s, d_t, 0.3, (0.1, 1.0, 4.0), offsets, 40)
+    ours, ref = np.random.default_rng(7), np.random.default_rng(7)
+    got = flow_core._battery_cone(*args, ours, 1e-9)
+    assert got[:2] == _reference_battery(*args, ref)
+    assert got[2] == 3 * 6 * (5 * 2 * len(offsets) + 40)
+    assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def test_worst_decrease_matches_pair_loop():
+    rng = np.random.default_rng(3)
+    cases = [[1.0, 1.0], [2.0, 1.0], [1.0, 2.0], [0.0, -0.0, 0.0], [3.0, 3.0, 1.0, 3.0, 1.0]]
+    for n in (2, 3, 5, 17, 40):
+        for _ in range(25):
+            vals = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+            vals[rng.random(n) < 0.3] = vals[0]  # ties
+            cases.append(list(vals))
+    for vals in cases:
+        loop = 0.0
+        for a in range(len(vals)):
+            for b in range(a + 1, len(vals)):
+                loop = max(loop, vals[a] - vals[b])
+        assert flow_core._worst_decrease(vals) == loop
+
+
+def test_time_grid_matches():
+    g = TimeGrid((0.0, 0.5, 1000.0))
+    assert g.matches(TimeGrid((0.0, 0.5 + 5e-13, 1000.0 + 5e-10)))
+    assert not g.matches(TimeGrid((0.0, 0.5 + 5e-12, 1000.0)))
+    assert not g.matches(TimeGrid((0.0, 0.5)))
+    # the three grid checks that use it keep their messages
+    f1 = mf.two_point_flow(C_STAR, 1.0, TimeGrid.uniform(0.0, 1.0, 3))
+    f2 = mf.two_point_flow(C_STAR, 1.0, TimeGrid.uniform(0.0, 2.0, 3))
+    with pytest.raises(InputError, match="product flows need identical time grids"):
+        mf.cartesian_product_flow(f1, f2)
+    with pytest.raises(InputError, match="flows live on different time grids"):
+        mf.build_union_correspondence(f1, f2, [(0, 0)])
+    c = mf.build_union_correspondence(f1, f1, [(0, 0), (1, 1)])
+    p1 = MetricFlowPair(f1, mf.conj_backward(f1, 1.0, ProbMeasure.uniform(2)))
+    p2 = MetricFlowPair(f2, mf.conj_backward(f2, 2.0, ProbMeasure.uniform(2)))
+    with pytest.raises(InputError, match="different time grid than the correspondence"):
+        mf.f_distance_within(c, p1, p2)
+
+
+def test_phi_inv_pair_flags_underflow():
+    f, ok = flow_core._phi_inv_pair(np.array([0.0, 0.3, 1.0]), np.array([0.0, 0.7, 0.0]))
+    assert ok.tolist() == [False, True, False]
+    assert f[0] == -np.inf and f[2] == np.inf
+    assert f[1] == pytest.approx(phi_inv(0.3), rel=1e-14)
+    f, ok = flow_core._phi_inv_pair(np.array([0.3, 0.9]), np.array([0.7, 0.1]))
+    assert ok.all() and f == pytest.approx(phi_inv(np.array([0.3, 0.9])), rel=1e-14)
