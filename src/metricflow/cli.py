@@ -96,10 +96,14 @@ def flow_to_document(flow: MetricFlow) -> dict:
     return doc
 
 
-def save_flow(flow: MetricFlow, path: str) -> None:
+def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(flow_to_document(flow), fh, indent=1)
+        json.dump(payload, fh, indent=1)
         fh.write("\n")
+
+
+def save_flow(flow: MetricFlow, path: str) -> None:
+    _write_json(path, flow_to_document(flow))
 
 
 def load_document(path: str) -> dict:
@@ -360,9 +364,7 @@ def cmd_verify(args) -> int:
             "approximate": bool(approximate),
             "summary": summary,
         }
-        with open(args.json_out, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        _write_json(args.json_out, payload)
     return 1 if failed else 0
 
 
@@ -400,9 +402,7 @@ def cmd_distance(args) -> int:
         if rep.flags:
             print(f"flags: {', '.join(rep.flags)}")
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(rep.to_json_dict(include_couplings=args.include_couplings), fh, indent=1)
-                fh.write("\n")
+            _write_json(args.out, rep.to_json_dict(include_couplings=args.include_couplings))
         return 0
 
     # three files: pairwise distances + triangle audit in a combined ambient
@@ -428,9 +428,7 @@ def cmd_distance(args) -> int:
             "certificate_ok": tri.certificate_ok,
             "E_union": [int(i) for i in tri.E_union],
         }
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        _write_json(args.out, payload)
     return 0 if (tri.holds and tri.certificate_ok) else 1
 
 

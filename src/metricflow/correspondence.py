@@ -106,14 +106,6 @@ class GluedSpace:
     ambient: FiniteMetricSpace
     embeddings: tuple
 
-    @property
-    def embed1(self) -> tuple:
-        return self.embeddings[0]
-
-    @property
-    def embed2(self) -> tuple:
-        return self.embeddings[1]
-
     def validate(self, spaces: Sequence[FiniteMetricSpace]) -> None:
         if len(spaces) != len(self.embeddings):
             raise InputError(
@@ -130,10 +122,7 @@ class GluedSpace:
 
     def push(self, which: int, mu: ProbMeasure) -> ProbMeasure:
         """Pushforward of a constituent measure into the ambient."""
-        idx = np.asarray(self.embeddings[which], dtype=int)
-        w = np.zeros(self.ambient.n)
-        np.add.at(w, idx, mu.weights)
-        return ProbMeasure(w)
+        return ProbMeasure(self.push_weights(which, mu.weights))
 
     def push_weights(self, which: int, weights: np.ndarray) -> np.ndarray:
         idx = np.asarray(self.embeddings[which], dtype=int)
@@ -142,16 +131,32 @@ class GluedSpace:
         return w
 
 
-def _audit_ambient(dist: np.ndarray, labels: tuple, where: str) -> FiniteMetricSpace:
-    """Wrap an ambient distance matrix, failing loudly if the construction
-    broke the (pseudo)metric axioms — that would be a bug, not bad input."""
-    space = FiniteMetricSpace(labels=labels, dist=dist)
-    report = check_metric_axioms(space, require_positive=False)
+def _glue(
+    a: FiniteMetricSpace, b: FiniteMetricSpace, cross: np.ndarray, tags: str, where: str
+) -> GluedSpace:
+    """The ambient [[d_a, cross], [crossᵀ, d_b]] with labels prefixed
+    ``tags[0]:`` and ``tags[1]:`` and each space embedded as its own block
+    (checked isometric). A cross block that breaks the (pseudo)metric axioms
+    is a bug, not bad input: it raises :class:`InternalInvariantError`
+    naming ``where``."""
+    n_a, n_b = a.n, b.n
+    dist = np.zeros((n_a + n_b, n_a + n_b))
+    dist[:n_a, :n_a] = a.dist
+    dist[n_a:, n_a:] = b.dist
+    dist[:n_a, n_a:] = cross
+    dist[n_a:, :n_a] = cross.T
+    labels = tuple(f"{tags[0]}:{l}" for l in a.labels) + tuple(f"{tags[1]}:{l}" for l in b.labels)
+    ambient = FiniteMetricSpace(labels=labels, dist=dist)
+    report = check_metric_axioms(ambient, require_positive=False)
     if not report.ok:
         raise InternalInvariantError(
             f"{where}: glued ambient violates metric axioms: {report.worst}"
         )
-    return space
+    glued = GluedSpace(
+        ambient=ambient, embeddings=(tuple(range(n_a)), tuple(range(n_a, n_a + n_b)))
+    )
+    glued.validate((a, b))
+    return glued
 
 
 def glue_two_slices(
@@ -213,20 +218,7 @@ def glue_two_slices(
 
     expected = kernels @ space_s.dist.T  # E_{nu_w} d_s(x, ·), shape (|W|, n_s)
     cross = (expected[:, :, None] + space_t.dist[w_idx][:, None, :]).min(axis=0) + delta
-    n_s, n_t = space_s.n, space_t.n
-    dist = np.zeros((n_s + n_t, n_s + n_t))
-    dist[:n_s, :n_s] = space_s.dist
-    dist[n_s:, n_s:] = space_t.dist
-    dist[:n_s, n_s:] = cross
-    dist[n_s:, :n_s] = cross.T
-    labels = tuple(f"s:{l}" for l in space_s.labels) + tuple(f"t:{l}" for l in space_t.labels)
-    ambient = _audit_ambient(dist, labels, "glue_two_slices")
-    glued = GluedSpace(
-        ambient=ambient,
-        embeddings=(tuple(range(n_s)), tuple(range(n_s, n_s + n_t))),
-    )
-    glued.validate((space_s, space_t))
-    return glued
+    return _glue(space_s, space_t, cross, "st", "glue_two_slices")
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +250,7 @@ def _union_glue(
     d2w = space2.dist[np.ix_(w2_, w2_)]
     eps = 0.5 * float(np.abs(d1w - d2w).max())
     cross = (space1.dist[:, w1_][:, :, None] + space2.dist[w2_][None, :, :]).min(axis=1) + eps
-    n1, n2 = space1.n, space2.n
-    dist = np.zeros((n1 + n2, n1 + n2))
-    dist[:n1, :n1] = space1.dist
-    dist[n1:, n1:] = space2.dist
-    dist[:n1, n1:] = cross
-    dist[n1:, :n1] = cross.T
-    labels = tuple(f"1:{l}" for l in space1.labels) + tuple(f"2:{l}" for l in space2.labels)
-    ambient = _audit_ambient(dist, labels, where)
-    glued = GluedSpace(
-        ambient=ambient, embeddings=(tuple(range(n1)), tuple(range(n1, n1 + n2)))
-    )
-    glued.validate((space1, space2))
-    return glued, eps
+    return _glue(space1, space2, cross, "12", where), eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,7 +338,9 @@ def combine_correspondences(c12: Correspondence, c23: Correspondence) -> Corresp
     The two copies of each middle point end up at distance zero (the
     pseudometric keeps them distinct); the canonical middle embedding is the
     one through the first ambient. All five embedding families remain
-    isometric, which is audited.
+    isometric, which is audited: the gluing helper checks the two outer
+    ambients' blocks, the three flow embeddings are restrictions of those
+    blocks, and the two middle copies are checked to sit at distance zero.
     """
     common = sorted(set(c12.time_indices) & set(c23.time_indices))
     if not common:
@@ -380,16 +362,10 @@ def combine_correspondences(c12: Correspondence, c23: Correspondence) -> Corresp
         if not np.allclose(mid_dist_a, mid_dist_b, rtol=0.0, atol=EXACT_TOL):
             raise InputError(f"middle embeddings carry different metrics at t_idx={t_idx}")
         cross = (da[:, mid_a][:, :, None] + db[mid_b][None, :, :]).min(axis=1)
-        na, nb = g12.ambient.n, g23.ambient.n
-        dist = np.zeros((na + nb, na + nb))
-        dist[:na, :na] = da
-        dist[na:, na:] = db
-        dist[:na, na:] = cross
-        dist[na:, :na] = cross.T
-        labels = tuple(f"L:{l}" for l in g12.ambient.labels) + tuple(
-            f"R:{l}" for l in g23.ambient.labels
-        )
-        ambient = _audit_ambient(dist, labels, f"combine_correspondences at t_idx={t_idx}")
+        ambient = _glue(
+            g12.ambient, g23.ambient, cross, "LR", f"combine_correspondences at t_idx={t_idx}"
+        ).ambient
+        na = g12.ambient.n
         glued = GluedSpace(
             ambient=ambient,
             embeddings=(
@@ -399,7 +375,7 @@ def combine_correspondences(c12: Correspondence, c23: Correspondence) -> Corresp
             ),
         )
         # the two middle copies must sit at ambient distance zero
-        two_copies = dist[mid_a, na + mid_b]
+        two_copies = ambient.dist[mid_a, na + mid_b]
         if float(np.abs(two_copies).max()) > EXACT_TOL:
             raise InternalInvariantError(
                 "combined ambient separates the two middle copies "

@@ -10,7 +10,7 @@ Four families:
   flagged ``axiom6_unverified``.
 
 * ``min_C`` — the smallest admissible constant: max_{A>=0} 16 A² e^{-A²/16},
-  located by bounded scalar maximization; equals 256/e analytically.
+  which is 256/e in closed form (attained at A² = 16).
 
 * ``gaussian_flow_discrete`` — Riemann discretization of the Gauss-Weierstrass
   kernel on a box lattice, with an exact-values sidecar
@@ -40,7 +40,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -74,25 +73,12 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1)
 def min_C() -> float:
     """Smallest constant C for which 16 A² <= C e^{A²/16} holds for all A >= 0.
 
-    Equals max_A 16 A² e^{-A²/16} = 256/e (attained at A² = 16); computed by
-    bounded 1-d maximization so the returned value is the numerical maximum,
-    which agrees with 256/e to ~1e-10.
+    Equals max_A 16 A² e^{-A²/16} = 256/e, attained at A² = 16.
     """
-    # imported on use, as is expm below: scipy.optimize and scipy.linalg add
-    # about 0.4 s to the start of a command, and most commands need neither
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(
-        lambda a: -16.0 * a * a * math.exp(-a * a / 16.0),
-        bounds=(0.0, 64.0),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    return float(-res.fun)
+    return 256.0 / math.e
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +311,7 @@ def static_flow(
 def cycle_semigroup(m: int, rate: float, lags: Sequence[float]) -> dict:
     """Transition kernels P(tau) = expm(tau Q) of the continuous-time walk on
     an m-cycle (jump rate ``rate``, half to each neighbor)."""
+    # imported on use: scipy.linalg slows the start of every command
     from scipy.linalg import expm
 
     if m < 3:

@@ -65,6 +65,43 @@ def test_glue_two_slices_cross_distance():
     assert report.ok
 
 
+def test_glue_two_slices_ambient_layout():
+    """Earlier slice first with ``s:`` labels, later slice second with
+    ``t:`` labels; every entry is dyadic, so the cross block must equal its
+    defining formula exactly."""
+    space_s = FiniteMetricSpace(
+        labels=("p", "q", "r"),
+        dist=np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]),
+    )
+    space_t = FiniteMetricSpace(labels=("a", "b"), dist=np.array([[0.0, 2.0], [2.0, 0.0]]))
+    link = {0: np.array([0.75, 0.25, 0.0]), 1: np.array([0.0, 0.25, 0.75])}
+    delta = 0.75  # d_t - W1(kernels) = 2.0 - 1.5 = 0.5
+    glued = mf.glue_two_slices(space_s, space_t, link, delta=delta)
+    cross = np.array(
+        [
+            [min(link[w] @ space_s.dist[x] + space_t.dist[w, y] for w in link) + delta for y in range(2)]
+            for x in range(3)
+        ]
+    )
+    d = glued.ambient.dist
+    assert glued.ambient.labels == ("s:p", "s:q", "s:r", "t:a", "t:b")
+    assert np.array_equal(d[:3, :3], space_s.dist)
+    assert np.array_equal(d[3:, 3:], space_t.dist)
+    assert np.array_equal(d[:3, 3:], cross)
+    assert np.array_equal(d[3:, :3], cross.T)
+    assert glued.embeddings == ((0, 1, 2), (3, 4))
+
+
+def test_glue_audit_rejects_a_broken_cross_block():
+    """Zero cross distances put both points of one slice at distance zero
+    from one point of the other, while they sit at distance 1 apart."""
+    seg = two_point_space(1.0)
+    with pytest.raises(
+        mf.InternalInvariantError, match="audit probe: glued ambient violates metric axioms"
+    ):
+        correspondence._glue(seg, seg, np.zeros((2, 2)), "st", "audit probe")
+
+
 def test_glue_two_slices_rejects_bad_hypothesis():
     space_s = two_point_space(1.0)
     link = {0: np.array([0.8, 0.2]), 1: np.array([0.2, 0.8])}
@@ -120,6 +157,60 @@ def test_combine_correspondences_three_way():
     late = mf.build_union_correspondence(fb, fc, ident, time_indices=(3, 4))
     with pytest.raises(InputError, match="no participating times"):
         mf.combine_correspondences(early, late)
+
+
+def _layout_flows():
+    grid = TimeGrid.uniform(0.0, 1.0, 2)
+    return tuple(mf.two_point_flow(C_STAR, d, grid) for d in (1.0, 1.5, 2.0))
+
+
+def test_union_correspondence_ambient_layout():
+    """Flow 1 first with ``1:`` labels, flow 2 second with ``2:`` labels;
+    cross distance min over matched (w1, w2) of d1(x, w1) + d2(w2, y) + eps."""
+    f1, f2, _ = _layout_flows()
+    pairs = [(0, 0), (1, 1)]
+    c = mf.build_union_correspondence(f1, f2, pairs)
+    for t in c.time_indices:
+        d1, d2 = f1.slices[t].dist, f2.slices[t].dist
+        eps = c.extras["eps_by_time"][t]
+        assert eps == 0.25
+        cross = np.array(
+            [[min(d1[x, a] + d2[b, y] for a, b in pairs) + eps for y in range(2)] for x in range(2)]
+        )
+        g = c.ambient_at(t)
+        d = g.ambient.dist
+        assert g.ambient.labels == ("1:+", "1:-", "2:+", "2:-")
+        assert np.array_equal(d[:2, :2], d1)
+        assert np.array_equal(d[2:, 2:], d2)
+        assert np.array_equal(d[:2, 2:], cross)
+        assert np.array_equal(d[2:, :2], cross.T)
+        assert g.embeddings == ((0, 1), (2, 3))
+
+
+def test_combined_correspondence_ambient_layout():
+    """The (1,2) ambient first with ``L:`` labels, the (2,3) ambient second
+    with ``R:`` labels; cross distance the cheapest route through a middle
+    point; flow 3 embedded through the second block."""
+    fa, fb, fc = _layout_flows()
+    ident = [(0, 0), (1, 1)]
+    c12 = mf.build_union_correspondence(fa, fb, ident)
+    c23 = mf.build_union_correspondence(fb, fc, ident)
+    c123 = mf.combine_correspondences(c12, c23)
+    for t in c123.time_indices:
+        da, db = c12.ambient_at(t).ambient.dist, c23.ambient_at(t).ambient.dist
+        cross = np.array(
+            [[min(da[z, 2 + x] + db[x, w] for x in range(2)) for w in range(4)] for z in range(4)]
+        )
+        g = c123.ambient_at(t)
+        d = g.ambient.dist
+        assert g.ambient.labels == (
+            "L:1:+", "L:1:-", "L:2:+", "L:2:-", "R:1:+", "R:1:-", "R:2:+", "R:2:-",
+        )
+        assert np.array_equal(d[:4, :4], da)
+        assert np.array_equal(d[4:, 4:], db)
+        assert np.array_equal(d[:4, 4:], cross)
+        assert np.array_equal(d[4:, :4], cross.T)
+        assert g.embeddings == ((0, 1), (2, 3), (6, 7))
 
 
 # ---------------------------------------------------------------------------

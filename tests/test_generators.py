@@ -3,6 +3,9 @@ discretized diffusion on a lattice, static (time-independent) flows, and the
 self-similar fixed-point construction."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,6 +29,27 @@ from conftest import C_STAR
 
 def test_min_c_closed_form():
     assert mf.min_C() == pytest.approx(256.0 / math.e, rel=2e-14)
+
+
+def test_min_c_is_exactly_256_over_e():
+    assert mf.min_C() == 256.0 / math.e
+
+
+def test_generate_two_point_does_not_import_scipy_optimize(tmp_path):
+    out = tmp_path / "tp.json"
+    code = (
+        "import sys; from metricflow.cli import main; "
+        f"main(['generate', 'two-point', '--out', {str(out)!r}]); "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(mf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_min_c_is_the_threshold_of_the_gradient_condition():
