@@ -67,6 +67,7 @@ from .ot_core import (
     InputError,
     InternalInvariantError,
     ProbMeasure,
+    _coupling_columns,
     _fit_marginals,
     check_metric_axioms,
     glue_couplings,
@@ -584,31 +585,22 @@ class _FDistanceProblem:
         n1, n2 = mu1.n, mu2.n
         nq = n1 * n2
         costs = {s: self.cost(s, t_idx) for s in s_list}
-        a_eq = np.zeros((n1 + n2, nq + 1))
-        for i in range(n1):
-            a_eq[i, i * n2 : (i + 1) * n2] = 1.0
-        for j in range(n2):
-            a_eq[n1 + j, j:nq:n2] = 1.0
+        m = len(s_list)
+        # variables (q, r): rows -inf <= <c_s, q> - r <= 0, then the marginals
+        # of q; the r column holds -1 in each of the m cost rows
+        indptr, indices, data = _coupling_columns(
+            n1, n2, np.array([costs[s].ravel() for s in s_list]).reshape(m, nq)
+        )
         b_eq = np.concatenate([mu1.weights, mu2.weights])
-        a_ub = np.zeros((len(s_list), nq + 1))
-        for row, s in enumerate(s_list):
-            a_ub[row, :nq] = costs[s].ravel()
-            a_ub[row, nq] = -1.0
         cvec = np.zeros(nq + 1)
         cvec[nq] = 1.0
-        # rows [A_ub; A_eq] in CSC form, explicit zeros dropped, with
-        # -inf <= A_ub x <= 0 and A_eq x = b_eq
-        a = np.vstack((a_ub, a_eq))
-        cols, rows = np.nonzero(a.T)
-        indptr = np.zeros(nq + 2, dtype=np.int32)
-        np.cumsum(np.count_nonzero(a, axis=0), out=indptr[1:])
         res = linprog(
             cvec,
-            indptr,
-            rows.astype(np.int32),
-            a[rows, cols],
-            np.concatenate([np.full(len(s_list), -np.inf), b_eq]),
-            np.concatenate([np.zeros(len(s_list)), b_eq]),
+            np.append(indptr, indptr[-1] + m),
+            np.concatenate([indices, np.arange(m, dtype=np.int32)]),
+            np.concatenate([data, np.full(m, -1.0)]),
+            np.concatenate([np.full(m, -np.inf), b_eq]),
+            np.concatenate([np.zeros(m), b_eq]),
         )
         if res.x is None:  # pragma: no cover - defensive
             raise InternalInvariantError(f"min-max transport LP failed at t_idx={t_idx}: {res.message}")

@@ -536,22 +536,32 @@ def linprog(c, indptr, indices, data, lhs, rhs) -> LPSolution:
     return LPSolution(x, np.array(solution.row_dual), "optimal")
 
 
+def _coupling_columns(n1: int, n2: int, rows: np.ndarray):
+    """CSC arrays ``(indptr, indices, data)`` of the n1*n2 coupling columns
+    of a transport-type LP whose first ``m = len(rows)`` constraint rows are
+    ``rows`` (shape ``(m, n1*n2)``) and whose next n1 + n2 rows are the two
+    marginals. Column k = i*n2 + j holds the nonzero entries of
+    ``rows[:, k]`` first (explicit zeros dropped), then ones in rows m + i
+    and m + n1 + j.
+    """
+    m = rows.shape[0]
+    idx = np.empty((n1, n2, m + 2), dtype=np.int32)
+    idx[:, :, :m] = np.arange(m)
+    idx[:, :, m] = np.arange(m, m + n1)[:, None]
+    idx[:, :, m + 1] = np.arange(m + n1, m + n1 + n2)
+    val = np.ones((n1, n2, m + 2))
+    val[:, :, :m] = rows.T.reshape(n1, n2, m)
+    keep = val != 0.0
+    indptr = np.zeros(n1 * n2 + 1, dtype=np.int32)
+    keep.sum(axis=2, dtype=np.int32).cumsum(out=indptr[1:])
+    return indptr, idx[keep], val[keep]
+
+
 def _transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Solve min <cost, q> over couplings of (a, b). Returns (plan, duals)."""
     n1, n2 = cost.shape
-    # column k = i*n2 + j of the marginal constraints has ones in rows i and n1 + j
-    indices = np.empty((n1, n2, 2), dtype=np.int32)
-    indices[:, :, 0] = np.arange(n1, dtype=np.int32)[:, None]
-    indices[:, :, 1] = n1 + np.arange(n2, dtype=np.int32)
     ab = np.concatenate([a, b])
-    res = linprog(
-        cost.ravel(),
-        np.arange(0, 2 * n1 * n2 + 1, 2, dtype=np.int32),
-        indices.ravel(),
-        np.ones(2 * n1 * n2),
-        ab,
-        ab,
-    )
+    res = linprog(cost.ravel(), *_coupling_columns(n1, n2, np.empty((0, n1 * n2))), ab, ab)
     if res.x is None:
         raise CertificateError(f"transport LP failed: {res.message}")
     plan = res.x.reshape(n1, n2)

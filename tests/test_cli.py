@@ -93,6 +93,31 @@ def test_schema_errors_exit_2(tmp_path, capsys):
     assert rc == 2 and "kernels.mode" in err
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(times=[[t] for t in d["times"]]),
+    lambda d: d.update(times=None),
+    lambda d: d.update(times=[str(t) for t in d["times"]]),
+    lambda d: d.update(metadata=["approximate"]),
+    lambda d: d["slices"][0]["labels"].__setitem__(0, ["+"]),
+    lambda d: d.update(slices={str(i): s for i, s in enumerate(d["slices"])}),
+    lambda d: d["slices"].__setitem__(0, [[0.0, 1.0], [1.0, 0.0]]),
+    lambda d: d["kernels"].update(matrices={"0": d["kernels"]["matrices"][0]}),
+    lambda d: d.update(kernels={"mode": "full", "pairs": [[[1.0]]]}),
+], ids=["times-nested", "times-null", "times-strings", "metadata-list", "label-unhashable",
+        "slices-object", "slice-not-object", "matrices-object", "pairs-list"])
+@pytest.mark.parametrize("command", [["verify"], ["report", "--quantity", "var-curve"]])
+def test_malformed_documents_exit_2(tp4, tmp_path, capsys, mutate, command):
+    doc = json.loads(open(tp4).read())
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = [command[0], str(bad), *command[1:]]
+    if command[0] == "report":
+        argv += ["--csv", str(tmp_path / "out.csv")]
+    rc, _, err = run_cli(capsys, *argv)
+    assert rc == 2 and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_generate_parameter_errors_exit_2(tmp_path, capsys):
     rc, _, err = run_cli(
         capsys, "generate", "two-point", "--D", "0", "--out", str(tmp_path / "x.json")
@@ -174,6 +199,36 @@ def test_verify_approximate_is_informational(tmp_path, capsys):
     assert "flagged 'approximate'" in out
 
 
+@pytest.mark.filterwarnings("ignore:box half-width:UserWarning")
+@pytest.mark.parametrize("kind, argv, ok", [
+    ("gaussian", ["--L", "3", "--h", "0.2", "--times", "0,0.5,1"], True),
+    ("static", ["--m", "5", "--rate", "2", "--steps", "4"], False),
+])
+def test_verify_verdict_is_the_report_ok(tmp_path, capsys, kind, argv, ok):
+    """The CLI summary, exit code and JSON gating fields all come from the
+    library report: on an approximate flow reproduction and axiom (6) are
+    informational, so the report is ok although reproduction fails."""
+    path = make_doc(tmp_path, "f.json", "generate", kind, *argv)
+    flow = mf.cli.load_flow(path)
+    assert mf.verify_flow_axioms(flow).ok is ok
+    report = mf.verify_flow_axioms(flow, mode="randomized", seeds=16)
+    assert report.ok is ok
+    if ok:
+        assert not report.record("reproduction").passed
+    out_json = tmp_path / "report.json"
+    capsys.readouterr()
+    rc, out, _ = run_cli(
+        capsys, "verify", path, "--mode", "randomized", "--seeds", "16", "--json", str(out_json)
+    )
+    assert rc == (0 if ok else 1)
+    assert f"summary: {'PASS' if ok else 'FAIL'}" in out
+    payload = json.loads(out_json.read_text())
+    assert payload["summary"] == ("PASS" if ok else "FAIL")
+    assert [r["gating"] for r in payload["records"]] == [r.gating for r in report.records]
+    assert [e["gating"] for e in payload["axiom6"]] == [e.gating for e in report.axiom6]
+    assert report.axiom6 and all(e.gating is not ok for e in report.axiom6)
+
+
 # ---------------------------------------------------------------------------
 # distance
 # ---------------------------------------------------------------------------
@@ -215,9 +270,16 @@ def test_distance_relation_file_and_label_mismatch(tmp_path, capsys):
     assert rc == 0  # crossing the symmetric relation changes nothing
     assert "value r" in out
     badrel = tmp_path / "badrel.json"
-    badrel.write_text(json.dumps([1, 2, 3]))
-    rc, _, err = run_cli(capsys, "distance", a, b, "--relation", str(badrel))
-    assert rc == 2 and "relation file" in err
+    for payload, message in (
+        ([1, 2, 3], "relation file"),
+        ({"pairs": [1, 2]}, "integer pairs"),
+        ({"pairs": [[0, 1.5]]}, "integer pairs"),
+        ({"per_time": {"zero": [[0, 0]]}}, "not a grid index"),
+        ({"per_time": {"0": 5}}, "integer pairs"),
+    ):
+        badrel.write_text(json.dumps(payload))
+        rc, _, err = run_cli(capsys, "distance", a, b, "--relation", str(badrel))
+        assert rc == 2 and message in err
 
 
 def test_distance_e_mode_and_protected_times(tmp_path, capsys):

@@ -3,6 +3,9 @@ concentration constants and centers, monotonicity checks, and the
 mass-distribution lower bound."""
 
 import math
+import os
+import subprocess
+import sys
 from functools import reduce
 
 import mpmath
@@ -56,6 +59,32 @@ def test_phi_matches_quadrature_oracle():
         assert phi(x) == pytest.approx(oracle, rel=1e-14)
     # frozen value at x = 2 (equals (1 + erf(1))/2)
     assert phi(2.0) == pytest.approx(0.9213503964748574, abs=1e-15)
+
+
+def test_phi_and_phi_inv_arbitrary_precision_path():
+    """mpf input stays in mpmath, so the round trip holds far into the tail,
+    where float64 spacing of y near 1 limits the float path."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(9)
+        y = phi(x)
+        assert isinstance(y, mpmath.mpf)
+        assert mpmath.almosteq(y, (1 + mpmath.erf(x / 2)) / 2, rel_eps=mpmath.mpf(10) ** -35)
+        back = phi_inv(y)
+        assert isinstance(back, mpmath.mpf)
+        assert abs(back - x) < mpmath.mpf(10) ** -25
+        with pytest.raises(InputError):
+            phi_inv(mpmath.mpf(1))
+
+
+def test_importing_the_cli_leaves_mpmath_unloaded():
+    code = "import sys, metricflow.cli; print('mpmath' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(mf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_phi_inv_roundtrip():
@@ -696,7 +725,7 @@ def test_cone_battery_reads_the_choice_stream(offsets):
     k = _stochastic(rng, 4, 5)
     args = (k, d_s, d_t, 0.3, (0.1, 1.0, 4.0), offsets, 40)
     ours, ref = np.random.default_rng(7), np.random.default_rng(7)
-    got = flow_core._battery_cone(*args, ours, 1e-9)
+    got = flow_core._battery_cone(*args, ours)
     assert got[:2] == _reference_battery(*args, ref)
     assert got[2] == 3 * 6 * (5 * 2 * len(offsets) + 40)
     assert ours.bit_generator.state == ref.bit_generator.state

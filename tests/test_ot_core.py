@@ -19,7 +19,7 @@ from metricflow import (
     InputError,
     ProbMeasure,
 )
-from metricflow.ot_core import _transport_lp, linprog
+from metricflow.ot_core import _coupling_columns, _transport_lp, linprog
 
 from conftest import euclidean_space, random_measure, random_space, two_point_space
 
@@ -290,6 +290,46 @@ def test_minmax_lp_is_bit_identical_to_scipy_linprog():
     )
     assert np.array_equal(res.x, x)
     assert np.array_equal(res.row_dual, np.concatenate([ineq, eq]))
+
+
+def _dense_coupling_columns(n1, n2, rows):
+    """The coupling columns as the min-max LP once built them: a dense
+    ``[rows; marginals]`` matrix scanned for nonzeros in CSC order."""
+    nq = n1 * n2
+    a_eq = np.zeros((n1 + n2, nq))
+    for i in range(n1):
+        a_eq[i, i * n2 : (i + 1) * n2] = 1.0
+    for j in range(n2):
+        a_eq[n1 + j, j:nq:n2] = 1.0
+    a = np.vstack((rows, a_eq))
+    cols, rws = np.nonzero(a.T)
+    indptr = np.zeros(nq + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(a, axis=0), out=indptr[1:])
+    return indptr, rws.astype(np.int32), a[rws, cols]
+
+
+def _marginal_columns(n1, n2):
+    """The transport LP's marginal block as it was once built directly."""
+    indices = np.empty((n1, n2, 2), dtype=np.int32)
+    indices[:, :, 0] = np.arange(n1, dtype=np.int32)[:, None]
+    indices[:, :, 1] = n1 + np.arange(n2, dtype=np.int32)
+    return (np.arange(0, 2 * n1 * n2 + 1, 2, dtype=np.int32), indices.ravel(),
+            np.ones(2 * n1 * n2))
+
+
+def test_coupling_columns_match_dense_and_marginal_layouts():
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        n1, n2, m = int(rng.integers(1, 7)), int(rng.integers(1, 7)), int(rng.integers(0, 5))
+        rows = rng.uniform(0.0, 3.0, (m, n1 * n2))
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        got = _coupling_columns(n1, n2, rows)
+        refs = [_dense_coupling_columns(n1, n2, rows)]
+        if m == 0:
+            refs.append(_marginal_columns(n1, n2))
+        for ref in refs:
+            for x, y in zip(got, ref):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
 def test_transport_lp_refuses_unequal_masses():
