@@ -165,8 +165,6 @@ def glue_two_slices(
     space_t: FiniteMetricSpace,
     link: dict,
     delta: float,
-    *,
-    hypothesis_slack: float = 1e-9,
 ) -> GluedSpace:
     """Glue a later slice onto an earlier one through kernels on a subset W.
 
@@ -175,7 +173,7 @@ def glue_two_slices(
 
         0 <= d_t(w1, w2) - d_W1(nu_{w1;s}, nu_{w2;s}) <= delta   on W
 
-    (checked within ``hypothesis_slack``; violation raises
+    (checked within 1e-9; violation raises
     :class:`InputError` with the worst witness pair). The ambient keeps both
     point sets disjoint with cross-distance
 
@@ -205,7 +203,7 @@ def glue_two_slices(
             gap = space_t.dist[w_idx[a], w_idx[b]] - w1_distance(
                 space_s, ProbMeasure(kernels[a]), ProbMeasure(kernels[b])
             ).value
-            if gap < -hypothesis_slack or gap > delta + hypothesis_slack:
+            if gap < -1e-9 or gap > delta + 1e-9:
                 off = max(-gap, gap - delta)
                 if witness is None or off > max(worst_lo, worst_hi):
                     witness = (w_idx[a], w_idx[b], float(gap))
@@ -629,7 +627,6 @@ def f_distance_within(
     *,
     J: Sequence = (),
     e_mode: str = "empty",
-    max_exhaustive: int = 12,
 ) -> FDistanceReport:
     """Flow distance between two metric flow pairs within a correspondence.
 
@@ -645,8 +642,8 @@ def f_distance_within(
     controlled by ``e_mode``:
 
     * ``"empty"``      — E = {} (always a valid upper bound);
-    * ``"exhaustive"`` — all E of measure <= measure(I'')/2 (participating
-      times capped at ``max_exhaustive``), pruned by sqrt(measure);
+    * ``"exhaustive"`` — all E of measure <= measure(I'')/2 (at most 12
+      participating times), pruned by sqrt(measure);
     * ``"greedy"``     — drop the worst time while it helps; flagged
       ``greedy`` since it may miss the optimum.
 
@@ -695,9 +692,9 @@ def f_distance_within(
         best = evaluate(best_E)
     elif e_mode == "exhaustive":
         free = [t for t in idxs if t not in J_idx]
-        if len(idxs) > max_exhaustive:
+        if len(idxs) > 12:
             raise InputError(
-                f"exhaustive E-search limited to {max_exhaustive} participating times, got {len(idxs)}"
+                f"exhaustive E-search limited to 12 participating times, got {len(idxs)}"
             )
         candidates = []
         for size in range(len(free) + 1):
@@ -800,9 +797,8 @@ def f_triangle_check(
     *,
     J: Sequence = (),
     e_mode: str = "empty",
-    slack: float = 1e-8,
 ) -> FTriangleReport:
-    """Audit d(1,3) <= d(1,2) + d(2,3) within a three-way correspondence.
+    """Audit d(1,3) <= d(1,2) + d(2,3) + 1e-8 within a three-way correspondence.
 
     Beyond comparing the three computed values, the (1,2)- and (2,3)-
     couplings are glued through the middle flow time-by-time (outside the
@@ -816,7 +812,7 @@ def f_triangle_check(
     d12 = f_distance_within(c123.pair_view(0, 1), pair1, pair2, J=J, e_mode=e_mode)
     d23 = f_distance_within(c123.pair_view(1, 2), pair2, pair3, J=J, e_mode=e_mode)
     d13 = f_distance_within(c123.pair_view(0, 2), pair1, pair3, J=J, e_mode=e_mode)
-    holds = d13.value <= d12.value + d23.value + slack
+    holds = d13.value <= d12.value + d23.value + 1e-8
 
     bound = d12.value + d23.value
     idxs = tuple(int(i) for i in c123.time_indices)

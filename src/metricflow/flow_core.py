@@ -70,7 +70,6 @@ __all__ = [
     "Axiom6Entry",
     "FlowVerifyReport",
     "SupportReport",
-    "PStarResult",
     "MassLowerBoundReport",
     "IntrinsicReport",
     "verify_flow_axioms",
@@ -174,7 +173,7 @@ def _phi_inv_pair(u: np.ndarray, v: np.ndarray):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """A strictly increasing finite grid of times.
+    """A strictly increasing finite grid of finite times with |t| <= 1e300.
 
     The measure of an index subset weighs each grid point by the half-sum of
     its adjacent gaps (a missing boundary gap contributes 0), so the measure
@@ -189,6 +188,8 @@ class TimeGrid:
             raise InputError("times must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(t)):
             raise StructuralError("times: non-finite entries")
+        if np.any(np.abs(t) > 1e300):
+            raise InputError("times: |t| must not exceed 1e300 (a larger lag overflows)")
         if t.size > 1 and np.any(np.diff(t) <= 0.0):
             raise InputError("times must be strictly increasing")
         object.__setattr__(self, "times", tuple(float(x) for x in t))
@@ -325,18 +326,8 @@ class MetricFlow:
     # -- basic accessors ----------------------------------------------------
 
     @property
-    def n_times(self) -> int:
-        return self.grid.n
-
-    @property
     def is_markov(self) -> bool:
         return self._adjacent is not None
-
-    def time(self, idx: int) -> float:
-        return self.grid.times[idx]
-
-    def slice_at(self, idx: int) -> FiniteMetricSpace:
-        return self.slices[idx]
 
     def flagged(self, name: str) -> bool:
         return bool(self.metadata.get(name, False))
@@ -465,10 +456,11 @@ def conj_backward(flow: MetricFlow, t0: float, mu0: ProbMeasure) -> ConjHeatFlow
 
 
 def pairing_invariant_check(
-    flow: MetricFlow, u: HeatFlowField, mu: ConjHeatFlowField, tol: float = 1e-10
+    flow: MetricFlow, u: HeatFlowField, mu: ConjHeatFlowField
 ) -> CheckRecord:
     """The pairing t -> sum_x u_t(x) mu_t(x) is constant along a heat flow /
-    conjugate heat flow pair; report the worst deviation on common times."""
+    conjugate heat flow pair; report the worst deviation on common times
+    (passes at most 1e-10)."""
     common = sorted(set(u.time_indices) & set(mu.time_indices))
     if len(common) < 2:
         raise InputError("need at least two common times to compare pairings")
@@ -477,7 +469,7 @@ def pairing_invariant_check(
     worst = max(abs(p - ref) for p in pairings)
     return CheckRecord(
         name="pairing-invariant",
-        passed=worst <= tol,
+        passed=worst <= 1e-10,
         worst=worst,
         details=tuple((int(i), float(p)) for i, p in zip(common, pairings)),
     )
@@ -551,10 +543,10 @@ def hcenter_mass_bound_check(
     s: float,
     H: float,
     A_values: Sequence[float] = (2.0, 4.0, 8.0),
-    tol: float = 1e-12,
 ) -> CheckRecord:
     """Chebyshev mass bound at the H-centers: for every center z and A > 1,
-    nu_{x;s}(B(z, sqrt(A H (t-s)))) >= 1 - 1/A with B an *open* ball."""
+    nu_{x;s}(B(z, sqrt(A H (t-s)))) >= 1 - 1/A with B an *open* ball, up to
+    a shortfall of 1e-12."""
     t_idx, s_idx = flow.grid.index_of(t), flow.grid.index_of(s)
     centers = h_centers(flow, x_idx, t, s, H)
     nu = flow.kernel(s_idx, t_idx)[int(x_idx)]
@@ -571,7 +563,7 @@ def hcenter_mass_bound_check(
         worst = max(worst, need - low)
         rows.append((float(A), len(centers), low, need))
     return CheckRecord(
-        name="hcenter-mass-bound", passed=worst <= tol, worst=worst, details=tuple(rows)
+        name="hcenter-mass-bound", passed=worst <= 1e-12, worst=worst, details=tuple(rows)
     )
 
 
@@ -598,10 +590,10 @@ def w1_kernel_monotonicity_check(
     flow: MetricFlow,
     mu1: ConjHeatFlowField,
     mu2: ConjHeatFlowField,
-    slack: float = 1e-9,
 ) -> CheckRecord:
     """t -> d_W1(mu1_t, mu2_t) must be non-decreasing along two conjugate
-    heat flows; report the worst decrease over common time pairs."""
+    heat flows; report the worst decrease over common time pairs (passes at
+    most 1e-9)."""
     common = sorted(set(mu1.time_indices) & set(mu2.time_indices))
     if len(common) < 2:
         raise InputError("need at least two common times")
@@ -612,24 +604,15 @@ def w1_kernel_monotonicity_check(
     worst = _worst_decrease(vals)
     return CheckRecord(
         name="w1-monotonicity",
-        passed=worst <= slack,
+        passed=worst <= 1e-9,
         worst=worst,
         details=tuple((int(i), float(v)) for i, v in zip(common, vals)),
     )
 
 
-def kernel_w1_contraction_check(
-    flow: MetricFlow,
-    t: float,
-    s: float,
-    pairs: Sequence | None = None,
-    slack: float = 1e-9,
-) -> CheckRecord:
-    """Special case on kernels: d_W1(nu_{x1;s}, nu_{x2;s}) <= d_t(x1, x2).
-
-    ``pairs`` restricts to the given (x1, x2) index pairs; default is all
-    unordered pairs of the slice at t.
-    """
+def kernel_w1_contraction_check(flow: MetricFlow, t: float, s: float) -> CheckRecord:
+    """Special case on kernels: d_W1(nu_{x1;s}, nu_{x2;s}) <= d_t(x1, x2) + 1e-9
+    over all unordered pairs (x1, x2) of the slice at t."""
     t_idx, s_idx = flow.grid.index_of(t), flow.grid.index_of(s)
     if s_idx > t_idx:
         raise InputError("need s <= t")
@@ -637,17 +620,15 @@ def kernel_w1_contraction_check(
     space_s = flow.slices[s_idx]
     d_t = flow.slices[t_idx].dist
     n = flow.slices[t_idx].n
-    if pairs is None:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     worst = -math.inf
     rows = []
-    for x1, x2 in pairs:
-        val = w1_distance(space_s, ProbMeasure(k[int(x1)]), ProbMeasure(k[int(x2)])).value
-        excess = val - d_t[int(x1), int(x2)]
-        worst = max(worst, excess)
-        rows.append((int(x1), int(x2), float(val), float(d_t[int(x1), int(x2)])))
+    for x1 in range(n):
+        for x2 in range(x1 + 1, n):
+            val = w1_distance(space_s, ProbMeasure(k[x1]), ProbMeasure(k[x2])).value
+            worst = max(worst, val - d_t[x1, x2])
+            rows.append((x1, x2, float(val), float(d_t[x1, x2])))
     return CheckRecord(
-        name="kernel-w1-contraction", passed=worst <= slack, worst=worst, details=tuple(rows)
+        name="kernel-w1-contraction", passed=worst <= 1e-9, worst=worst, details=tuple(rows)
     )
 
 
@@ -656,10 +637,9 @@ def var_plus_Ht_monotonicity_check(
     mu1: ConjHeatFlowField,
     mu2: ConjHeatFlowField,
     H: float,
-    slack: float = 1e-9,
 ) -> CheckRecord:
     """t -> Var(mu1_t, mu2_t) + H t must be non-decreasing for an
-    H-concentrated flow; report the worst decrease."""
+    H-concentrated flow; report the worst decrease (passes at most 1e-9)."""
     common = sorted(set(mu1.time_indices) & set(mu2.time_indices))
     if len(common) < 2:
         raise InputError("need at least two common times")
@@ -671,7 +651,7 @@ def var_plus_Ht_monotonicity_check(
     worst = _worst_decrease(vals)
     return CheckRecord(
         name="var-plus-Ht-monotonicity",
-        passed=worst <= slack,
+        passed=worst <= 1e-9,
         worst=worst,
         details=tuple((int(i), float(v)) for i, v in zip(common, vals)),
     )
@@ -682,15 +662,6 @@ def var_plus_Ht_monotonicity_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PStarResult:
-    contains: bool
-    time_window_ok: bool
-    s_star: float
-    s_star_idx: int
-    w1_value: float | None
-
-
 def pstar_contains(
     flow: MetricFlow,
     center: tuple,
@@ -698,17 +669,15 @@ def pstar_contains(
     T_minus: float,
     T_plus: float,
     point: tuple,
-    *,
-    detail: bool = False,
-):
+) -> bool:
     """Membership of ``point`` in the W1 parabolic neighborhood of ``center``.
 
     ``center`` and ``point`` are (time value, point index) pairs. The
     neighborhood holds points x' whose time lies in [t - T_minus, t + T_plus]
     (unsnapped bounds) and whose kernel at the comparison time s* satisfies
     d_W1(nu_{x;s*}, nu_{x';s*}) < A (strict). The comparison time is the
-    largest grid time <= t - T_minus (snapping recorded in the detail
-    result); the window guarantees both kernels exist there.
+    largest grid time <= t - T_minus; the window guarantees both kernels
+    exist there.
     """
     if not (A > 0.0 and T_minus >= 0.0 and T_plus >= 0.0):
         raise InputError("need A > 0 and T_minus, T_plus >= 0")
@@ -727,21 +696,11 @@ def pstar_contains(
     window_ok = (t_p >= cutoff - EXACT_TOL * max(1.0, abs(cutoff))) and (
         t_p <= t_c + T_plus + EXACT_TOL * max(1.0, abs(t_c + T_plus))
     )
-    w1_val = None
-    contains = False
-    if window_ok:
-        nu_c = ProbMeasure(flow.kernel(s_idx, tc_idx)[int(x_c)])
-        nu_p = ProbMeasure(flow.kernel(s_idx, tp_idx)[int(x_p)])
-        w1_val = w1_distance(flow.slices[s_idx], nu_c, nu_p).value
-        contains = w1_val < A
-    result = PStarResult(
-        contains=contains,
-        time_window_ok=window_ok,
-        s_star=float(times[s_idx]),
-        s_star_idx=s_idx,
-        w1_value=w1_val,
-    )
-    return result if detail else result.contains
+    if not window_ok:
+        return False
+    nu_c = ProbMeasure(flow.kernel(s_idx, tc_idx)[int(x_c)])
+    nu_p = ProbMeasure(flow.kernel(s_idx, tp_idx)[int(x_p)])
+    return w1_distance(flow.slices[s_idx], nu_c, nu_p).value < A
 
 
 # ---------------------------------------------------------------------------
@@ -757,16 +716,15 @@ class SupportReport:
     mismatches: tuple
 
 
-def support_at(
-    flow: MetricFlow, mu: ConjHeatFlowField, t: float, *, cross_check: bool = True
-) -> SupportReport:
+def support_at(flow: MetricFlow, mu: ConjHeatFlowField, t: float) -> SupportReport:
     """Support of the flow at time t, computed from a conjugate heat flow.
 
     For t strictly before the final grid time the support is independent of
-    which conjugate heat flow is used; when ``cross_check`` is set this is
-    asserted against the kernel families of the next slice's points and any
-    disagreement is reported (``independent_ok=False``). At the final grid
-    time the support is the whole slice by convention.
+    which conjugate heat flow is used; this is cross-checked against the
+    kernels nu_{x;t} of every point x of the next slice, and each kernel
+    whose support differs is reported as ``(t_idx + 1, x, support)``
+    (``independent_ok=False``). At the final grid time the support is the
+    whole slice by convention.
     """
     t_idx = flow.grid.index_of(t)
     if t_idx == flow.grid.n - 1:
@@ -780,13 +738,12 @@ def support_at(
         raise InputError(f"mu is not defined at grid index {t_idx}")
     supp = set(int(i) for i in mu.measure_at(t_idx).support())
     mismatches = []
-    if cross_check:
-        nxt = t_idx + 1
-        k = flow.kernel(t_idx, nxt)
-        for x in range(flow.slices[nxt].n):
-            other = set(int(i) for i in np.nonzero(k[x] > 0.0)[0])
-            if other != supp:
-                mismatches.append((nxt, x, tuple(sorted(other))))
+    nxt = t_idx + 1
+    k = flow.kernel(t_idx, nxt)
+    for x in range(flow.slices[nxt].n):
+        other = set(int(i) for i in np.nonzero(k[x] > 0.0)[0])
+        if other != supp:
+            mismatches.append((nxt, x, tuple(sorted(other))))
     return SupportReport(
         indices=tuple(sorted(supp)),
         whole_slice=False,
@@ -888,7 +845,6 @@ def intd_diff_bounds_check(
     H: float,
     s: float,
     t: float,
-    slack: float = 1e-9,
 ) -> CheckRecord:
     """Two-sided drift bound for the distance integral along a conjugate heat
     flow of an H-concentrated flow:
@@ -896,7 +852,8 @@ def intd_diff_bounds_check(
         -sqrt(H (t-s)) <= I_t - I_s
                        <= sqrt(Var(mu_t) - Var(mu_s) + H (t-s)) + 2 sqrt(H (t-s))
 
-    (the inner argument is clamped at 0 against float cancellation).
+    (the inner argument is clamped at 0 against float cancellation); passes
+    when neither side is exceeded by more than 1e-9.
     """
     s_idx, t_idx = flow.grid.index_of(s), flow.grid.index_of(t)
     if s_idx > t_idx:
@@ -912,7 +869,7 @@ def intd_diff_bounds_check(
     excess = max(lower - diff, diff - upper)
     return CheckRecord(
         name="intd-diff-bounds",
-        passed=excess <= slack,
+        passed=excess <= 1e-9,
         worst=excess,
         details=((float(diff), float(lower), float(upper)),),
     )
@@ -946,7 +903,6 @@ def mass_distribution_lower_bound_check(
     r: float,
     V: float,
     H: float,
-    eps_values: Sequence[float] | None = None,
 ) -> MassLowerBoundReport:
     """Lower bound on the mass distribution of a conjugate heat flow slice.
 
@@ -958,8 +914,8 @@ def mass_distribution_lower_bound_check(
 
     Precondition failures (window endpoints off-grid, variance above V r²,
     H below the flow's concentration constant) are *reported*, not raised;
-    so is an empty eps-range (tau H > 1/8). ``eps_values`` defaults to a
-    geometric sample of the valid range.
+    so is an empty eps-range (tau H > 1/8). The bound is checked at nine
+    geometric samples of [max(2 (tau H)^{1/3}, 1e-6), 1].
     """
     pre = []
     t_idx = None
@@ -992,16 +948,10 @@ def mass_distribution_lower_bound_check(
     eps_lo = 2.0 * (tau * H) ** (1.0 / 3.0)
     range_empty = eps_lo > 1.0
     if not range_empty and t_idx is not None and all(ok for _, ok, _ in pre):
-        if eps_values is None:
-            eps_values = np.geomspace(max(eps_lo, 1e-6), 1.0, 9)
         slice_t = flow.slices[t_idx]
         mu_t = mu.measure_at(t_idx)
-        for eps in eps_values:
+        for eps in np.geomspace(max(eps_lo, 1e-6), 1.0, 9):
             eps = float(eps)
-            if eps < eps_lo - 1e-12 or eps > 1.0:
-                raise InputError(
-                    f"eps={eps} outside the valid range [{eps_lo}, 1]"
-                )
             b_val = mass_distribution_fn(slice_t, mu_t, r, eps)
             rhs = 0.5 * phi(-math.sqrt(8.0 * V / (eps * tau)))
             entries.append((eps, b_val, rhs, b_val >= rhs - 1e-12))

@@ -86,13 +86,9 @@ def min_C() -> float:
 # ---------------------------------------------------------------------------
 
 
-def two_point_flow(
-    C: float,
-    D: float,
-    grid,
-    labels: tuple = ("+", "-"),
-) -> MetricFlow:
-    """The two-point flow with slice distance D and mixing constant C.
+def two_point_flow(C: float, D: float, grid) -> MetricFlow:
+    """The two-point flow with slice distance D and mixing constant C, on
+    points labelled ``"+"`` and ``"-"``.
 
     Adjacent kernels are symmetric 2x2 matrices with same-point probability
     p(tau) = 1/2 + (1/2) e^{-C tau / (2 D²)} for the adjacent lag tau; longer
@@ -112,7 +108,7 @@ def two_point_flow(
         raise InputError(f"C must be positive and finite, got {C}")
     if not isinstance(grid, TimeGrid):
         grid = TimeGrid(tuple(grid))
-    space = FiniteMetricSpace(labels=labels, dist=np.array([[0.0, D], [D, 0.0]]))
+    space = FiniteMetricSpace(labels=("+", "-"), dist=np.array([[0.0, D], [D, 0.0]]))
     rate = C / (2.0 * D * D)
     kernels = []
     for i in range(grid.n - 1):
@@ -257,7 +253,6 @@ def static_flow(
     kernels_by_lag: dict,
     grid,
     *,
-    semigroup_tol: float = 1e-10,
     metadata: dict | None = None,
 ) -> MetricFlow:
     """A time-independent flow: one slice, kernels depending only on the lag.
@@ -265,7 +260,7 @@ def static_flow(
     ``kernels_by_lag`` maps lag values to row-stochastic matrices; a kernel
     must be provided for every lag of the grid (pairwise time differences).
     The family must satisfy the semigroup property
-    P(tau1 + tau2) = P(tau2) @ P(tau1) within ``semigroup_tol`` whenever all
+    P(tau1 + tau2) = P(tau2) @ P(tau1) within 1e-10 whenever all
     three lags are on the lag set; a violation raises :class:`InputError`
     with the witness lags (this is exactly the reproduction property the
     flow will be audited against).
@@ -298,9 +293,9 @@ def static_flow(
         res = float(np.abs(mats[ib] @ mats[ia] - mats[ic]).max())
         if res > worst:
             worst, witness = res, (la, lb)
-    if worst > semigroup_tol:
+    if worst > 1e-10:
         raise InputError(
-            f"semigroup property fails by {worst:.3e} at lags {witness} (tolerance {semigroup_tol:.0e})"
+            f"semigroup property fails by {worst:.3e} at lags {witness} (tolerance 1e-10)"
         )
 
     meta = {"generator": "static", "semigroup_residual": worst}
@@ -366,15 +361,15 @@ def halving_two_point_soliton(
     levels: int = 4,
     D0: float = 1.0,
     p: float = 0.7,
-    labels: tuple = ("+", "-"),
 ) -> tuple:
     """A self-similar two-point flow on the 4-geometric grid of negative times.
 
-    Grid times t0·4^{-k} (ascending for t0 < 0), slice k a two-point space at
-    distance D0·2^{-k} (distances scale like sqrt(|t|)), and one symmetric
-    kernel with same-point probability p per adjacent pair. The identity
-    index maps realize the self-similarity: pushing a slice one step forward
-    halves distances exactly and preserves the kernels.
+    Grid times t0·4^{-k} (ascending for t0 < 0), slice k a two-point space
+    (points ``"+"`` and ``"-"``) at distance D0·2^{-k} (distances scale like
+    sqrt(|t|)), and one symmetric kernel with same-point probability p per
+    adjacent pair. The identity index maps realize the self-similarity:
+    pushing a slice one step forward halves distances exactly and preserves
+    the kernels.
 
     Returns ``(flow, psi_maps)`` with one index map per adjacent pair.
     Requires t0 < 0, p in (1/2, 1); the fixed-point map of
@@ -391,7 +386,7 @@ def halving_two_point_soliton(
     grid = TimeGrid(times)
     slices = tuple(
         FiniteMetricSpace(
-            labels=labels,
+            labels=("+", "-"),
             dist=np.array([[0.0, D0 * 2.0 ** (-k)], [D0 * 2.0 ** (-k), 0.0]]),
         )
         for k in range(levels + 1)
@@ -419,28 +414,24 @@ def soliton_fixed_point(
     flow: MetricFlow,
     psi_maps: Sequence,
     t0: float | None = None,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 500,
-    contraction_pairs: int = 100,
-    rng_seed: int = 0,
-    similarity_tol: float = 1e-9,
 ) -> SolitonResult:
     """Fixed point of the self-similarity contraction at the slice of t0.
 
     The flow must be self-similar along ``psi_maps`` (one bijective index map
     per adjacent grid pair): grid times quarter toward 0, pushed distances
     halve, and pushed kernels agree with the kernels one level up (all
-    validated within ``similarity_tol``). The contraction sends a measure mu
+    validated within 1e-9). The contraction sends a measure mu
     on the slice at t0 to
 
         F(mu) = sum_x nu_{x; t0}  d(psi_* mu)(x),
 
     the conjugate flow-down of its one-step push-forward; it contracts W1
     with factor <= 1/2 for a genuinely self-similar flow. The fixed point is
-    located by iteration from a point mass; ``trace`` records the successive
-    residuals d_W1(mu_i, F(mu_i)) and ``contraction_samples`` measured
-    contraction ratios on random measure pairs.
+    located by iteration from a point mass, stopping once the residual
+    d_W1(mu_i, F(mu_i)) is at most 1e-10 or after 500 steps; ``trace``
+    records the successive residuals. ``contraction_samples`` holds the
+    measured contraction ratio on each of 100 random measure pairs (Dirichlet
+    draws from ``default_rng(0)``; pairs closer than 1e-14 are skipped).
     """
     k_levels = flow.grid.n - 1
     psi_maps = [np.asarray(m, dtype=int) for m in psi_maps]
@@ -458,7 +449,7 @@ def soliton_fixed_point(
             raise InputError(f"psi map {k} is not a bijection of slice indices")
         push_d = flow.slices[k + 1].dist[np.ix_(psi, psi)]
         res = float(np.abs(push_d - 0.5 * flow.slices[k].dist).max())
-        if res > similarity_tol:
+        if res > 1e-9:
             raise InputError(f"pushed distances at level {k} off by {res:.3e} from one half")
     for k in range(k_levels):
         psi_k = psi_maps[k]
@@ -473,7 +464,7 @@ def soliton_fixed_point(
                 np.add.at(row, psi_j, k_src[x])
                 pushed[psi_k[x]] = row
             res = float(np.abs(pushed - k_dst).max())
-            if res > similarity_tol:
+            if res > 1e-9:
                 raise InputError(
                     f"kernel equivariance fails at levels ({j}, {k}) by {res:.3e}"
                 )
@@ -497,16 +488,16 @@ def soliton_fixed_point(
     m = ProbMeasure.delta(0, space0.n)
     trace = []
     its = 0
-    for its in range(1, max_iter + 1):
+    for its in range(1, 501):
         nxt = ProbMeasure(f_map(m.weights))
         res = w1_distance(space0, m, nxt).value
         trace.append(res)
         m = nxt
-        if res <= tol:
+        if res <= 1e-10:
             break
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     samples = []
-    for _ in range(contraction_pairs):
+    for _ in range(100):
         a = ProbMeasure(rng.dirichlet(np.ones(space0.n)))
         b = ProbMeasure(rng.dirichlet(np.ones(space0.n)))
         den = w1_distance(space0, a, b).value

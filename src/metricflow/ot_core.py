@@ -166,7 +166,6 @@ class MetricAxiomReport:
     """Audit result; ``ok`` iff no violations were recorded."""
 
     violations: tuple
-    checked_positivity: bool
     truncated: bool = False
 
     @property
@@ -237,19 +236,13 @@ class FiniteMetricSpace:
         return FiniteMetricSpace(labels=self.labels, dist=factor * self.dist)
 
 
-def check_metric_axioms(
-    space,
-    *,
-    require_positive: bool = True,
-    tol: float = EXACT_TOL,
-    max_violations: int = 256,
-) -> MetricAxiomReport:
+def check_metric_axioms(space, *, require_positive: bool = True) -> MetricAxiomReport:
     """Audit a distance matrix against the metric axioms.
 
     Accepts a :class:`FiniteMetricSpace` or a raw square matrix (raw input is
     structure-checked first and raises :class:`StructuralError` if malformed).
 
-    Checks, with witnesses:
+    Checks, with witnesses (tol = EXACT_TOL = 1e-12):
       * symmetry              |d[i,j] - d[j,i]| <= tol
       * zero diagonal         |d[i,i]| <= tol
       * positivity (optional) d[i,j] > 0 for i != j
@@ -258,7 +251,8 @@ def check_metric_axioms(
     The triangle slack scales with the magnitude of the distances so that
     spaces assembled in float arithmetic (glued or product spaces) are not
     flagged for ~1 ulp rounding. Set ``require_positive=False`` to audit
-    pseudometrics (distinct points at distance zero are then legal).
+    pseudometrics (distinct points at distance zero are then legal). At most
+    256 violations are recorded; ``truncated`` says whether more were found.
     """
     if isinstance(space, FiniteMetricSpace):
         d = space.dist
@@ -272,18 +266,18 @@ def check_metric_axioms(
 
     def push(kind, idx, mag) -> bool:
         nonlocal truncated
-        if len(out) >= max_violations:
+        if len(out) >= 256:
             truncated = True
             return False
         out.append(MetricAxiomViolation(kind, idx, float(mag)))
         return True
 
     asym = np.abs(d - d.T)
-    for i, j in zip(*np.nonzero(asym > tol)):
+    for i, j in zip(*np.nonzero(asym > EXACT_TOL)):
         if i < j and not push("symmetry", (int(i), int(j)), asym[i, j]):
             break
     diag = np.abs(np.diagonal(d))
-    for i in np.nonzero(diag > tol)[0]:
+    for i in np.nonzero(diag > EXACT_TOL)[0]:
         if not push("diagonal", (int(i),), diag[i]):
             break
     if require_positive:
@@ -292,7 +286,7 @@ def check_metric_axioms(
             if i < j and not push("positivity", (int(i), int(j)), -d[i, j]):
                 break
 
-    tri_tol = tol * max(1.0, float(d.max(initial=0.0)))
+    tri_tol = EXACT_TOL * max(1.0, float(d.max(initial=0.0)))
     # d[i,k] <= min_j d[i,j] + d[j,k]; chunk rows to bound memory at n^2·chunk.
     chunk = max(1, int(2_000_000 // max(1, n * n)))
     for i0 in range(0, n, chunk):
@@ -309,9 +303,7 @@ def check_metric_axioms(
         if truncated:
             break
 
-    return MetricAxiomReport(
-        violations=tuple(out), checked_positivity=require_positive, truncated=truncated
-    )
+    return MetricAxiomReport(violations=tuple(out), truncated=truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +353,8 @@ class Coupling:
     """A joint mass matrix with unit total mass.
 
     ``marginal_first``/``marginal_second`` return the induced marginals;
-    :meth:`check_marginals` reports the residual against prescribed ones.
+    :meth:`check_marginals` reports the residual against prescribed ones
+    (within EXACT_TOL = 1e-12 passes).
     """
 
     matrix: np.ndarray
@@ -388,7 +381,7 @@ class Coupling:
     def marginal_second(self) -> np.ndarray:
         return self.matrix.sum(axis=0)
 
-    def check_marginals(self, mu1: ProbMeasure, mu2: ProbMeasure, tol: float = EXACT_TOL):
+    def check_marginals(self, mu1: ProbMeasure, mu2: ProbMeasure):
         if mu1.n != self.matrix.shape[0] or mu2.n != self.matrix.shape[1]:
             raise InputError(
                 f"marginal sizes ({mu1.n}, {mu2.n}) do not match the "
@@ -396,7 +389,7 @@ class Coupling:
             )
         r1 = float(np.abs(self.marginal_first() - mu1.weights).max())
         r2 = float(np.abs(self.marginal_second() - mu2.weights).max())
-        return max(r1, r2) <= tol, max(r1, r2)
+        return max(r1, r2) <= EXACT_TOL, max(r1, r2)
 
     @staticmethod
     def diagonal(mu: ProbMeasure) -> "Coupling":
@@ -568,8 +561,9 @@ def _transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     return plan, res.row_dual[:n1], res.row_dual[n1:]
 
 
-def _fit_marginals(plan: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float = 1e-13):
-    """Proportionally refit a near-coupling to its prescribed marginals.
+def _fit_marginals(plan: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Proportionally refit a near-coupling to its prescribed marginals, to
+    within 1e-13 on every row and column sum.
 
     Solver output usually satisfies the marginal equations to ~1e-15 already;
     this loop is a guard that nudges the plan when it does not, moving
@@ -582,8 +576,8 @@ def _fit_marginals(plan: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float = 
         rows = q.sum(axis=1)
         cols = q.sum(axis=0)
         if (
-            float(np.abs(rows - a).max()) <= tol
-            and float(np.abs(cols - b).max()) <= tol
+            float(np.abs(rows - a).max()) <= 1e-13
+            and float(np.abs(cols - b).max()) <= 1e-13
         ):
             return q
         # scale away surpluses (always possible), then fill the remaining
@@ -607,6 +601,25 @@ def _fit_marginals(plan: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float = 
     raise CertificateError("could not refit coupling marginals to tolerance")
 
 
+def _oriented_plan(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure, cost):
+    """The optimal plan between two measures on ``space`` under ``cost``.
+
+    The pair is oriented canonically (the weight vector whose bytes sort
+    first is the source), so swapping the measures solves the same LP.
+    Returns ``None`` for bit-equal weights, else ``(swapped, a, b, plan,
+    beta)``: the oriented weights, the plan refitted to them, and the LP's
+    column duals.
+    """
+    _check_measure_space(space, mu1, "mu1")
+    _check_measure_space(space, mu2, "mu2")
+    if np.array_equal(mu1.weights, mu2.weights):
+        return None
+    swapped = mu1.weights.tobytes() > mu2.weights.tobytes()
+    a, b = (mu2.weights, mu1.weights) if swapped else (mu1.weights, mu2.weights)
+    plan, _, beta = _transport_lp(cost, a, b)
+    return swapped, a, b, _fit_marginals(plan, a, b), beta
+
+
 def w1_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure) -> W1Result:
     """First Wasserstein distance between two measures on one finite space.
 
@@ -619,24 +632,18 @@ def w1_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure) ->
     bit-identical values. Bit-equal measures short-circuit to value 0 with
     the diagonal coupling.
     """
-    _check_measure_space(space, mu1, "mu1")
-    _check_measure_space(space, mu2, "mu2")
-    if np.array_equal(mu1.weights, mu2.weights):
+    solved = _oriented_plan(space, mu1, mu2, space.dist)
+    if solved is None:
         cert = TransportCertificate(0.0, np.zeros(space.n), 0.0)
         return W1Result(0.0, Coupling.diagonal(mu1), cert)
-
-    swapped = mu1.weights.tobytes() > mu2.weights.tobytes()
-    a, b = (mu2, mu1) if swapped else (mu1, mu2)
-
-    plan, _, beta = _transport_lp(space.dist, a.weights, b.weights)
-    plan = _fit_marginals(plan, a.weights, b.weights)
+    swapped, a, b, plan, beta = solved
     value = float(np.sum(plan * space.dist))
 
     # Kantorovich potential by c-transform of the column duals: f is a min of
     # 1-Lipschitz functions of the first index (triangle inequality), hence
     # 1-Lipschitz, and its dual value dominates the LP dual optimum.
     f = (space.dist - beta[None, :]).min(axis=1)
-    dual = float(f @ (a.weights - b.weights))
+    dual = float(f @ (a - b))
     gap = value - dual
     if -EXACT_TOL <= gap < 0.0:
         gap = 0.0
@@ -658,22 +665,19 @@ def w1_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure) ->
 def wp_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure, p: float) -> float:
     """p-th Wasserstein distance, ``inf over couplings of (∬ d^p dq)^{1/p}``.
 
-    Requires p >= 1. For p == 1 this agrees with :func:`w1_distance` (same
-    LP, no certificate returned here).
+    Requires p >= 1. For p == 1 this equals ``w1_distance(...).value``
+    exactly (same LP and plan, no certificate returned here), and like it
+    is bit-for-bit symmetric in the two measures.
     """
     if not (isinstance(p, (int, float)) and math.isfinite(p)):
         raise InputError(f"p must be a finite real, got {p!r}")
     if p < 1.0:
         raise InputError(f"wp_distance requires p >= 1, got {p}")
-    _check_measure_space(space, mu1, "mu1")
-    _check_measure_space(space, mu2, "mu2")
-    if np.array_equal(mu1.weights, mu2.weights):
-        return 0.0
-    swapped = mu1.weights.tobytes() > mu2.weights.tobytes()
-    a, b = (mu2, mu1) if swapped else (mu1, mu2)
     cost = space.dist if p == 1.0 else space.dist**p
-    plan, _, _ = _transport_lp(cost, a.weights, b.weights)
-    plan = _fit_marginals(plan, a.weights, b.weights)
+    solved = _oriented_plan(space, mu1, mu2, cost)
+    if solved is None:
+        return 0.0
+    _, _, _, plan, _ = solved
     total = float(np.sum(plan * cost))
     return total if p == 1.0 else total ** (1.0 / p)
 
@@ -708,14 +712,14 @@ def variance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure | None
 # ---------------------------------------------------------------------------
 
 
-def glue_couplings(q12: Coupling, q23: Coupling, tol: float = 1e-10) -> np.ndarray:
+def glue_couplings(q12: Coupling, q23: Coupling) -> np.ndarray:
     """Glue two couplings along their shared middle marginal.
 
     Returns the three-index joint mass array
     ``q[i, j, k] = q12[i, j] · q23[j, k] / mid[j]`` (zero where ``mid[j] = 0``),
     whose (1,2)-marginal is q12 and whose (2,3)-marginal is q23 whenever the
     middle marginals agree. Raises :class:`InputError` when the second
-    marginal of ``q12`` and the first of ``q23`` differ by more than ``tol``.
+    marginal of ``q12`` and the first of ``q23`` differ by more than 1e-10.
     """
     mid_a = q12.marginal_second()
     mid_b = q23.marginal_first()
@@ -724,8 +728,8 @@ def glue_couplings(q12: Coupling, q23: Coupling, tol: float = 1e-10) -> np.ndarr
             f"middle dimensions differ: {q12.shape[1]} vs {q23.shape[0]}"
         )
     res = float(np.abs(mid_a - mid_b).max())
-    if res > tol:
-        raise InputError(f"middle marginals differ by {res:.3e} > {tol:.0e}")
+    if res > 1e-10:
+        raise InputError(f"middle marginals differ by {res:.3e} > 1e-10")
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(mid_a > 0.0, 1.0 / np.where(mid_a > 0.0, mid_a, 1.0), 0.0)
     return q12.matrix[:, :, None] * (q23.matrix * inv[:, None])[None, :, :]

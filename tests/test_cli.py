@@ -172,6 +172,25 @@ def test_verify_content_corruption_exits_1(tp4, tmp_path, capsys):
     assert rc == 1 and "malformed" in out
 
 
+def test_huge_time_lag_is_refused_without_traceback(tmp_path, capsys):
+    """A lag near the float maximum would overflow the cone battery's 4·tau
+    and divide by a zero bound; the grid refuses |t| > 1e300 instead."""
+    path = make_doc(tmp_path, "s.json", "generate", "static", "--m", "3", "--steps", "2")
+    capsys.readouterr()
+    doc = json.loads(open(path).read())
+    doc["times"][2] = 1e308
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "verify", str(big), "--mode", "randomized")
+    assert rc == 1 and "structural check FAIL" in out and "1e300" in out
+    assert "Traceback" not in out + err
+    rc, out, err = run_cli(
+        capsys, "report", str(big), "--quantity", "var-curve", "--csv", str(tmp_path / "o.csv")
+    )
+    assert rc == 2 and err.startswith("error: ") and "1e300" in err
+    assert "Traceback" not in out + err
+
+
 def test_verify_battery_failure_exits_1(tmp_path, capsys):
     slow = make_doc(
         tmp_path, "slow.json", "generate", "static",

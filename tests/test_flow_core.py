@@ -48,14 +48,14 @@ def test_phi_basics():
 
 def test_phi_matches_quadrature_oracle():
     """phi integrates (4 pi)^(-1/2) exp(-x^2/4); check against mpmath."""
-    mpmath.mp.dps = 30
     for x in (-2.0, 0.3, 1.0, 2.0):
-        oracle = float(
-            mpmath.quad(
-                lambda u: mpmath.exp(-u * u / 4) / mpmath.sqrt(4 * mpmath.pi),
-                [-mpmath.inf, x],
+        with mpmath.workdps(30):
+            oracle = float(
+                mpmath.quad(
+                    lambda u: mpmath.exp(-u * u / 4) / mpmath.sqrt(4 * mpmath.pi),
+                    [-mpmath.inf, x],
+                )
             )
-        )
         assert phi(x) == pytest.approx(oracle, rel=1e-14)
     # frozen value at x = 2 (equals (1 + erf(1))/2)
     assert phi(2.0) == pytest.approx(0.9213503964748574, abs=1e-15)
@@ -118,6 +118,9 @@ def test_time_grid_basics():
     assert g.measure([0, 4]) == pytest.approx(0.25, abs=1e-15)
     with pytest.raises(InputError):
         TimeGrid((1.0, 0.5))  # not increasing
+    assert TimeGrid((-1e300, 1e300)).span == 2e300
+    with pytest.raises(InputError, match="1e300"):
+        TimeGrid((0.0, 1.5e300))
 
 
 def test_flow_requires_exactly_one_kernel_form():
@@ -443,6 +446,37 @@ def test_pstar_membership():
     )
     # the center belongs to its own neighborhood
     assert mf.pstar_contains(slow, center=(0.7, 0), A=0.25, T_minus=0.5, T_plus=0.2, point=(0.7, 0))
+
+
+def test_support_at_final_time_is_whole_slice(two_point_flow_fx):
+    flow = two_point_flow_fx
+    top = flow.grid.times[-1]
+    mu = mf.conj_backward(flow, top, ProbMeasure.delta(0, 2))
+    rep = mf.support_at(flow, mu, top)
+    assert rep == flow_core.SupportReport(
+        indices=(0, 1), whole_slice=True, independent_ok=True, mismatches=()
+    )
+
+
+def test_support_at_positive_markov_kernel_is_independent(two_point_flow_fx):
+    flow = two_point_flow_fx
+    assert flow.is_markov
+    mu = mf.conj_backward(flow, flow.grid.times[-1], ProbMeasure.delta(1, 2))
+    for t in flow.grid.times[:-1]:
+        rep = mf.support_at(flow, mu, t)
+        assert rep.indices == (0, 1) and not rep.whole_slice
+        assert rep.independent_ok and rep.mismatches == ()
+
+
+def test_support_at_reports_each_kernel_support_mismatch():
+    space = euclidean_space(np.array([0.0, 1.0, 2.0]))
+    k = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    flow = MetricFlow(TimeGrid((0.0, 1.0)), (space, space), pair_kernels={(0, 1): k})
+    mu = mf.conj_backward(flow, 1.0, ProbMeasure.delta(0, 3))
+    rep = mf.support_at(flow, mu, 0.0)
+    assert rep.indices == (0,) and not rep.whole_slice
+    assert not rep.independent_ok
+    assert rep.mismatches == ((1, 1, (0, 1)), (1, 2, (2,)))
 
 
 def test_restrict_flow(two_point_flow_fx):

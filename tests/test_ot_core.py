@@ -351,6 +351,15 @@ def test_wp_distance_consistency():
     assert mf.wp_distance(space, mu, nu, 1.0) <= mf.wp_distance(space, mu, nu, 2.0) + 1e-12
     with pytest.raises(InputError):
         mf.wp_distance(space, mu, nu, 0.5)
+    # W1 and Wp share one oriented solve: p = 1 is W1 exactly, and Wp is
+    # bit-for-bit symmetric
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        n = int(rng.integers(2, 7))
+        space = random_space(rng, n)
+        mu, nu = random_measure(rng, n, sparse=True), random_measure(rng, n)
+        assert mf.wp_distance(space, mu, nu, 1.0) == mf.w1_distance(space, mu, nu).value
+        assert mf.wp_distance(space, mu, nu, 2.0) == mf.wp_distance(space, nu, mu, 2.0)
 
 
 # ---------------------------------------------------------------------------
