@@ -15,168 +15,18 @@ if _os.environ.get("METRICFLOW_THREADS"):
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _os.environ["METRICFLOW_THREADS"])
 
-from .ot_core import (  # noqa: E402
-    BFunction,
-    CertificateError,
-    Coupling,
-    FiniteApproximation,
-    FiniteMetricSpace,
-    InputError,
-    InternalInvariantError,
-    MClassReport,
-    MetricAxiomReport,
-    MetricflowError,
-    ProbMeasure,
-    StructuralError,
-    TransportCertificate,
-    W1Result,
-    check_metric_axioms,
-    finite_approximation,
-    glue_couplings,
-    in_class_M,
-    mass_distribution_fn,
-    product_space,
-    variance,
-    w1_distance,
-    wp_distance,
-)
-from .flow_core import (  # noqa: E402
-    Axiom6Entry,
-    CheckRecord,
-    ConjHeatFlowField,
-    FlowVerifyReport,
-    HeatFlowField,
-    MetricFlow,
-    MetricFlowPair,
-    TimeGrid,
-    cartesian_product_flow,
-    conj_backward,
-    d_integral,
-    h_centers,
-    h_concentration_constant,
-    hcenter_mass_bound_check,
-    heat_forward,
-    intd_diff_bounds_check,
-    intrinsic_diagnostic,
-    kernel_w1_contraction_check,
-    mass_distribution_lower_bound_check,
-    pairing_invariant_check,
-    phi,
-    phi_inv,
-    pstar_contains,
-    rescale_shift,
-    restrict_flow,
-    support_at,
-    var_plus_Ht_monotonicity_check,
-    verify_flow_axioms,
-    w1_kernel_monotonicity_check,
-)
-from .generators import (  # noqa: E402
-    GaussianSidecar,
-    SolitonResult,
-    cycle_semigroup,
-    gaussian_flow_discrete,
-    halving_two_point_soliton,
-    min_C,
-    soliton_fixed_point,
-    static_cycle_flow,
-    static_flow,
-    two_point_flow,
-)
-from .correspondence import (  # noqa: E402
-    Correspondence,
-    FDistanceReport,
-    FTriangleReport,
-    GluedSpace,
-    GWBound,
-    build_union_correspondence,
-    combine_correspondences,
-    f_distance_within,
-    f_triangle_check,
-    glue_two_slices,
-    gw1_upper_bound,
-)
+from .ot_core import *  # noqa: E402,F403
+from .flow_core import *  # noqa: E402,F403
+from .generators import *  # noqa: E402,F403
+from .correspondence import *  # noqa: E402,F403
+from . import correspondence, flow_core, generators, ot_core  # noqa: E402
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "MetricflowError",
-    "StructuralError",
-    "InputError",
-    "CertificateError",
-    "InternalInvariantError",
-    # spaces, measures, transport
-    "FiniteMetricSpace",
-    "ProbMeasure",
-    "Coupling",
-    "TransportCertificate",
-    "W1Result",
-    "MetricAxiomReport",
-    "check_metric_axioms",
-    "w1_distance",
-    "wp_distance",
-    "variance",
-    "glue_couplings",
-    "mass_distribution_fn",
-    "BFunction",
-    "MClassReport",
-    "in_class_M",
-    "FiniteApproximation",
-    "finite_approximation",
-    "product_space",
-    # flows
-    "TimeGrid",
-    "MetricFlow",
-    "MetricFlowPair",
-    "HeatFlowField",
-    "ConjHeatFlowField",
-    "CheckRecord",
-    "Axiom6Entry",
-    "FlowVerifyReport",
-    "phi",
-    "phi_inv",
-    "heat_forward",
-    "conj_backward",
-    "pairing_invariant_check",
-    "h_concentration_constant",
-    "h_centers",
-    "hcenter_mass_bound_check",
-    "w1_kernel_monotonicity_check",
-    "kernel_w1_contraction_check",
-    "var_plus_Ht_monotonicity_check",
-    "pstar_contains",
-    "support_at",
-    "restrict_flow",
-    "rescale_shift",
-    "cartesian_product_flow",
-    "d_integral",
-    "intd_diff_bounds_check",
-    "mass_distribution_lower_bound_check",
-    "intrinsic_diagnostic",
-    "verify_flow_axioms",
-    # generators
-    "min_C",
-    "two_point_flow",
-    "GaussianSidecar",
-    "gaussian_flow_discrete",
-    "static_flow",
-    "cycle_semigroup",
-    "static_cycle_flow",
-    "halving_two_point_soliton",
-    "SolitonResult",
-    "soliton_fixed_point",
-    # correspondences and the flow distance
-    "GluedSpace",
-    "Correspondence",
-    "GWBound",
-    "FDistanceReport",
-    "FTriangleReport",
-    "glue_two_slices",
-    "build_union_correspondence",
-    "combine_correspondences",
-    "gw1_upper_bound",
-    "f_distance_within",
-    "f_triangle_check",
+    *ot_core.__all__,
+    *flow_core.__all__,
+    *generators.__all__,
+    *correspondence.__all__,
 ]

@@ -155,13 +155,16 @@ def load_document(path: str) -> dict:
 def document_to_flow(doc: dict) -> MetricFlow:
     """Build the flow, running all structural content validation. Content
     that parses but is not a valid flow raises a :class:`MetricflowError`."""
-    grid = TimeGrid(tuple(float(t) for t in doc["times"]))
+    try:
+        grid = TimeGrid(tuple(float(t) for t in doc["times"]))
+    except OverflowError as e:
+        raise InputError(f"times: {e}") from None
     slices = []
     for i, rec in enumerate(doc["slices"]):
         try:
             labels = tuple(rec["labels"])
             dist = np.array(rec["dist"], dtype=float)
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise InputError(f"slice {i}: malformed record ({e})") from None
         slices.append(FiniteMetricSpace(labels=labels, dist=dist))
     kern = doc["kernels"]
@@ -169,7 +172,7 @@ def document_to_flow(doc: dict) -> MetricFlow:
     if kern["mode"] == "markov":
         try:
             mats = [np.array(m, dtype=float) for m in kern["matrices"]]
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise InputError(f"markov kernel matrices malformed ({e})") from None
         return MetricFlow(grid, slices, adjacent_kernels=mats, metadata=meta)
     pairs = {}
@@ -181,7 +184,7 @@ def document_to_flow(doc: dict) -> MetricFlow:
             raise InputError(f"kernel pair key {key!r}: expected 's:t' integers") from None
         try:
             pairs[pair] = np.array(mat, dtype=float)
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:
             raise InputError(f"kernel {key!r}: malformed matrix ({e})") from None
     return MetricFlow(grid, slices, pair_kernels=pairs, metadata=meta)
 

@@ -151,7 +151,7 @@ def _glue(
     report = check_metric_axioms(ambient, require_positive=False)
     if not report.ok:
         raise InternalInvariantError(
-            f"{where}: glued ambient violates metric axioms: {report.worst}"
+            f"{where}: glued ambient violates metric axioms: {report.worst()}"
         )
     glued = GluedSpace(
         ambient=ambient, embeddings=(tuple(range(n_a)), tuple(range(n_a, n_a + n_b)))
@@ -229,7 +229,7 @@ def _union_glue(
     space1: FiniteMetricSpace,
     space2: FiniteMetricSpace,
     pairs: Sequence,
-    where: str = "union gluing",
+    where: str,
 ) -> tuple:
     """Disjoint-union ambient glued along matched point pairs.
 
@@ -668,12 +668,11 @@ def f_distance_within(
     else:
         problem = _FDistanceProblem(c, pair1, pair2)
 
-    weights = c.grid.weights()
-    measure_total = float(weights[list(idxs)].sum())
+    measure_total = c.grid.measure(idxs)
 
     def evaluate(E: frozenset) -> tuple:
         active = [t for t in idxs if t not in E]
-        e_measure = float(weights[sorted(E)].sum()) if E else 0.0
+        e_measure = c.grid.measure(E)
         r_by_time, couplings, integrals = {}, {}, {}
         worst = 0.0
         for t in active:
@@ -699,7 +698,7 @@ def f_distance_within(
         candidates = []
         for size in range(len(free) + 1):
             for combo in itertools.combinations(free, size):
-                m = float(weights[list(combo)].sum()) if combo else 0.0
+                m = c.grid.measure(combo)
                 if m <= 0.5 * measure_total + EXACT_TOL:
                     candidates.append((m, combo))
         candidates.sort(key=lambda c_: (c_[0], c_[1]))
@@ -723,7 +722,7 @@ def f_distance_within(
             if best[1] > 0.0 and r_map.get(worst_t, 0.0) <= math.sqrt(best[1]):
                 break  # the sqrt(measure E) term already dominates the value
             E_next = best_E | {worst_t}
-            m_next = float(weights[sorted(E_next)].sum())
+            m_next = c.grid.measure(E_next)
             if m_next > 0.5 * measure_total + EXACT_TOL:
                 break
             cand = evaluate(E_next)
@@ -817,8 +816,7 @@ def f_triangle_check(
     bound = d12.value + d23.value
     idxs = tuple(int(i) for i in c123.time_indices)
     e_union = sorted(set(d12.E_indices) | set(d23.E_indices))
-    weights = c123.grid.weights()
-    e_measure = float(weights[e_union].sum()) if e_union else 0.0
+    e_measure = c123.grid.measure(e_union)
     problem13 = _FDistanceProblem(c123.pair_view(0, 2), pair1, pair3)
     active = [t for t in idxs if t not in e_union]
     cert_worst = math.sqrt(e_measure)

@@ -171,13 +171,30 @@ def _phi_inv_pair(u: np.ndarray, v: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+def _time_tol(t: float) -> float:
+    """How far a time value may sit from the grid time it means."""
+    return EXACT_TOL * max(1.0, abs(t))
+
+
+def _nearest_time(values: np.ndarray, t: float) -> int | None:
+    """Index of the entry of ``values`` nearest to ``t`` if it lies within
+    ``_time_tol(t)``, else None; a non-finite ``t`` raises InputError."""
+    if not math.isfinite(t):
+        raise InputError(f"time {t!r} is not finite")
+    i = int(np.abs(values - t).argmin())
+    return i if abs(values[i] - t) <= _time_tol(t) else None
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """A strictly increasing finite grid of finite times with |t| <= 1e300.
 
-    The measure of an index subset weighs each grid point by the half-sum of
-    its adjacent gaps (a missing boundary gap contributes 0), so the measure
-    of the whole grid is its span.
+    The grid owns the time rules every module uses: a value t means the grid
+    time within EXACT_TOL * max(1, |t|) of it (``index_of``), a window
+    [lo, hi] widens each end by the same rule (``window``), and the measure
+    of an index subset weighs each grid point by the half-sum of its
+    adjacent gaps (a missing boundary gap contributes 0), so the measure of
+    the whole grid is its span.
     """
 
     times: tuple
@@ -203,17 +220,22 @@ class TimeGrid:
         return self.times[-1] - self.times[0]
 
     def index_of(self, t: float) -> int:
-        arr = np.asarray(self.times)
-        i = int(np.abs(arr - t).argmin())
-        if abs(arr[i] - t) > EXACT_TOL * max(1.0, abs(t)):
+        i = _nearest_time(np.asarray(self.times), t)
+        if i is None:
             raise InputError(f"time {t!r} is not on the grid {self.times}")
         return i
 
     def matches(self, other: "TimeGrid") -> bool:
         """Same length and times within EXACT_TOL * max(1, |t|), t from this grid."""
         return self.n == other.n and all(
-            abs(a - b) <= EXACT_TOL * max(1.0, abs(a)) for a, b in zip(self.times, other.times)
+            abs(a - b) <= _time_tol(a) for a, b in zip(self.times, other.times)
         )
+
+    def window(self, lo: float, hi: float) -> np.ndarray:
+        """Indices of the grid times in [lo, hi], each end widened by
+        EXACT_TOL * max(1, |end|)."""
+        t = np.asarray(self.times)
+        return np.nonzero((t >= lo - _time_tol(lo)) & (t <= hi + _time_tol(hi)))[0]
 
     def weights(self) -> np.ndarray:
         t = np.asarray(self.times)
@@ -226,8 +248,8 @@ class TimeGrid:
         return w
 
     def measure(self, indices: Sequence[int]) -> float:
-        w = self.weights()
-        return float(sum(w[i] for i in set(int(i) for i in indices)))
+        """Sum of the weights of the distinct indices, in increasing order."""
+        return float(self.weights()[sorted({int(i) for i in indices})].sum())
 
     @staticmethod
     def uniform(t0: float, t1: float, steps: int) -> "TimeGrid":
@@ -685,18 +707,14 @@ def pstar_contains(
     t_p, x_p = point
     tc_idx = flow.grid.index_of(t_c)
     tp_idx = flow.grid.index_of(t_p)
-    times = np.asarray(flow.grid.times)
     cutoff = t_c - T_minus
-    below = np.nonzero(times <= cutoff + EXACT_TOL * max(1.0, abs(cutoff)))[0]
+    below = flow.grid.window(flow.grid.times[0], cutoff)
     if below.size == 0:
         raise InputError(
             f"comparison time {cutoff!r} is below the whole grid; nothing to snap to"
         )
     s_idx = int(below[-1])
-    window_ok = (t_p >= cutoff - EXACT_TOL * max(1.0, abs(cutoff))) and (
-        t_p <= t_c + T_plus + EXACT_TOL * max(1.0, abs(t_c + T_plus))
-    )
-    if not window_ok:
+    if tp_idx not in flow.grid.window(cutoff, t_c + T_plus):
         return False
     nu_c = ProbMeasure(flow.kernel(s_idx, tc_idx)[int(x_c)])
     nu_p = ProbMeasure(flow.kernel(s_idx, tp_idx)[int(x_p)])
@@ -761,14 +779,10 @@ def restrict_flow(flow: MetricFlow, t_lo: float, t_hi: float) -> MetricFlow:
     """Restrict to the grid times inside [t_lo, t_hi] (at least one needed)."""
     if not (t_hi >= t_lo):
         raise InputError("need t_hi >= t_lo")
-    times = np.asarray(flow.grid.times)
-    keep = np.nonzero(
-        (times >= t_lo - EXACT_TOL * max(1.0, abs(t_lo)))
-        & (times <= t_hi + EXACT_TOL * max(1.0, abs(t_hi)))
-    )[0]
+    keep = flow.grid.window(t_lo, t_hi)
     if keep.size == 0:
         raise InputError(f"no grid times inside [{t_lo}, {t_hi}]")
-    grid = TimeGrid(tuple(times[keep]))
+    grid = TimeGrid(tuple(flow.grid.times[i] for i in keep))
     slices = tuple(flow.slices[i] for i in keep)
     if flow.is_markov:
         adjacent = tuple(
@@ -1169,19 +1183,20 @@ def _battery_cone(k, d_s, d_t, tau, T_values, offsets, seeds, rng):
 
 def _dedupe_pairs(flow: MetricFlow):
     """Group (s, t) grid pairs whose (lag, kernel, d_s, d_t) data coincide up
-    to float clustering (1e-12 relative on the lag, 1e-14 absolute on the
+    to float clustering (the grid-time rule on the lag, 1e-14 absolute on the
     matrices), so static flows sweep one representative per distinct lag."""
     groups = []  # (tau, K, d_s, d_t, [pairs])
     for t_idx in range(flow.grid.n):
         for s_idx in range(t_idx):
             tau = flow.grid.times[t_idx] - flow.grid.times[s_idx]
+            tol = _time_tol(tau)
             k = flow.kernel(s_idx, t_idx)
             d_s = flow.slices[s_idx].dist
             d_t = flow.slices[t_idx].dist
             placed = False
             for g in groups:
                 if (
-                    abs(g[0] - tau) <= 1e-12 * max(1.0, abs(tau))
+                    abs(g[0] - tau) <= tol
                     and g[1].shape == k.shape
                     and g[2].shape == d_s.shape
                     and g[3].shape == d_t.shape

@@ -45,9 +45,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erf
 
-from .flow_core import ConjHeatFlowField, MetricFlow, TimeGrid
+from .flow_core import ConjHeatFlowField, MetricFlow, TimeGrid, _nearest_time, _time_tol
 from .ot_core import (
-    EXACT_TOL,
     FiniteMetricSpace,
     InputError,
     ProbMeasure,
@@ -241,13 +240,6 @@ def gaussian_flow_discrete(
 # ---------------------------------------------------------------------------
 
 
-def _lag_lookup(lags: np.ndarray, target: float):
-    i = int(np.abs(lags - target).argmin())
-    if abs(lags[i] - target) > EXACT_TOL * max(1.0, abs(target)):
-        return None
-    return i
-
-
 def static_flow(
     space: FiniteMetricSpace,
     kernels_by_lag: dict,
@@ -276,7 +268,7 @@ def static_flow(
     for a in range(grid.n):
         for b in range(a + 1, grid.n):
             lag = float(times[b] - times[a])
-            i = _lag_lookup(lag_vals, lag)
+            i = _nearest_time(lag_vals, lag)
             if i is None:
                 raise InputError(f"no kernel provided for grid lag {lag!r}")
             pairs[(a, b)] = mats[i]
@@ -286,8 +278,8 @@ def static_flow(
     witness = None
     for la, lb in itertools.product(needed, repeat=2):
         lc = la + lb
-        ia, ib = _lag_lookup(lag_vals, la), _lag_lookup(lag_vals, lb)
-        ic = _lag_lookup(lag_vals, lc)
+        ia, ib = _nearest_time(lag_vals, la), _nearest_time(lag_vals, lb)
+        ic = _nearest_time(lag_vals, lc)
         if ia is None or ib is None or ic is None:
             continue
         res = float(np.abs(mats[ib] @ mats[ia] - mats[ic]).max())
@@ -439,7 +431,7 @@ def soliton_fixed_point(
         raise InputError(f"{len(psi_maps)} psi maps for {k_levels} adjacent pairs")
     times = flow.grid.times
     for k in range(k_levels):
-        if abs(times[k + 1] - times[k] / 4.0) > EXACT_TOL * max(1.0, abs(times[k])):
+        if abs(times[k + 1] - times[k] / 4.0) > _time_tol(times[k]):
             raise InputError(
                 f"grid is not 4-geometric toward 0 at level {k}: {times[k]} -> {times[k + 1]}"
             )

@@ -128,11 +128,11 @@ def _as_vector(obj, name: str) -> np.ndarray:
     return a
 
 
-def _clamp_noise(a: np.ndarray, name: str, floor: float = -EXACT_TOL) -> np.ndarray:
-    """Zero out entries in [floor, 0); raise on anything more negative."""
+def _clamp_noise(a: np.ndarray, name: str) -> np.ndarray:
+    """Zero out entries in [-EXACT_TOL, 0); raise on anything more negative."""
     worst = float(a.min(initial=0.0))
-    if worst < floor:
-        raise InputError(f"{name}: negative entry {worst:.3e} below tolerance {floor:.0e}")
+    if worst < -EXACT_TOL:
+        raise InputError(f"{name}: negative entry {worst:.3e} below tolerance {-EXACT_TOL:.0e}")
     if worst < 0.0:
         a = np.where(a < 0.0, 0.0, a)
     return a
@@ -157,7 +157,7 @@ class MetricAxiomViolation:
     indices: tuple
     magnitude: float
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return f"{self.kind} violated at {self.indices} by {self.magnitude:.3e}"
 
 

@@ -191,6 +191,26 @@ def test_huge_time_lag_is_refused_without_traceback(tmp_path, capsys):
     assert "Traceback" not in out + err
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda d: d["times"].__setitem__(1, 10**400),
+    lambda d: d["slices"][0]["dist"][0].__setitem__(1, 10**400),
+    lambda d: d["kernels"]["matrices"][0][0].__setitem__(0, 10**400),
+], ids=["times", "dist", "kernel"])
+def test_integers_beyond_float_range_are_refused_without_traceback(tp4, tmp_path, capsys, mutate):
+    """A JSON integer too large for a float is bad content, not a crash."""
+    doc = json.loads(open(tp4).read())
+    mutate(doc)
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "verify", str(big))
+    assert rc == 1 and "structural check FAIL" in out and "too large" in out
+    rc, out, err = run_cli(
+        capsys, "report", str(big), "--quantity", "var-curve", "--csv", str(tmp_path / "o.csv")
+    )
+    assert rc == 2 and err.startswith("error: ") and "too large" in err
+    assert "Traceback" not in out + err
+
+
 def test_verify_battery_failure_exits_1(tmp_path, capsys):
     slow = make_doc(
         tmp_path, "slow.json", "generate", "static",
@@ -324,6 +344,18 @@ def test_distance_e_mode_and_protected_times(tmp_path, capsys):
     assert rc == 0
     m = re.search(r"value r = ([0-9.e+-]+)", out)
     assert float(m.group(1)) > math.sqrt(0.5)  # the spike cannot be cut
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_times_exit_2(tp4, tmp_path, capsys, value):
+    """A non-finite time is on no grid; NaN and ±inf once meant the first time."""
+    rc, _, err = run_cli(
+        capsys, "report", tp4, "--quantity", "var-curve", f"--time={value}",
+        "--csv", str(tmp_path / "o.csv"),
+    )
+    assert rc == 2 and "is not finite" in err
+    rc, _, err = run_cli(capsys, "distance", tp4, tp4, f"--J={value}")
+    assert rc == 2 and "is not finite" in err
 
 
 # ---------------------------------------------------------------------------

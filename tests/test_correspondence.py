@@ -97,7 +97,8 @@ def test_glue_audit_rejects_a_broken_cross_block():
     from one point of the other, while they sit at distance 1 apart."""
     seg = two_point_space(1.0)
     with pytest.raises(
-        mf.InternalInvariantError, match="audit probe: glued ambient violates metric axioms"
+        mf.InternalInvariantError,
+        match=r"audit probe: glued ambient violates metric axioms: triangle violated at \(",
     ):
         correspondence._glue(seg, seg, np.zeros((2, 2)), "st", "audit probe")
 

@@ -118,9 +118,29 @@ def test_time_grid_basics():
     assert g.measure([0, 4]) == pytest.approx(0.25, abs=1e-15)
     with pytest.raises(InputError):
         TimeGrid((1.0, 0.5))  # not increasing
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InputError, match="is not finite"):
+            g.index_of(bad)
     assert TimeGrid((-1e300, 1e300)).span == 2e300
     with pytest.raises(InputError, match="1e300"):
         TimeGrid((0.0, 1.5e300))
+
+
+def test_time_grid_window():
+    g = TimeGrid((0.0, 0.5, 1000.0))
+    assert g.window(0.5 + 4e-13, 1000.0 - 5e-10).tolist() == [1, 2]
+    assert g.window(0.5 + 2e-12, 1000.0).tolist() == [2]
+    assert g.window(0.1, 0.4).tolist() == []
+
+
+def test_time_grid_measure_is_the_sorted_weight_sum():
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(1, 16))
+        g = TimeGrid(tuple(rng.uniform(-3.0, 3.0) + np.cumsum(rng.uniform(0.01, 1.0, n))))
+        idx = rng.integers(0, n, size=int(rng.integers(0, 13))).tolist()
+        expected = float(g.weights()[sorted(set(idx))].sum())
+        assert g.measure(idx) == expected  # bit for bit
 
 
 def test_flow_requires_exactly_one_kernel_form():
