@@ -58,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flow_core import ConjHeatFlowField, MetricFlow, MetricFlowPair, TimeGrid
+from .flow_core import ConjHeatFlowField, MetricFlow, MetricFlowPair, TimeGrid, _stored
 from .ot_core import (
     EXACT_TOL,
     CertificateError,
@@ -504,9 +504,10 @@ def _fingerprint(pair: MetricFlowPair, embeddings: Sequence, idxs: Sequence[int]
         h.update(np.ascontiguousarray(pair.flow.slices[t_idx].dist).tobytes())
         h.update(np.ascontiguousarray(pair.mu.measure_at(t_idx).weights).tobytes())
         h.update(np.asarray(embeddings[t_idx], dtype=np.int64).tobytes())
+    cols = {t_idx: pair.flow.column(t_idx) for t_idx in idxs}
     for s_pos, s_idx in enumerate(idxs):
         for t_idx in idxs[s_pos + 1 :]:
-            h.update(np.ascontiguousarray(pair.flow.kernel(s_idx, t_idx)).tobytes())
+            h.update(np.ascontiguousarray(_stored(cols[t_idx][s_idx], s_idx, t_idx)).tobytes())
     return h.digest()
 
 

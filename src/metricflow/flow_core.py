@@ -29,8 +29,8 @@ Conventions
 Kernels are stored row-stochastically: ``kernel(s_idx, t_idx)[x, y]`` is the
 mass nu_{x;s} gives to point y of the slice at s, for x in the slice at t.
 Public operations take time *values* (matched to the grid within 1e-12) and
-point *indices*. Flows are treated as immutable after construction; derived
-quantities (composed kernels, the concentration constant) are memoized.
+point *indices*. Flows are treated as immutable after construction. Nothing
+derived is cached; loops over all grid pairs read whole kernel columns.
 """
 
 from __future__ import annotations
@@ -290,7 +290,7 @@ class MetricFlow:
     """A finite metric flow: grid, slices, and backward kernels.
 
     Exactly one of ``adjacent_kernels`` (Markov storage: one kernel per
-    adjacent grid pair, longer lags composed and memoized — reproduction then
+    adjacent grid pair, longer lags composed on demand — reproduction then
     holds by construction) or ``pair_kernels`` (explicit storage: a matrix
     per pair ``(s_idx, t_idx)`` with s < t — reproduction becomes a checkable
     property) must be given. ``metadata`` is a free-form dict used for
@@ -320,7 +320,6 @@ class MetricFlow:
         self.grid = grid
         self.slices = slices
         self.metadata = dict(metadata or {})
-        self._memo: dict = {}
 
         if adjacent_kernels is not None:
             adjacent_kernels = tuple(adjacent_kernels)
@@ -360,43 +359,50 @@ class MetricFlow:
             return tuple((i, i + 1) for i in range(self.grid.n - 1))
         return tuple(sorted(self._pairs.keys()))
 
+    def _walk(self, s_idx: int, t_idx: int):
+        """Yield K(j, t) for j = t-1 down to s, None for a pair the flow does
+        not store. A Markov flow composes K(j, t) = K(j+1, t) @ adj[j]: the
+        left-to-right product adj[t-1] @ ... @ adj[j], so each K(j, t) has
+        one float order whichever caller asks for it."""
+        mat = None
+        for j in range(t_idx - 1, s_idx - 1, -1):
+            if self.is_markov:
+                mat = self._adjacent[j] if mat is None else mat @ self._adjacent[j]
+            else:
+                mat = self._pairs.get((j, t_idx))
+            yield mat
+
+    def column(self, t_idx: int) -> list:
+        """[K(0, t), ..., K(t-1, t)], composed by one walk and not cached; an
+        entry is None where a pair-stored flow has no kernel."""
+        t_idx = int(t_idx)
+        if not (0 <= t_idx < self.grid.n):
+            raise InputError(f"column({t_idx}): need 0 <= t < {self.grid.n}")
+        return list(self._walk(0, t_idx))[::-1]
+
     def kernel(self, s_idx: int, t_idx: int) -> np.ndarray:
-        """The kernel matrix nu_{·;s} for slice t: shape (n_t, n_s), rows
-        summing to 1. ``s_idx == t_idx`` returns the identity."""
+        """The kernel matrix nu_{·;s} for slice t: shape (n_t, n_s), rows summing
+        to 1; the identity if s == t, else the walk of :meth:`column` stopped at s."""
         s_idx, t_idx = int(s_idx), int(t_idx)
         if not (0 <= s_idx <= t_idx < self.grid.n):
             raise InputError(f"kernel({s_idx}, {t_idx}): need 0 <= s <= t < {self.grid.n}")
         if s_idx == t_idx:
             return np.eye(self.slices[s_idx].n)
-        key = (s_idx, t_idx)
-        if not self.is_markov:
-            if key not in self._pairs:
-                raise InputError(f"no stored kernel for pair {key}")
-            return self._pairs[key]
-        memo = self._memo
-        if key in memo:
-            return memo[key]
-        # K(j, t) = K(j+1, t) @ adj[j]: walk down from the nearest memoized
-        # (i, t), memoizing every step. This is the left-to-right product
-        # adj[t-1] @ ... @ adj[s], so each K(j, t) has one float order.
-        for i in range(s_idx + 1, t_idx):
-            mat = memo.get((i, t_idx))
-            if mat is not None:
-                break
-        else:
-            i = t_idx - 1
-            mat = memo[(i, t_idx)] = self._adjacent[i]
-        for j in range(i - 1, s_idx - 1, -1):
-            mat = memo[(j, t_idx)] = mat @ self._adjacent[j]
-        return mat
+        for mat in self._walk(s_idx, t_idx):
+            pass
+        return _stored(mat, s_idx, t_idx)
 
-    # -- derived quantities -------------------------------------------------
 
-    def h_min(self):
-        """Memoized (constant, witness) from :func:`h_concentration_constant`."""
-        if "h_min" not in self._memo:
-            self._memo["h_min"] = _h_concentration(self)
-        return self._memo["h_min"]
+def _stored(mat, s_idx: int, t_idx: int) -> np.ndarray:
+    """``mat`` as K(s, t); the one place a pair the flow does not store is refused."""
+    if mat is None:
+        raise InputError(f"no stored kernel for pair {(s_idx, t_idx)}")
+    return mat
+
+
+def _full_column(flow: MetricFlow, t_idx: int) -> list:
+    """``flow.column(t_idx)`` with every pair required to exist."""
+    return [_stored(mat, s_idx, t_idx) for s_idx, mat in enumerate(flow.column(t_idx))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,11 +476,17 @@ def conj_backward(flow: MetricFlow, t0: float, mu0: ProbMeasure) -> ConjHeatFlow
     i0 = flow.grid.index_of(t0)
     if mu0.n != flow.slices[i0].n:
         raise InputError(f"mu0 lives on {mu0.n} points, slice has {flow.slices[i0].n}")
-    idxs, measures = [], []
-    for s_idx in range(0, i0 + 1):
-        idxs.append(s_idx)
-        measures.append(ProbMeasure(flow.kernel(s_idx, i0).T @ mu0.weights))
-    return ConjHeatFlowField(tuple(idxs), tuple(measures))
+    kernels = _full_column(flow, i0) + [np.eye(mu0.n)]
+    measures = tuple(ProbMeasure(k.T @ mu0.weights) for k in kernels)
+    return ConjHeatFlowField(tuple(range(i0 + 1)), measures)
+
+
+def _common_times(a, b) -> list:
+    """The sorted grid indices where both fields are defined (at least two)."""
+    common = sorted(set(a.time_indices) & set(b.time_indices))
+    if len(common) < 2:
+        raise InputError(f"need at least two common times to compare, got {len(common)}")
+    return common
 
 
 def pairing_invariant_check(
@@ -483,9 +495,7 @@ def pairing_invariant_check(
     """The pairing t -> sum_x u_t(x) mu_t(x) is constant along a heat flow /
     conjugate heat flow pair; report the worst deviation on common times
     (passes at most 1e-10)."""
-    common = sorted(set(u.time_indices) & set(mu.time_indices))
-    if len(common) < 2:
-        raise InputError("need at least two common times to compare pairings")
+    common = _common_times(u, mu)
     pairings = [float(u.value_at(i) @ mu.measure_at(i).weights) for i in common]
     ref = pairings[0]
     worst = max(abs(p - ref) for p in pairings)
@@ -502,14 +512,17 @@ def pairing_invariant_check(
 # ---------------------------------------------------------------------------
 
 
-def _h_concentration(flow: MetricFlow):
+def h_concentration_constant(flow: MetricFlow):
+    """Smallest H >= 0 with Var(nu_{x1;s}, nu_{x2;s}) <= d_t(x1,x2)^2 + H (t-s)
+    over all grid pairs s < t and point pairs; returns (H, witness) with the
+    attaining (s_idx, t_idx, x1, x2). Clamped at 0 (s = t pairs are identities
+    and carry no information). Single-time flows return (0.0, None)."""
     best = 0.0
     witness = None
     times = flow.grid.times
     d2 = [s.dist ** 2 for s in flow.slices]
     for t_idx in range(flow.grid.n):
-        for s_idx in range(t_idx):
-            k = flow.kernel(s_idx, t_idx)
+        for s_idx, k in enumerate(_full_column(flow, t_idx)):
             var = k @ d2[s_idx] @ k.T
             num = var - d2[t_idx]
             ratio = num / (times[t_idx] - times[s_idx])
@@ -521,14 +534,6 @@ def _h_concentration(flow: MetricFlow):
     if witness is None:
         return 0.0, None
     return max(best, 0.0), witness
-
-
-def h_concentration_constant(flow: MetricFlow):
-    """Smallest H >= 0 with Var(nu_{x1;s}, nu_{x2;s}) <= d_t(x1,x2)^2 + H (t-s)
-    over all grid pairs s < t and point pairs; returns (H, witness) with the
-    attaining (s_idx, t_idx, x1, x2). Clamped at 0 (s = t pairs are identities
-    and carry no information). Single-time flows return (0.0, None)."""
-    return flow.h_min()
 
 
 def h_centers(flow: MetricFlow, x_idx: int, t: float, s: float, H: float) -> np.ndarray:
@@ -543,7 +548,7 @@ def h_centers(flow: MetricFlow, x_idx: int, t: float, s: float, H: float) -> np.
     t_idx, s_idx = flow.grid.index_of(t), flow.grid.index_of(s)
     if s_idx > t_idx:
         raise InputError("need s <= t")
-    h_min, _ = flow.h_min()
+    h_min, _ = h_concentration_constant(flow)
     if H < h_min:
         raise InputError(f"H={H} below the flow's concentration constant {h_min}")
     nu = flow.kernel(s_idx, t_idx)[int(x_idx)]
@@ -616,9 +621,7 @@ def w1_kernel_monotonicity_check(
     """t -> d_W1(mu1_t, mu2_t) must be non-decreasing along two conjugate
     heat flows; report the worst decrease over common time pairs (passes at
     most 1e-9)."""
-    common = sorted(set(mu1.time_indices) & set(mu2.time_indices))
-    if len(common) < 2:
-        raise InputError("need at least two common times")
+    common = _common_times(mu1, mu2)
     vals = [
         w1_distance(flow.slices[i], mu1.measure_at(i), mu2.measure_at(i)).value
         for i in common
@@ -662,9 +665,7 @@ def var_plus_Ht_monotonicity_check(
 ) -> CheckRecord:
     """t -> Var(mu1_t, mu2_t) + H t must be non-decreasing for an
     H-concentrated flow; report the worst decrease (passes at most 1e-9)."""
-    common = sorted(set(mu1.time_indices) & set(mu2.time_indices))
-    if len(common) < 2:
-        raise InputError("need at least two common times")
+    common = _common_times(mu1, mu2)
     vals = [
         variance(flow.slices[i], mu1.measure_at(i), mu2.measure_at(i))
         + H * flow.grid.times[i]
@@ -784,19 +785,15 @@ def restrict_flow(flow: MetricFlow, t_lo: float, t_hi: float) -> MetricFlow:
         raise InputError(f"no grid times inside [{t_lo}, {t_hi}]")
     grid = TimeGrid(tuple(flow.grid.times[i] for i in keep))
     slices = tuple(flow.slices[i] for i in keep)
+    lo, meta = int(keep[0]), dict(flow.metadata)  # the window is a run of grid indices
     if flow.is_markov:
-        adjacent = tuple(
-            flow.kernel(int(keep[i]), int(keep[i + 1])) for i in range(keep.size - 1)
-        )
-        return MetricFlow(
-            grid, slices, adjacent_kernels=adjacent, metadata=dict(flow.metadata)
-        )
-    pairs = {
-        (a, b): flow.kernel(int(keep[a]), int(keep[b]))
-        for a in range(keep.size)
-        for b in range(a + 1, keep.size)
-    }
-    return MetricFlow(grid, slices, pair_kernels=pairs, metadata=dict(flow.metadata))
+        adjacent = flow._adjacent[lo : lo + keep.size - 1]
+        return MetricFlow(grid, slices, adjacent_kernels=adjacent, metadata=meta)
+    pairs = {}
+    for b in range(1, keep.size):
+        for a, mat in enumerate(flow.column(lo + b)[lo:]):
+            pairs[(a, b)] = _stored(mat, lo + a, lo + b)
+    return MetricFlow(grid, slices, pair_kernels=pairs, metadata=meta)
 
 
 def rescale_shift(flow: MetricFlow, lam: float, t_shift: float = 0.0) -> MetricFlow:
@@ -831,11 +828,9 @@ def cartesian_product_flow(f1: MetricFlow, f2: MetricFlow) -> MetricFlow:
         )
         return MetricFlow(f1.grid, slices, adjacent_kernels=adjacent, metadata=meta)
     pairs = {}
-    for s_idx in range(f1.grid.n):
-        for t_idx in range(s_idx + 1, f1.grid.n):
-            pairs[(s_idx, t_idx)] = np.kron(
-                f1.kernel(s_idx, t_idx), f2.kernel(s_idx, t_idx)
-            )
+    for t_idx in range(f1.grid.n):
+        for s_idx, (k1, k2) in enumerate(zip(f1.column(t_idx), f2.column(t_idx))):
+            pairs[(s_idx, t_idx)] = np.kron(_stored(k1, s_idx, t_idx), _stored(k2, s_idx, t_idx))
     return MetricFlow(f1.grid, slices, pair_kernels=pairs, metadata=meta)
 
 
@@ -955,7 +950,7 @@ def mass_distribution_lower_bound_check(
                 variance(flow.slices[i], mu.measure_at(i)) for i in window
             )
             pre.append(("sup Var <= V r^2", sup_var <= V * r * r + EXACT_TOL, sup_var))
-        h_min, _ = flow.h_min()
+        h_min, _ = h_concentration_constant(flow)
         pre.append(("H >= concentration constant", H >= h_min - EXACT_TOL, h_min))
 
     entries = []
@@ -1187,10 +1182,9 @@ def _dedupe_pairs(flow: MetricFlow):
     matrices), so static flows sweep one representative per distinct lag."""
     groups = []  # (tau, K, d_s, d_t, [pairs])
     for t_idx in range(flow.grid.n):
-        for s_idx in range(t_idx):
+        for s_idx, k in enumerate(_full_column(flow, t_idx)):
             tau = flow.grid.times[t_idx] - flow.grid.times[s_idx]
             tol = _time_tol(tau)
-            k = flow.kernel(s_idx, t_idx)
             d_s = flow.slices[s_idx].dist
             d_t = flow.slices[t_idx].dist
             placed = False
@@ -1216,39 +1210,38 @@ def _reproduction_audit(flow: MetricFlow):
     """Worst max |K(t1,t3) - K(t2,t3) K(t1,t2)| over grid triples t1 < t2 < t3
     whose three kernels exist, with its first witness in (t1, t2, t3) order.
 
-    Each time's kernels to later times are fetched once and stacked per run
-    of later times with equal slice size (a mask marks the missing ones), so
-    each (t1, t2) costs one batched product per run.
+    Each time's kernels to later times are stacked per run of later times
+    with equal slice size (a mask marks the missing ones), filled one column
+    K(·, t3) at a time, so each (t1, t2) costs one batched product per run.
     """
     n = flow.grid.n
     sizes = [s.n for s in flow.slices]
     cuts = [t for t in range(1, n) if sizes[t] != sizes[t - 1]]
     runs = list(zip([0] + cuts, cuts + [n]))  # [lo, hi) with equal slice size
-    kernels = {}
+    run_of = [lo for lo, hi in runs for _ in range(lo, hi)]
     stacks = []  # per t: {run lo: (first t3, stacked K(t, t3), present)}
     for t in range(n):
         per = {}
         for lo, hi in runs:
             start = max(lo, t + 1)
-            if start >= hi:
-                continue
-            stack = np.zeros((hi - start, sizes[lo], sizes[t]))
-            present = np.zeros(hi - start, dtype=bool)
-            for t3 in range(start, hi):
-                try:
-                    kernels[(t, t3)] = stack[t3 - start] = flow.kernel(t, t3)
-                except InputError:
-                    continue
-                present[t3 - start] = True
-            per[lo] = (start, stack, present)
+            if start < hi:
+                per[lo] = (start, np.zeros((hi - start, sizes[lo], sizes[t])),
+                           np.zeros(hi - start, dtype=bool))
         stacks.append(per)
+    for t3 in range(n):
+        for t, k in enumerate(flow.column(t3)):
+            if k is not None:
+                start, stack, present = stacks[t][run_of[t3]]
+                stack[t3 - start] = k
+                present[t3 - start] = True
 
     worst, witness = 0.0, ()
     for t1 in range(n):
         for t2 in range(t1 + 1, n):
-            k12 = kernels.get((t1, t2))
-            if k12 is None:
+            start12, stack12, present12 = stacks[t1][run_of[t2]]
+            if not present12[t2 - start12]:
                 continue
+            k12 = stack12[t2 - start12]
             for lo, (start, rhs, present) in stacks[t2].items():
                 start1, lhs, present1 = stacks[t1][lo]
                 off = start - start1

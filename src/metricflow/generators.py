@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erf
 
-from .flow_core import ConjHeatFlowField, MetricFlow, TimeGrid, _nearest_time, _time_tol
+from .flow_core import ConjHeatFlowField, MetricFlow, TimeGrid, _full_column, _nearest_time, _time_tol
 from .ot_core import (
     FiniteMetricSpace,
     InputError,
@@ -445,10 +445,12 @@ def soliton_fixed_point(
             raise InputError(f"pushed distances at level {k} off by {res:.3e} from one half")
     for k in range(k_levels):
         psi_k = psi_maps[k]
+        col_src = _full_column(flow, k) + [np.eye(flow.slices[k].n)]
+        col_dst = _full_column(flow, k + 1) + [np.eye(flow.slices[k + 1].n)]
         for j in range(k + 1):
             # push nu_{x; t_j} through psi_j and compare with nu_{psi_k(x); t_{j+1}}
-            k_src = flow.kernel(j, k)
-            k_dst = flow.kernel(j + 1, k + 1)
+            k_src = col_src[j]
+            k_dst = col_dst[j + 1]
             psi_j = psi_maps[j]
             pushed = np.zeros_like(k_dst)
             for x in range(flow.slices[k].n):

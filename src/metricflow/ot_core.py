@@ -182,10 +182,11 @@ class MetricAxiomReport:
 class FiniteMetricSpace:
     """A finite metric space: point labels and a distance matrix.
 
-    The constructor enforces *structure* only (square, finite, nonnegative,
-    matching label count, unique labels). The metric axioms themselves are
-    audited by :func:`check_metric_axioms`; constructions in this package that
-    must output a genuine metric run that audit and raise on violations.
+    The constructor enforces *structure* only (square, entries in [0, 1e150]
+    so squares stay finite, matching label count, unique labels). The metric
+    axioms themselves are audited by :func:`check_metric_axioms`;
+    constructions in this package that must output a genuine metric run that
+    audit and raise on violations.
     """
 
     labels: tuple
@@ -195,6 +196,8 @@ class FiniteMetricSpace:
         d = _as_matrix(self.dist, "dist")
         if float(d.min(initial=0.0)) < 0.0:
             raise StructuralError("dist: negative entries")
+        if float(d.max(initial=0.0)) > 1e150:
+            raise InputError("dist: distances must not exceed 1e150 (a larger square overflows)")
         labels = tuple(self.labels)
         if len(labels) != d.shape[0]:
             raise InputError(

@@ -165,11 +165,11 @@ def test_criterion_07_mass_distribution_bound():
     fine = mf.two_point_flow(C_STAR, 1.0, TimeGrid((0.0, 1e-4, 2e-4)))
     gflow, gside = mf.gaussian_flow_discrete(1, 2.0, 0.1, TimeGrid((0.0, 0.02, 0.04)))
     cases = []
-    h_fine, _ = fine.h_min()
+    h_fine, _ = mf.h_concentration_constant(fine)
     mu_f = mf.conj_backward(fine, 2e-4, ProbMeasure.delta(0, 2))
     v_f = max(mf.variance(fine.slices[i], mu_f.measure_at(i)) for i in (1, 2))
     cases.append((fine, mu_f, 1e-4, 1e-4, v_f, h_fine))
-    h_g, _ = gflow.h_min()
+    h_g, _ = mf.h_concentration_constant(gflow)
     center = int(np.argmin(np.abs(gside.coords[:, 0])))
     mu_g = mf.conj_backward(gflow, 0.04, ProbMeasure.delta(center, gflow.slices[2].n))
     v_g = max(mf.variance(gflow.slices[i], mu_g.measure_at(i)) for i in (1, 2))

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def test_schema_errors_exit_2(tmp_path, capsys):
         "slices-object", "slice-not-object", "matrices-object", "pairs-list"])
 @pytest.mark.parametrize("command", [["verify"], ["report", "--quantity", "var-curve"]])
 def test_malformed_documents_exit_2(tp4, tmp_path, capsys, mutate, command):
-    doc = json.loads(open(tp4).read())
+    doc = json.loads(Path(tp4).read_text())
     mutate(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -156,7 +157,7 @@ def test_verify_json_report(tp4, tmp_path, capsys):
 
 
 def test_verify_content_corruption_exits_1(tp4, tmp_path, capsys):
-    doc = json.loads(open(tp4).read())
+    doc = json.loads(Path(tp4).read_text())
     doc["kernels"]["matrices"][0][0][0] += 0.1
     bad = tmp_path / "corrupt.json"
     bad.write_text(json.dumps(doc))
@@ -164,7 +165,7 @@ def test_verify_content_corruption_exits_1(tp4, tmp_path, capsys):
     assert rc == 1
     assert "structural check FAIL" in out and "row sums" in out
 
-    doc2 = json.loads(open(tp4).read())
+    doc2 = json.loads(Path(tp4).read_text())
     doc2["kernels"]["matrices"][0][0] = [0.5]  # ragged row
     ragged = tmp_path / "ragged.json"
     ragged.write_text(json.dumps(doc2))
@@ -177,7 +178,7 @@ def test_huge_time_lag_is_refused_without_traceback(tmp_path, capsys):
     and divide by a zero bound; the grid refuses |t| > 1e300 instead."""
     path = make_doc(tmp_path, "s.json", "generate", "static", "--m", "3", "--steps", "2")
     capsys.readouterr()
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["times"][2] = 1e308
     big = tmp_path / "big.json"
     big.write_text(json.dumps(doc))
@@ -191,6 +192,27 @@ def test_huge_time_lag_is_refused_without_traceback(tmp_path, capsys):
     assert "Traceback" not in out + err
 
 
+def test_huge_slice_distances_are_refused_without_traceback(tmp_path, capsys):
+    """Distances above 1e150 overflow their squares (H constant, variances,
+    the cone battery) into NaN, which no check can fail; the slice refuses
+    them instead."""
+    path = make_doc(tmp_path, "s.json", "generate", "static", "--m", "3", "--steps", "2")
+    capsys.readouterr()
+    doc = json.loads(Path(path).read_text())
+    for sl in doc["slices"]:
+        sl["dist"] = [[0.0 if i == j else 1e200 for j in range(3)] for i in range(3)]
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "verify", str(big))
+    assert rc == 1 and "structural check FAIL" in out and "1e150" in out
+    assert "Traceback" not in out + err
+    rc, out, err = run_cli(
+        capsys, "report", str(big), "--quantity", "var-curve", "--csv", str(tmp_path / "o.csv")
+    )
+    assert rc == 2 and err.startswith("error: ") and "1e150" in err
+    assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("mutate", [
     lambda d: d["times"].__setitem__(1, 10**400),
     lambda d: d["slices"][0]["dist"][0].__setitem__(1, 10**400),
@@ -198,7 +220,7 @@ def test_huge_time_lag_is_refused_without_traceback(tmp_path, capsys):
 ], ids=["times", "dist", "kernel"])
 def test_integers_beyond_float_range_are_refused_without_traceback(tp4, tmp_path, capsys, mutate):
     """A JSON integer too large for a float is bad content, not a crash."""
-    doc = json.loads(open(tp4).read())
+    doc = json.loads(Path(tp4).read_text())
     mutate(doc)
     big = tmp_path / "big.json"
     big.write_text(json.dumps(doc))

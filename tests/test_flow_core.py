@@ -4,8 +4,10 @@ mass-distribution lower bound."""
 
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from functools import reduce
 
 import mpmath
@@ -229,7 +231,7 @@ def test_battery_detects_frozen_flow():
     frozen = MetricFlow(g, (sp,) * 3, adjacent_kernels=[np.eye(3), np.eye(3)])
     rep = mf.verify_flow_axioms(frozen)
     assert not rep.ok
-    assert frozen.h_min()[0] == 0.0  # frozen flows do not spread variance
+    assert mf.h_concentration_constant(frozen)[0] == 0.0  # frozen flows do not spread variance
 
 
 def test_randomized_mode_agrees_on_valid_flow(two_point_flow_fx):
@@ -335,7 +337,7 @@ def test_h_constant_two_point_closed_form(two_point_flow_fx):
 def test_h_constant_single_time_is_zero():
     sp = euclidean_space(np.array([0.0, 1.0]))
     flow = MetricFlow(TimeGrid((0.0,)), (sp,), adjacent_kernels=())
-    assert flow.h_min() == (0.0, None)
+    assert mf.h_concentration_constant(flow) == (0.0, None)
 
 
 def test_h_constant_product_subadditive(static_cycle_fx, product_fx):
@@ -450,6 +452,21 @@ def test_var_plus_Ht_needs_enough_H(two_point_flow_fx):
     assert not rec.passed  # H = 0 cannot compensate the variance drop
 
 
+def test_monotonicity_checks_need_two_common_times(two_point_flow_fx):
+    flow = two_point_flow_fx
+    top = flow.grid.times[-1]
+    u = mf.heat_forward(flow, top, np.ones(2))  # defined at the top time only
+    mu = mf.conj_backward(flow, top, ProbMeasure.uniform(2))
+    late = mf.ConjHeatFlowField(u.time_indices, (mu.measure_at(flow.grid.n - 1),))
+    for check in (
+        lambda: mf.pairing_invariant_check(flow, u, mu),
+        lambda: mf.w1_kernel_monotonicity_check(flow, late, mu),
+        lambda: mf.var_plus_Ht_monotonicity_check(flow, mu, late, 1.0),
+    ):
+        with pytest.raises(InputError, match="need at least two common times to compare, got 1"):
+            check()
+
+
 # ---------------------------------------------------------------------------
 # parabolic neighborhoods, restriction, rescaling
 # ---------------------------------------------------------------------------
@@ -518,8 +535,8 @@ def test_rescale_shift_parabolic_invariance(two_point_flow_fx):
     assert scaled.slices[0].diameter == pytest.approx(lam * 1.0, abs=1e-15)
     assert scaled.grid.span == pytest.approx(lam * lam * flow.grid.span, abs=1e-12)
     assert scaled.grid.times[0] == pytest.approx(lam * lam * 0.0 + 1.0)
-    h0, _ = flow.h_min()
-    h1, _ = scaled.h_min()
+    h0, _ = mf.h_concentration_constant(flow)
+    h1, _ = mf.h_concentration_constant(scaled)
     assert h1 == pytest.approx(h0, rel=1e-12)  # Var ~ lam^2, tau ~ lam^2
     with pytest.raises(InputError):
         mf.rescale_shift(flow, 0.0)
@@ -648,6 +665,59 @@ def test_kernel_composition_bit_identical(first):
         flow.kernel(0, 29)
     for s_idx, t_idx in ((5, 20), (0, 20), (0, 29), (3, 4), (12, 29), (0, 1), (27, 29)):
         assert np.array_equal(flow.kernel(s_idx, t_idx), _left_to_right(adj, s_idx, t_idx))
+
+
+def _pair_stored_with_gaps(rng, sizes):
+    """A pair-stored flow with the kernels of a random Markov flow, some pairs
+    missing; also returns the Markov flow and its adjacent kernels."""
+    markov, adj = _random_markov(rng, sizes)
+    pairs = {
+        (s_idx, t_idx): markov.kernel(s_idx, t_idx)
+        for t_idx in range(len(sizes))
+        for s_idx in range(t_idx)
+        if (s_idx + 2 * t_idx) % 5 != 0
+    }
+    return MetricFlow(markov.grid, markov.slices, pair_kernels=pairs), markov, adj
+
+
+def test_column_is_the_kernel_walk_bit_for_bit():
+    rng = np.random.default_rng(3)
+    flow, markov, adj = _pair_stored_with_gaps(rng, [4, 3, 3, 5, 4, 4, 2, 3, 4, 4])
+    for t_idx in range(markov.grid.n):
+        col, stored = markov.column(t_idx), flow.column(t_idx)
+        assert len(col) == len(stored) == t_idx
+        for s_idx in range(t_idx):
+            expect = _left_to_right(adj, s_idx, t_idx)
+            assert np.array_equal(col[s_idx], expect)
+            assert np.array_equal(markov.kernel(s_idx, t_idx), expect)
+            if (s_idx + 2 * t_idx) % 5 == 0:
+                assert stored[s_idx] is None
+                with pytest.raises(InputError, match=re.escape(f"pair {(s_idx, t_idx)}")):
+                    flow.kernel(s_idx, t_idx)
+            else:
+                assert stored[s_idx] is flow.kernel(s_idx, t_idx)
+                assert np.array_equal(stored[s_idx], expect)
+    with pytest.raises(InputError):
+        markov.column(markov.grid.n)
+
+
+def test_long_markov_flow_runs_in_bounded_memory():
+    """Heat flow, conjugate heat flow and the H constant on a 200-time,
+    40-point Markov flow keep one kernel column alive at a time: a cache of
+    every composed kernel would hold about 255 MB."""
+    rng = np.random.default_rng(0)
+    flow, _ = _random_markov(rng, [40] * 200)
+    tracemalloc.start()
+    try:
+        u = mf.heat_forward(flow, flow.grid.times[0], rng.normal(size=40))
+        mu = mf.conj_backward(flow, flow.grid.times[-1], ProbMeasure.uniform(40))
+        H, witness = mf.h_concentration_constant(flow)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(u.values) == len(mu.measures) == 200
+    assert H >= 0.0 and witness is not None
+    assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def _brute_reproduction(flow):

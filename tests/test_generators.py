@@ -89,7 +89,7 @@ def test_two_point_closed_forms():
         )
         assert mf.w1_distance(space, nu_p, nu_m).value == pytest.approx(D * q, abs=1e-12)
     # concentration constant: variance/lag at the smallest gap, same point
-    H, witness = flow.h_min()
+    H, witness = mf.h_concentration_constant(flow)
     g = 0.1
     assert H == pytest.approx(
         0.5 * D * D * (1.0 - math.exp(-C * g / (D * D))) / g, rel=1e-12
@@ -147,7 +147,7 @@ def test_gaussian_concentration_constant(gaussian_fx):
     """Cell quantization inflates the continuum constant 4n by exactly
     h^2/6 per unit lag at the smallest grid gap."""
     flow, sidecar = gaussian_fx
-    H, _ = flow.h_min()
+    H, _ = mf.h_concentration_constant(flow)
     h, tau_min = 0.1, 0.5
     assert H == pytest.approx(sidecar.h_exact + h * h / (6.0 * tau_min), rel=1e-10)
     assert H >= sidecar.h_exact
