@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -51,7 +52,6 @@ from .generators import (
     two_point_flow,
 )
 from .ot_core import (
-    BFunction,
     CertificateError,
     FiniteMetricSpace,
     InputError,
@@ -81,17 +81,13 @@ def flow_to_document(flow: MetricFlow) -> dict:
         ],
         "metadata": dict(flow.metadata),
     }
+    stored = flow.stored()
     if flow.is_markov:
-        doc["kernels"] = {
-            "mode": "markov",
-            "matrices": [flow.kernel(i, i + 1).tolist() for i in range(flow.grid.n - 1)],
-        }
+        doc["kernels"] = {"mode": "markov", "matrices": [k.tolist() for k in stored.values()]}
     else:
         doc["kernels"] = {
             "mode": "full",
-            "pairs": {
-                f"{s}:{t}": flow.kernel(s, t).tolist() for s, t in flow.stored_pairs()
-            },
+            "pairs": {f"{s}:{t}": k.tolist() for (s, t), k in stored.items()},
         }
     return doc
 
@@ -264,6 +260,32 @@ def _relation_pairs(pairs, where: str) -> list:
     ):
         raise InputError(f"{where} must be a list of [i, j] integer pairs")
     return [tuple(p) for p in pairs]
+
+
+def _finite(text: str, name: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise InputError(f"{name} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise InputError(f"{name} must be finite, got {text!r}")
+    return value
+
+
+def _eps_values(text: str) -> np.ndarray:
+    """The grid 'start:stop:step' (stop included) cut to (0, 1]; the ends must
+    be finite and the step positive and finite, for at most 10 000 samples."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise InputError(f"--eps-grid must be 'start:stop:step', got {text!r}")
+    lo, hi, step = (_finite(x, "--eps-grid") for x in parts)
+    if not (step > 0.0 and (hi + 0.5 * step - lo) / step <= 10_000):
+        raise InputError(f"--eps-grid {text!r}: need a positive step and at most 10 000 samples")
+    eps = np.arange(lo, hi + 0.5 * step, step)
+    eps = eps[(eps > 0.0) & (eps <= 1.0)]
+    if eps.size == 0:
+        raise InputError("--eps-grid selects no eps values in (0, 1]")
+    return eps
 
 
 def _write_csv(path: str, header: list, rows: list) -> None:
@@ -470,7 +492,7 @@ def cmd_report(args) -> int:
         if args.H == "auto":
             h_value, _ = h_concentration_constant(flow)
         else:
-            h_value = float(args.H)
+            h_value = _finite(args.H, "--H")
         rows = []
         for idx in chf.time_indices:
             t = flow.grid.times[idx]
@@ -492,18 +514,8 @@ def cmd_report(args) -> int:
         _write_csv(args.csv, ["time", "dW1"], rows)
     elif quantity == "b-function":
         mu = _basepoint_measure(flow, args.basepoint, top_idx)
-        try:
-            lo, hi, step = (float(x) for x in args.eps_grid.split(":"))
-        except ValueError:
-            raise InputError(
-                f"--eps-grid must be 'start:stop:step', got {args.eps_grid!r}"
-            ) from None
-        eps_values = np.arange(lo, hi + 0.5 * step, step)
-        eps_values = eps_values[(eps_values > 0.0) & (eps_values <= 1.0)]
-        if eps_values.size == 0:
-            raise InputError("--eps-grid selects no eps values in (0, 1]")
         rows = []
-        for eps in eps_values:
+        for eps in _eps_values(args.eps_grid):
             b = mass_distribution_fn(flow.slices[top_idx], mu, args.r, float(eps))
             rows.append([float(eps), b])
         _write_csv(args.csv, ["eps", "b"], rows)

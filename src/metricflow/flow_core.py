@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +52,8 @@ from .ot_core import (
     MetricAxiomReport,
     ProbMeasure,
     StructuralError,
+    _clamp_noise,
+    _readonly,
     check_metric_axioms,
     mass_distribution_fn,
     product_space,
@@ -272,29 +275,24 @@ def _check_kernel(mat, n_rows: int, n_cols: int, name: str) -> np.ndarray:
         raise StructuralError(f"{name}: expected shape {(n_rows, n_cols)}, got {k.shape}")
     if not np.all(np.isfinite(k)):
         raise StructuralError(f"{name}: non-finite entries")
-    worst = float(k.min(initial=0.0))
-    if worst < -EXACT_TOL:
-        raise InputError(f"{name}: negative entry {worst:.3e}")
-    if worst < 0.0:
-        k = np.where(k < 0.0, 0.0, k)
-    rows = k.sum(axis=1)
-    res = float(np.abs(rows - 1.0).max())
+    k = _clamp_noise(k, name)
+    res = float(np.abs(k.sum(axis=1) - 1.0).max())
     if res > EXACT_TOL:
         raise InputError(f"{name}: row sums deviate from 1 by {res:.3e}")
-    k = np.array(k, copy=True)
-    k.setflags(write=False)
-    return k
+    return _readonly(k)
 
 
 class MetricFlow:
     """A finite metric flow: grid, slices, and backward kernels.
 
-    Exactly one of ``adjacent_kernels`` (Markov storage: one kernel per
-    adjacent grid pair, longer lags composed on demand — reproduction then
-    holds by construction) or ``pair_kernels`` (explicit storage: a matrix
-    per pair ``(s_idx, t_idx)`` with s < t — reproduction becomes a checkable
-    property) must be given. ``metadata`` is a free-form dict used for
-    provenance and flags (e.g. ``approximate``, ``axiom6_unverified``).
+    ``grid`` must be a :class:`TimeGrid`. Exactly one of ``adjacent_kernels``
+    (Markov storage: one kernel per adjacent grid pair, longer lags composed
+    on demand — reproduction then holds by construction) or ``pair_kernels``
+    (explicit storage: a matrix per pair ``(s_idx, t_idx)`` with s < t, any
+    subset of the pairs — reproduction becomes a checkable property) must be
+    given. :meth:`stored` is the one view of what is stored; ``is_markov``
+    says which layout. ``metadata`` is a free-form dict used for provenance
+    and flags (e.g. ``approximate``, ``axiom6_unverified``).
     """
 
     def __init__(
@@ -306,8 +304,6 @@ class MetricFlow:
         pair_kernels: dict | None = None,
         metadata: dict | None = None,
     ):
-        if not isinstance(grid, TimeGrid):
-            grid = TimeGrid(tuple(grid))
         slices = tuple(slices)
         if len(slices) != grid.n:
             raise InputError(f"{len(slices)} slices for a {grid.n}-time grid")
@@ -320,56 +316,47 @@ class MetricFlow:
         self.grid = grid
         self.slices = slices
         self.metadata = dict(metadata or {})
+        self.is_markov = adjacent_kernels is not None
 
-        if adjacent_kernels is not None:
+        if self.is_markov:
             adjacent_kernels = tuple(adjacent_kernels)
             if len(adjacent_kernels) != grid.n - 1:
                 raise InputError(
                     f"{len(adjacent_kernels)} adjacent kernels for {grid.n} times"
                 )
-            self._adjacent = tuple(
-                _check_kernel(k, slices[i + 1].n, slices[i].n, f"adjacent kernel {i}")
-                for i, k in enumerate(adjacent_kernels)
-            )
-            self._pairs = None
-        else:
-            pairs = {}
-            for key, mat in pair_kernels.items():
-                s_idx, t_idx = int(key[0]), int(key[1])
-                if not (0 <= s_idx < t_idx < grid.n):
-                    raise InputError(f"kernel pair {key}: need 0 <= s < t < {grid.n}")
-                pairs[(s_idx, t_idx)] = _check_kernel(
-                    mat, slices[t_idx].n, slices[s_idx].n, f"kernel {key}"
-                )
-            self._adjacent = None
-            self._pairs = pairs
+            pair_kernels = {(i, i + 1): k for i, k in enumerate(adjacent_kernels)}
+        kernels = {}
+        for key, mat in pair_kernels.items():
+            s_idx, t_idx = int(key[0]), int(key[1])
+            if not (0 <= s_idx < t_idx < grid.n):
+                raise InputError(f"kernel pair {key}: need 0 <= s < t < {grid.n}")
+            name = f"adjacent kernel {s_idx}" if self.is_markov else f"kernel {key}"
+            kernels[(s_idx, t_idx)] = _check_kernel(mat, slices[t_idx].n, slices[s_idx].n, name)
+        self._kernels = dict(sorted(kernels.items()))
 
     # -- basic accessors ----------------------------------------------------
-
-    @property
-    def is_markov(self) -> bool:
-        return self._adjacent is not None
 
     def flagged(self, name: str) -> bool:
         return bool(self.metadata.get(name, False))
 
-    def stored_pairs(self):
-        """Index pairs (s, t) with an explicitly stored kernel."""
-        if self.is_markov:
-            return tuple((i, i + 1) for i in range(self.grid.n - 1))
-        return tuple(sorted(self._pairs.keys()))
+    def stored(self) -> MappingProxyType:
+        """Read-only map from each stored pair (s, t), sorted, to its kernel:
+        the adjacent pairs (j, j + 1) of a Markov flow, else the given pairs."""
+        return MappingProxyType(self._kernels)
 
     def _walk(self, s_idx: int, t_idx: int):
         """Yield K(j, t) for j = t-1 down to s, None for a pair the flow does
-        not store. A Markov flow composes K(j, t) = K(j+1, t) @ adj[j]: the
-        left-to-right product adj[t-1] @ ... @ adj[j], so each K(j, t) has
+        not store. A Markov flow composes K(j, t) = K(j+1, t) @ K(j, j+1): the
+        left-to-right product K(t-1, t) @ ... @ K(j, j+1), so each K(j, t) has
         one float order whichever caller asks for it."""
+        stored = self.stored()
         mat = None
         for j in range(t_idx - 1, s_idx - 1, -1):
             if self.is_markov:
-                mat = self._adjacent[j] if mat is None else mat @ self._adjacent[j]
+                step = stored[(j, j + 1)]
+                mat = step if mat is None else mat @ step
             else:
-                mat = self._pairs.get((j, t_idx))
+                mat = stored.get((j, t_idx))
             yield mat
 
     def column(self, t_idx: int) -> list:
@@ -776,8 +763,20 @@ def support_at(flow: MetricFlow, mu: ConjHeatFlowField, t: float) -> SupportRepo
 # ---------------------------------------------------------------------------
 
 
+def _flow_like(
+    markov: bool, grid: TimeGrid, slices: tuple, kernels: dict, meta: dict
+) -> MetricFlow:
+    """A flow storing ``kernels`` (keyed by (s, t)) by adjacent steps if
+    ``markov``, else by pair."""
+    if markov:
+        adjacent = [kernels[(j, j + 1)] for j in range(grid.n - 1)]
+        return MetricFlow(grid, slices, adjacent_kernels=adjacent, metadata=meta)
+    return MetricFlow(grid, slices, pair_kernels=kernels, metadata=meta)
+
+
 def restrict_flow(flow: MetricFlow, t_lo: float, t_hi: float) -> MetricFlow:
-    """Restrict to the grid times inside [t_lo, t_hi] (at least one needed)."""
+    """Restrict to the grid times inside [t_lo, t_hi] (at least one needed),
+    keeping the stored kernels whose pairs lie inside the window."""
     if not (t_hi >= t_lo):
         raise InputError("need t_hi >= t_lo")
     keep = flow.grid.window(t_lo, t_hi)
@@ -785,15 +784,11 @@ def restrict_flow(flow: MetricFlow, t_lo: float, t_hi: float) -> MetricFlow:
         raise InputError(f"no grid times inside [{t_lo}, {t_hi}]")
     grid = TimeGrid(tuple(flow.grid.times[i] for i in keep))
     slices = tuple(flow.slices[i] for i in keep)
-    lo, meta = int(keep[0]), dict(flow.metadata)  # the window is a run of grid indices
-    if flow.is_markov:
-        adjacent = flow._adjacent[lo : lo + keep.size - 1]
-        return MetricFlow(grid, slices, adjacent_kernels=adjacent, metadata=meta)
-    pairs = {}
-    for b in range(1, keep.size):
-        for a, mat in enumerate(flow.column(lo + b)[lo:]):
-            pairs[(a, b)] = _stored(mat, lo + a, lo + b)
-    return MetricFlow(grid, slices, pair_kernels=pairs, metadata=meta)
+    lo, hi = int(keep[0]), int(keep[-1])  # the window is a run of grid indices
+    kernels = {
+        (s - lo, t - lo): k for (s, t), k in flow.stored().items() if lo <= s and t <= hi
+    }
+    return _flow_like(flow.is_markov, grid, slices, kernels, dict(flow.metadata))
 
 
 def rescale_shift(flow: MetricFlow, lam: float, t_shift: float = 0.0) -> MetricFlow:
@@ -803,17 +798,15 @@ def rescale_shift(flow: MetricFlow, lam: float, t_shift: float = 0.0) -> MetricF
         raise InputError(f"lam must be positive and finite, got {lam}")
     grid = TimeGrid(tuple(lam * lam * t + t_shift for t in flow.grid.times))
     slices = tuple(s.scaled(lam) for s in flow.slices)
-    meta = dict(flow.metadata)
-    if flow.is_markov:
-        return MetricFlow(grid, slices, adjacent_kernels=flow._adjacent, metadata=meta)
-    return MetricFlow(grid, slices, pair_kernels=dict(flow._pairs), metadata=meta)
+    return _flow_like(flow.is_markov, grid, slices, dict(flow.stored()), dict(flow.metadata))
 
 
 def cartesian_product_flow(f1: MetricFlow, f2: MetricFlow) -> MetricFlow:
     """Product flow: slices are l²-products, kernels are products
     (nu^{12} = nu^1 x nu^2). If both factors are H_i-concentrated the product
     is (H_1 + H_2)-concentrated; heat flows of products of functions factor.
-    Requires identical time grids."""
+    Requires identical time grids. The product is Markov-stored when both
+    factors are, else it stores every pair."""
     if not f1.grid.matches(f2.grid):
         raise InputError("product flows need identical time grids")
     slices = tuple(product_space(a, b) for a, b in zip(f1.slices, f2.slices))
@@ -822,16 +815,18 @@ def cartesian_product_flow(f1: MetricFlow, f2: MetricFlow) -> MetricFlow:
         "product": True,
         "approximate": f1.flagged("approximate") or f2.flagged("approximate"),
     }
-    if f1.is_markov and f2.is_markov:
-        adjacent = tuple(
-            np.kron(f1.kernel(i, i + 1), f2.kernel(i, i + 1)) for i in range(f1.grid.n - 1)
-        )
-        return MetricFlow(f1.grid, slices, adjacent_kernels=adjacent, metadata=meta)
-    pairs = {}
-    for t_idx in range(f1.grid.n):
-        for s_idx, (k1, k2) in enumerate(zip(f1.column(t_idx), f2.column(t_idx))):
-            pairs[(s_idx, t_idx)] = np.kron(_stored(k1, s_idx, t_idx), _stored(k2, s_idx, t_idx))
-    return MetricFlow(f1.grid, slices, pair_kernels=pairs, metadata=meta)
+    markov = f1.is_markov and f2.is_markov
+    if markov:
+        k2 = f2.stored()
+        kernels = {key: np.kron(k1, k2[key]) for key, k1 in f1.stored().items()}
+    else:
+        kernels = {}
+        for t_idx in range(f1.grid.n):
+            for s_idx, (k1, k2) in enumerate(zip(f1.column(t_idx), f2.column(t_idx))):
+                kernels[(s_idx, t_idx)] = np.kron(
+                    _stored(k1, s_idx, t_idx), _stored(k2, s_idx, t_idx)
+                )
+    return _flow_like(markov, f1.grid, slices, kernels, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -1263,8 +1258,9 @@ def verify_flow_axioms(
     """Audit a flow against the structural and smoothing axioms.
 
     Structural records: slice metric validity, kernel stochasticity, the
-    identity kernel at equal times, and the reproduction property over all
-    grid triples (worst residual, tolerance 1e-10).
+    identity kernel at equal times (it holds by construction, so that record
+    always passes), and the reproduction property over all grid triples
+    (worst residual, tolerance 1e-10). ``seeds`` and ``rng_seed`` must be >= 0.
 
     Smoothing axiom: ``mode="exhaustive-2pt"`` runs the complete extremal
     sweep on two-point slices and the cone battery on larger ones (verdicts
@@ -1278,6 +1274,8 @@ def verify_flow_axioms(
     """
     if mode not in ("exhaustive-2pt", "randomized", "skip"):
         raise InputError(f"unknown mode {mode!r}")
+    if seeds < 0 or rng_seed < 0:
+        raise InputError(f"seeds and rng_seed must be >= 0, got {seeds} and {rng_seed}")
     exact = not flow.flagged("approximate")
     records = []
 
@@ -1300,21 +1298,13 @@ def verify_flow_axioms(
 
     # kernels are probability measures (stored matrices; compositions inherit)
     worst_row = 0.0
-    for s_idx, t_idx in flow.stored_pairs():
-        k = flow.kernel(s_idx, t_idx)
+    for k in flow.stored().values():
         worst_row = max(worst_row, float(np.abs(k.sum(axis=1) - 1.0).max()))
         worst_row = max(worst_row, max(0.0, -float(k.min())))
     records.append(CheckRecord("kernel-stochastic", worst_row <= EXACT_TOL, worst_row))
 
-    # delta property at equal times
-    worst_delta = 0.0
-    if not flow.is_markov:
-        for (s_idx, t_idx), k in flow._pairs.items():
-            if s_idx == t_idx:  # not representable; guarded at construction
-                worst_delta = max(
-                    worst_delta, float(np.abs(k - np.eye(k.shape[0])).max())
-                )
-    records.append(CheckRecord("delta-at-equal-times", worst_delta == 0.0, worst_delta))
+    # delta property at equal times: K(s, s) is the identity by construction
+    records.append(CheckRecord("delta-at-equal-times", True, 0.0))
 
     # reproduction over all triples (skipping pairs with no stored kernel —
     # legal for explicitly-stored flows covering only part of the grid)

@@ -85,7 +85,7 @@ def min_C() -> float:
 # ---------------------------------------------------------------------------
 
 
-def two_point_flow(C: float, D: float, grid) -> MetricFlow:
+def two_point_flow(C: float, D: float, grid: TimeGrid) -> MetricFlow:
     """The two-point flow with slice distance D and mixing constant C, on
     points labelled ``"+"`` and ``"-"``.
 
@@ -105,8 +105,6 @@ def two_point_flow(C: float, D: float, grid) -> MetricFlow:
         raise InputError(f"D must be positive and finite, got {D}")
     if not (C > 0.0 and math.isfinite(C)):
         raise InputError(f"C must be positive and finite, got {C}")
-    if not isinstance(grid, TimeGrid):
-        grid = TimeGrid(tuple(grid))
     space = FiniteMetricSpace(labels=("+", "-"), dist=np.array([[0.0, D], [D, 0.0]]))
     rate = C / (2.0 * D * D)
     kernels = []
@@ -160,7 +158,7 @@ def gaussian_flow_discrete(
     dim: int,
     L: float,
     h: float,
-    grid,
+    grid: TimeGrid,
 ) -> tuple:
     """Discretization of the heat-kernel flow on the lattice [-L, L]^dim
     with spacing h.
@@ -181,10 +179,8 @@ def gaussian_flow_discrete(
     """
     if dim < 1:
         raise InputError(f"dim must be >= 1, got {dim}")
-    if not (L > 0.0 and h > 0.0):
-        raise InputError("need L > 0 and h > 0")
-    if not isinstance(grid, TimeGrid):
-        grid = TimeGrid(tuple(grid))
+    if not (0.0 < L < math.inf and h > 0.0):
+        raise InputError(f"need a finite L > 0 and h > 0, got L={L}, h={h}")
     if grid.n < 2:
         raise InputError("need at least two grid times")
     gaps = np.diff(np.asarray(grid.times))
@@ -243,7 +239,7 @@ def gaussian_flow_discrete(
 def static_flow(
     space: FiniteMetricSpace,
     kernels_by_lag: dict,
-    grid,
+    grid: TimeGrid,
     *,
     metadata: dict | None = None,
 ) -> MetricFlow:
@@ -257,8 +253,6 @@ def static_flow(
     with the witness lags (this is exactly the reproduction property the
     flow will be audited against).
     """
-    if not isinstance(grid, TimeGrid):
-        grid = TimeGrid(tuple(grid))
     lag_vals = np.array(sorted(kernels_by_lag.keys()), dtype=float)
     mats = [np.asarray(kernels_by_lag[k], dtype=float) for k in sorted(kernels_by_lag.keys())]
     times = np.asarray(grid.times)
@@ -319,12 +313,10 @@ def cycle_semigroup(m: int, rate: float, lags: Sequence[float]) -> dict:
     return out
 
 
-def static_cycle_flow(m: int, rate: float, edge: float, grid) -> MetricFlow:
+def static_cycle_flow(m: int, rate: float, edge: float, grid: TimeGrid) -> MetricFlow:
     """Static flow of the rate-``rate`` walk on the m-cycle with edge length
     ``edge`` (graph metric). Translation invariance makes every kernel
     exactly W1-contractive (rotate one kernel onto the other)."""
-    if not isinstance(grid, TimeGrid):
-        grid = TimeGrid(tuple(grid))
     if not (edge > 0.0):
         raise InputError("edge length must be positive")
     idx = np.arange(m)

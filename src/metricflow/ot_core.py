@@ -239,11 +239,11 @@ class FiniteMetricSpace:
         return FiniteMetricSpace(labels=self.labels, dist=factor * self.dist)
 
 
-def check_metric_axioms(space, *, require_positive: bool = True) -> MetricAxiomReport:
-    """Audit a distance matrix against the metric axioms.
-
-    Accepts a :class:`FiniteMetricSpace` or a raw square matrix (raw input is
-    structure-checked first and raises :class:`StructuralError` if malformed).
+def check_metric_axioms(
+    space: FiniteMetricSpace, *, require_positive: bool = True
+) -> MetricAxiomReport:
+    """Audit the distance matrix of a :class:`FiniteMetricSpace` against the
+    metric axioms.
 
     Checks, with witnesses (tol = EXACT_TOL = 1e-12):
       * symmetry              |d[i,j] - d[j,i]| <= tol
@@ -257,12 +257,7 @@ def check_metric_axioms(space, *, require_positive: bool = True) -> MetricAxiomR
     pseudometrics (distinct points at distance zero are then legal). At most
     256 violations are recorded; ``truncated`` says whether more were found.
     """
-    if isinstance(space, FiniteMetricSpace):
-        d = space.dist
-    else:
-        d = _as_matrix(space, "dist")
-        if float(d.min(initial=0.0)) < 0.0:
-            raise StructuralError("dist: negative entries")
+    d = space.dist
     n = d.shape[0]
     out: list[MetricAxiomViolation] = []
     truncated = False

@@ -131,6 +131,53 @@ def test_generate_parameter_errors_exit_2(tmp_path, capsys):
     assert rc == 2 and "undersamples" in err
 
 
+def test_generate_two_point_explicit_C(tmp_path, capsys):
+    path = make_doc(tmp_path, "c95.json", "generate", "two-point", "--C", "95", "--steps", "3")
+    flow = mf.cli.load_flow(path)
+    assert flow.metadata["C"] == 95.0
+    assert not flow.flagged("axiom6_unverified")  # 95 > 256/e
+    rc, out, _ = run_cli(capsys, "verify", path)
+    assert rc == 0 and "summary: PASS" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "{flow}", "--quantity", "b-function", "--eps-grid", "0:1:0", "--csv", "{out}"],
+    ["report", "{flow}", "--quantity", "b-function", "--eps-grid", "0:1:nan", "--csv", "{out}"],
+    ["report", "{flow}", "--quantity", "b-function", "--eps-grid", "nan:1:0.1", "--csv", "{out}"],
+    ["report", "{flow}", "--quantity", "b-function", "--eps-grid", "0:inf:0.1", "--csv", "{out}"],
+    ["report", "{flow}", "--quantity", "b-function", "--eps-grid", "0:1:1e-12", "--csv", "{out}"],
+    ["generate", "gaussian", "--L", "inf", "--out", "{out}"],
+    ["verify", "{flow}", "--mode", "randomized", "--seeds", "-1"],
+    ["verify", "{flow}", "--mode", "randomized", "--seed", "-1"],
+    ["report", "{flow}", "--quantity", "var-curve", "--H", "nan", "--csv", "{out}"],
+    ["report", "{flow}", "--quantity", "var-curve", "--H", "lots", "--csv", "{out}"],
+], ids=["eps-step-0", "eps-step-nan", "eps-start-nan", "eps-stop-inf", "eps-1e12-samples",
+        "gaussian-L-inf", "seeds-negative", "seed-negative", "H-nan", "H-not-a-number"])
+def test_bad_arguments_exit_2(tp4, tmp_path, capsys, argv):
+    argv = [a.format(flow=tp4, out=tmp_path / "out") for a in argv]
+    rc, _, err = run_cli(capsys, *argv)
+    assert rc == 2 and err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("layout", ["markov", "pairs", "partial-pairs"])
+def test_stored_kernels_survive_the_document_round_trip(layout):
+    grid = TimeGrid.uniform(0.0, 1.0, 3)
+    if layout == "markov":
+        flow = mf.two_point_flow(C_STAR, 1.0, grid)
+    else:
+        flow = mf.static_cycle_flow(5, 8.0, 0.7, grid)
+        if layout == "partial-pairs":
+            pairs = {key: k for key, k in flow.stored().items() if key != (0, 2)}
+            flow = mf.MetricFlow(grid, flow.slices, pair_kernels=pairs, metadata=flow.metadata)
+    doc = json.loads(json.dumps(mf.cli.flow_to_document(flow)))
+    back = mf.cli.document_to_flow(doc)
+    assert back.is_markov == flow.is_markov
+    assert list(back.stored()) == list(flow.stored())
+    for key, k in flow.stored().items():
+        assert back.stored()[key].tobytes() == k.tobytes()  # bit for bit
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -330,6 +377,9 @@ def test_distance_relation_file_and_label_mismatch(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "distance", a, b, "--relation", str(rel))
     assert rc == 0  # crossing the symmetric relation changes nothing
     assert "value r" in out
+    rel.write_text(json.dumps({"per_time": {str(i): [[0, 1], [1, 0]] for i in range(4)}}))
+    rc, out_per_time, _ = run_cli(capsys, "distance", a, b, "--relation", str(rel))
+    assert rc == 0 and out_per_time == out  # the same relation at every time
     badrel = tmp_path / "badrel.json"
     for payload, message in (
         ([1, 2, 3], "relation file"),
@@ -366,6 +416,9 @@ def test_distance_e_mode_and_protected_times(tmp_path, capsys):
     assert rc == 0
     m = re.search(r"value r = ([0-9.e+-]+)", out)
     assert float(m.group(1)) > math.sqrt(0.5)  # the spike cannot be cut
+    rc, out, _ = run_cli(capsys, "distance", str(p1), str(p2), "--e-mode", "greedy")
+    assert rc == 0
+    assert "flags: greedy" in out.splitlines()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -407,6 +460,19 @@ def test_report_var_curve(tmp_path, capsys):
         assert v == pytest.approx(2.0 * p * (1.0 - p), abs=1e-12)
         assert vh == pytest.approx(v + H * t, abs=1e-12)
     assert rows[-1][1] == 0.0  # a point mass has no variance
+
+
+def test_report_var_curve_given_H(tmp_path, capsys):
+    tp = make_doc(tmp_path, "tp.json", "generate", "two-point", "--steps", "4")
+    out = tmp_path / "var.csv"
+    rc, _, _ = run_cli(
+        capsys, "report", tp, "--quantity", "var-curve", "--H", "2.5", "--csv", str(out)
+    )
+    assert rc == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 5
+    for t, v, vh in rows:
+        assert vh == v + 2.5 * t
 
 
 def test_report_dw1_curve(tmp_path, capsys):

@@ -542,6 +542,69 @@ def test_rescale_shift_parabolic_invariance(two_point_flow_fx):
         mf.rescale_shift(flow, 0.0)
 
 
+@pytest.mark.parametrize("fixture", ["static_cycle_fx", "gaussian_fx"])
+def test_restrict_and_rescale_keep_pair_storage(fixture, request):
+    flow = request.getfixturevalue(fixture)
+    if isinstance(flow, tuple):  # (flow, sidecar)
+        flow = flow[0]
+    times = flow.grid.times
+    sub = mf.restrict_flow(flow, times[1], times[-1])
+    assert not sub.is_markov and sub.metadata == flow.metadata
+    assert sub.grid.times == times[1:]
+    assert list(sub.stored()) == [(s, t) for s in range(sub.grid.n) for t in range(s + 1, sub.grid.n)]
+    for (s_idx, t_idx), k in sub.stored().items():
+        assert np.array_equal(k, flow.kernel(s_idx + 1, t_idx + 1))
+    scaled = mf.rescale_shift(flow, 1.5, t_shift=-0.25)
+    assert not scaled.is_markov and scaled.metadata == flow.metadata
+    assert scaled.grid.times == pytest.approx([2.25 * t - 0.25 for t in times], abs=1e-15)
+    assert list(scaled.stored()) == list(flow.stored())
+    for key, k in flow.stored().items():
+        assert np.array_equal(scaled.stored()[key], k)
+
+
+def test_restrict_partially_stored_flow_keeps_the_pairs_inside_the_window():
+    rng = np.random.default_rng(5)
+    flow, _, _ = _pair_stored_with_gaps(rng, [3, 4, 2, 3, 3, 4])
+    times = flow.grid.times
+    sub = mf.restrict_flow(flow, times[1], times[4])
+    inside = {
+        (s_idx - 1, t_idx - 1): k
+        for (s_idx, t_idx), k in flow.stored().items()
+        if 1 <= s_idx and t_idx <= 4
+    }
+    assert list(sub.stored()) == [(0, 2), (0, 3), (1, 2), (2, 3)] == sorted(inside)
+    for key, k in inside.items():
+        assert np.array_equal(sub.stored()[key], k)
+    with pytest.raises(InputError, match=re.escape("pair (0, 1)")):
+        sub.kernel(0, 1)  # (1, 2) is not stored in the source
+    assert mf.verify_flow_axioms(sub, mode="skip").ok
+
+
+def test_product_of_markov_flows_is_markov():
+    grid = TimeGrid((0.0, 0.2, 0.5, 1.0))
+    f1 = mf.two_point_flow(C_STAR, 1.0, grid)
+    f2 = mf.two_point_flow(2.0 * C_STAR, 1.3, grid)
+    prod = mf.cartesian_product_flow(f1, f2)
+    assert prod.is_markov
+    assert list(prod.stored()) == [(0, 1), (1, 2), (2, 3)]
+    for key, k in prod.stored().items():
+        assert np.array_equal(k, np.kron(f1.stored()[key], f2.stored()[key]))
+    # longer lags: the composed product is the product of the composed factors
+    for s_idx, t_idx in ((0, 2), (0, 3), (1, 3)):
+        expect = np.kron(f1.kernel(s_idx, t_idx), f2.kernel(s_idx, t_idx))
+        assert np.abs(prod.kernel(s_idx, t_idx) - expect).max() <= 1e-15
+
+
+def test_stored_is_a_read_only_sorted_view():
+    rng = np.random.default_rng(2)
+    flow, _, _ = _pair_stored_with_gaps(rng, [3, 3, 3, 3])
+    stored = flow.stored()
+    assert list(stored) == sorted(stored)
+    with pytest.raises(TypeError):
+        stored[(0, 1)] = np.eye(3)
+    assert not any(k.flags.writeable for k in stored.values())
+
+
 # ---------------------------------------------------------------------------
 # distance integrals and the mass-distribution bound
 # ---------------------------------------------------------------------------
