@@ -297,6 +297,8 @@ def cycle_semigroup(m: int, rate: float, lags: Sequence[float]) -> dict:
 
     if m < 3:
         raise InputError("cycle needs at least 3 points")
+    if not (0.0 < rate < math.inf):
+        raise InputError(f"jump rate must be positive and finite, got {rate}")
     q = np.zeros((m, m))
     for i in range(m):
         q[i, i] = -rate
@@ -317,8 +319,8 @@ def static_cycle_flow(m: int, rate: float, edge: float, grid: TimeGrid) -> Metri
     """Static flow of the rate-``rate`` walk on the m-cycle with edge length
     ``edge`` (graph metric). Translation invariance makes every kernel
     exactly W1-contractive (rotate one kernel onto the other)."""
-    if not (edge > 0.0):
-        raise InputError("edge length must be positive")
+    if not (0.0 < edge < math.inf):
+        raise InputError(f"edge length must be positive and finite, got {edge}")
     idx = np.arange(m)
     hops = np.minimum((idx[:, None] - idx[None, :]) % m, (idx[None, :] - idx[:, None]) % m)
     space = FiniteMetricSpace(

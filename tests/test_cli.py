@@ -151,8 +151,13 @@ def test_generate_two_point_explicit_C(tmp_path, capsys):
     ["verify", "{flow}", "--mode", "randomized", "--seed", "-1"],
     ["report", "{flow}", "--quantity", "var-curve", "--H", "nan", "--csv", "{out}"],
     ["report", "{flow}", "--quantity", "var-curve", "--H", "lots", "--csv", "{out}"],
+    ["generate", "static", "--m", "3", "--steps", "2", "--rate", "-1", "--out", "{out}"],
+    ["generate", "static", "--m", "3", "--steps", "2", "--rate", "0", "--out", "{out}"],
+    ["generate", "static", "--m", "3", "--steps", "2", "--rate", "nan", "--out", "{out}"],
+    ["generate", "static", "--m", "3", "--steps", "2", "--edge", "inf", "--out", "{out}"],
 ], ids=["eps-step-0", "eps-step-nan", "eps-start-nan", "eps-stop-inf", "eps-1e12-samples",
-        "gaussian-L-inf", "seeds-negative", "seed-negative", "H-nan", "H-not-a-number"])
+        "gaussian-L-inf", "seeds-negative", "seed-negative", "H-nan", "H-not-a-number",
+        "static-rate-negative", "static-rate-0", "static-rate-nan", "static-edge-inf"])
 def test_bad_arguments_exit_2(tp4, tmp_path, capsys, argv):
     argv = [a.format(flow=tp4, out=tmp_path / "out") for a in argv]
     rc, _, err = run_cli(capsys, *argv)
@@ -277,6 +282,20 @@ def test_integers_beyond_float_range_are_refused_without_traceback(tp4, tmp_path
         capsys, "report", str(big), "--quantity", "var-curve", "--csv", str(tmp_path / "o.csv")
     )
     assert rc == 2 and err.startswith("error: ") and "too large" in err
+    assert "Traceback" not in out + err
+
+
+def test_verify_slice_metric_failure_exits_1(tmp_path, capsys):
+    path = make_doc(tmp_path, "s.json", "generate", "static", "--m", "3", "--steps", "2")
+    capsys.readouterr()
+    doc = json.loads(Path(path).read_text())
+    doc["slices"][1]["dist"] = [[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]]
+    bent = tmp_path / "bent.json"
+    bent.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "verify", str(bent))
+    assert rc == 1 and "summary: FAIL" in out
+    assert "axiom check slice-metrics: FAIL" in out
+    assert re.search(r"witness: \(1, 'triangle'", out)
     assert "Traceback" not in out + err
 
 

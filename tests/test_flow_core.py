@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from functools import reduce
 
@@ -806,17 +807,47 @@ def _audit(flow):
     return rec.worst, rec.details
 
 
-def test_reproduction_audit_matches_triple_loop_markov():
+def test_reproduction_audit_of_markov_flow_is_empty():
+    """A Markov flow stores only its adjacent steps, so no triple of stored
+    kernels exists and reproduction holds by definition."""
     rng = np.random.default_rng(5)
     flow, _ = _random_markov(rng, [5] * 24)
+    assert _audit(flow) == (0.0, ())
+
+
+def test_reproduction_audit_matches_triple_loop_markov():
+    """The Markov flow's composed kernels, stored as pairs: ulp-level
+    residuals, many of them tied, so the witness is the first maximum."""
+    rng = np.random.default_rng(5)
+    markov, _ = _random_markov(rng, [5] * 24)
+    pairs = {(s_idx, t_idx): markov.kernel(s_idx, t_idx)
+             for t_idx in range(markov.grid.n) for s_idx in range(t_idx)}
+    flow = MetricFlow(markov.grid, markov.slices, pair_kernels=pairs)
     worst, witness = _brute_reproduction(flow)
-    assert worst > 0.0  # ulp-level residuals, many of them tied
+    assert worst > 0.0
     assert _audit(flow) == (worst, witness)
 
 
+def test_verify_long_markov_flow_is_fast_and_small():
+    """Structural verification of a 200-time, 40-point Markov flow reads
+    only its stored steps: no composed kernel is held or multiplied."""
+    flow, _ = _random_markov(np.random.default_rng(0), [40] * 200)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        rep = mf.verify_flow_axioms(flow, mode="skip")
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.record("reproduction").worst == 0.0
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+    assert peak < 32e6, f"peak {peak / 1e6:.1f} MB"
+
+
 def test_reproduction_audit_matches_triple_loop_pair_stored():
-    """Missing pairs are skipped, unequal slice sizes split the batches, and
-    perturbed kernels give residuals far above rounding."""
+    """Missing pairs are skipped, unequal slice sizes mix, and perturbed
+    kernels give residuals far above rounding."""
     rng = np.random.default_rng(9)
     sizes = [3, 2, 2, 3, 3, 3, 2, 3]
     markov, _ = _random_markov(rng, sizes)
