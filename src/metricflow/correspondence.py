@@ -72,6 +72,7 @@ from .ot_core import (
     check_metric_axioms,
     glue_couplings,
     linprog,
+    solve_once,
     w1_distance,
 )
 
@@ -621,6 +622,11 @@ def _resolve_J(grid: TimeGrid, idxs: tuple, J) -> tuple:
     return tuple(sorted(set(out)))
 
 
+# Largest number of W1 solves one flow distance may need (about 20 s).
+_W1_BUDGET = 20_000
+
+
+@solve_once()
 def f_distance_within(
     c: Correspondence,
     pair1: MetricFlowPair,
@@ -650,6 +656,11 @@ def f_distance_within(
 
     Both orientations produce bit-identical values: the computation runs in
     a fingerprint-canonical order and swaps back afterwards.
+
+    The W1 solves it needs, one per cost-matrix entry (x1, x2) at each
+    participating pair s < t plus one per participating time, are counted
+    first: above 20 000 it raises :class:`InputError` before any LP runs.
+    Each distinct transport LP is solved once (:func:`solve_once`).
     """
     if c.n_flows != 2:
         raise InputError("f_distance_within expects a two-flow correspondence (use pair_view)")
@@ -658,6 +669,14 @@ def f_distance_within(
             raise InputError("flow pair lives on a different time grid than the correspondence")
     idxs = tuple(int(i) for i in c.time_indices)
     J_idx = _resolve_J(c.grid, idxs, J)
+    w1_count = len(idxs) + sum(
+        pos * pair1.flow.slices[t].n * pair2.flow.slices[t].n for pos, t in enumerate(idxs)
+    )
+    if w1_count > _W1_BUDGET:
+        raise InputError(
+            f"flow distance needs {w1_count} W1 solves ({len(idxs)} participating times), "
+            f"over the budget of {_W1_BUDGET}: use fewer times or fewer points per slice"
+        )
 
     emb1 = {t: c.ambient_at(t).embeddings[0] for t in idxs}
     emb2 = {t: c.ambient_at(t).embeddings[1] for t in idxs}
@@ -789,6 +808,7 @@ class FTriangleReport:
     E_union: tuple
 
 
+@solve_once()
 def f_triangle_check(
     c123: Correspondence,
     pair1: MetricFlowPair,
@@ -806,6 +826,8 @@ def f_triangle_check(
     are certified directly: every cost integral must stay below
     d(1,2) + d(2,3) up to float slack. This realizes the inequality's proof
     as a checkable object rather than trusting the three optimizations.
+    The three distances and the certificate share one :func:`solve_once`
+    scope, so a transport LP they have in common is solved once.
     """
     if c123.n_flows != 3:
         raise InputError("f_triangle_check expects a three-flow correspondence")

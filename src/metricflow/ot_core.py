@@ -6,6 +6,12 @@ coupling is a joint mass matrix, and Wasserstein distances are computed by a
 dense LP whose optimality is certified through the dual (Kantorovich
 potential) rather than trusted blindly.
 
+The LP is reduced before it is solved. It runs over the supports of the two
+measures only, and for W1 over their excess mass only: by
+Kantorovich-Rubinstein duality W1 depends on mu - nu alone, so the mass the
+measures share stays in place. Inside a :func:`solve_once` scope each
+distinct reduced LP is solved once.
+
 Core objects
 ------------
 FiniteMetricSpace      labelled points + distance matrix (structure-checked)
@@ -19,6 +25,7 @@ Core operations
 check_metric_axioms    audit symmetry / diagonal / positivity / triangle
 w1_distance            first Wasserstein distance, coupling + dual certificate
 wp_distance            p-th Wasserstein distance (p >= 1)
+solve_once             scope in which each distinct transport LP is solved once
 variance               joint second moment  Var(mu1, mu2) = ∬ d² dmu1 dmu2
 glue_couplings         tri-index gluing of couplings sharing a middle marginal
 mass_distribution_fn   b_r(eps): largest mass threshold that eps-most points'
@@ -39,6 +46,8 @@ numbers.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 from dataclasses import dataclass, field
@@ -65,6 +74,7 @@ __all__ = [
     "check_metric_axioms",
     "w1_distance",
     "wp_distance",
+    "solve_once",
     "variance",
     "glue_couplings",
     "mass_distribution_fn",
@@ -599,14 +609,67 @@ def _fit_marginals(plan: np.ndarray, a: np.ndarray, b: np.ndarray):
     raise CertificateError("could not refit coupling marginals to tolerance")
 
 
-def _oriented_plan(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure, cost):
-    """The optimal plan between two measures on ``space`` under ``cost``.
+# Solved transport LPs of the current solve_once() scope, keyed by the exact
+# bytes of their (cost, a, b); None outside every scope.
+_SOLVED: contextvars.ContextVar = contextvars.ContextVar("metricflow_solved_lps", default=None)
+
+
+@contextlib.contextmanager
+def solve_once():
+    """Solve each distinct transport LP once within this scope.
+
+    Inside it, :func:`w1_distance` and :func:`wp_distance` reuse the plan
+    and duals of a reduced LP (see ``_oriented_plan``) already solved with
+    the same cost, source and target bytes; every call still builds and
+    certifies its own result. A nested entry joins the outer scope, and the
+    solved LPs are dropped when the outermost scope exits, normally or by
+    an exception. Usable as ``with solve_once():`` or as a decorator.
+    """
+    if _SOLVED.get() is not None:
+        yield
+        return
+    token = _SOLVED.set({})
+    try:
+        yield
+    finally:
+        _SOLVED.reset(token)
+
+
+def _solve(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Read-only plan and column duals of ``_transport_lp(cost, a, b)``,
+    taken from the current :func:`solve_once` scope when it holds them."""
+    memo = _SOLVED.get()
+    key = None if memo is None else (cost.tobytes(), a.tobytes(), b.tobytes())
+    if key is not None and key in memo:
+        return memo[key]
+    plan, _, beta = _transport_lp(cost, a, b)
+    plan.setflags(write=False)
+    beta.setflags(write=False)
+    if key is not None:
+        memo[key] = (plan, beta)
+    return plan, beta
+
+
+def _oriented_plan(
+    space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure, cost, excess: bool
+):
+    """An optimal plan between two measures on ``space`` under ``cost``.
 
     The pair is oriented canonically (the weight vector whose bytes sort
-    first is the source), so swapping the measures solves the same LP.
+    first is the source ``a``), so swapping the measures gives the same
+    plan. With ``excess`` the shared mass ``stay = min(a, b)`` stays on the
+    diagonal, which is optimal when ``cost`` satisfies the triangle
+    inequality (W1 on a metric); otherwise ``stay`` is zero. The LP then
+    moves the rest, ``a - stay`` to ``b - stay``, over the supports of
+    those two vectors only, each normalised to unit mass (excess entries
+    can sit near HiGHS's 1e-10 feasibility tolerance); its plan is scaled
+    back by the mean of the two masses and refitted to ``(a, b)``.
+
     Returns ``None`` for bit-equal weights, else ``(swapped, a, b, plan,
-    beta)``: the oriented weights, the plan refitted to them, and the LP's
-    column duals.
+    beta)``: the oriented weights, the plan, and the LP's column duals,
+    ``-inf`` off its columns. When the excess lies on one side only, a
+    mass imbalance below ProbMeasure's 1e-12 sum tolerance, no LP runs:
+    the plan is ``diag(stay)`` and ``beta`` is zero.
     """
     _check_measure_space(space, mu1, "mu1")
     _check_measure_space(space, mu2, "mu2")
@@ -614,7 +677,18 @@ def _oriented_plan(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure,
         return None
     swapped = mu1.weights.tobytes() > mu2.weights.tobytes()
     a, b = (mu2.weights, mu1.weights) if swapped else (mu1.weights, mu2.weights)
-    plan, _, beta = _transport_lp(cost, a, b)
+    stay = np.minimum(a, b) if excess else np.zeros(a.size)
+    da, db = a - stay, b - stay
+    rows, cols = np.flatnonzero(da), np.flatnonzero(db)
+    plan = np.diag(stay)
+    if rows.size == 0 or cols.size == 0:
+        return swapped, a, b, plan, np.zeros(a.size)
+    src, dst = da[rows], db[cols]
+    sa, sb = float(src.sum()), float(dst.sum())
+    sub, sub_beta = _solve(cost[np.ix_(rows, cols)], src / sa, dst / sb)
+    plan[np.ix_(rows, cols)] += (0.5 * (sa + sb)) * sub
+    beta = np.full(a.size, -np.inf)
+    beta[cols] = sub_beta
     return swapped, a, b, _fit_marginals(plan, a, b), beta
 
 
@@ -629,17 +703,28 @@ def w1_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure) ->
     (byte order of the weight vectors), so swapping the measures returns
     bit-identical values. Bit-equal measures short-circuit to value 0 with
     the diagonal coupling.
+
+    Only the excess mass moves: the mass the two measures share stays in
+    place, and the LP runs between the supports of the excesses (see
+    ``_oriented_plan``). That is optimal when ``space.dist`` satisfies the
+    triangle inequality, which :class:`FiniteMetricSpace` does not check.
+    On a space that breaks it the result is either the value of the full
+    transport LP, certified as always, or a :class:`CertificateError`
+    (the shared-mass plan is then not optimal, and no 1-Lipschitz
+    potential closes its gap).
     """
-    solved = _oriented_plan(space, mu1, mu2, space.dist)
+    solved = _oriented_plan(space, mu1, mu2, space.dist, excess=True)
     if solved is None:
         cert = TransportCertificate(0.0, np.zeros(space.n), 0.0)
         return W1Result(0.0, Coupling.diagonal(mu1), cert)
     swapped, a, b, plan, beta = solved
     value = float(np.sum(plan * space.dist))
 
-    # Kantorovich potential by c-transform of the column duals: f is a min of
-    # 1-Lipschitz functions of the first index (triangle inequality), hence
-    # 1-Lipschitz, and its dual value dominates the LP dual optimum.
+    # Kantorovich potential by c-transform of the column duals over the LP's
+    # columns (beta = -inf elsewhere): f is a min of 1-Lipschitz functions
+    # of the first index (triangle inequality), hence 1-Lipschitz, and as
+    # a - b is the difference of the two excesses, its dual value dominates
+    # the reduced LP's dual optimum.
     f = (space.dist - beta[None, :]).min(axis=1)
     dual = float(f @ (a - b))
     gap = value - dual
@@ -664,15 +749,17 @@ def wp_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure, p:
     """p-th Wasserstein distance, ``inf over couplings of (∬ d^p dq)^{1/p}``.
 
     Requires p >= 1. For p == 1 this equals ``w1_distance(...).value``
-    exactly (same LP and plan, no certificate returned here), and like it
-    is bit-for-bit symmetric in the two measures.
+    exactly (the same excess-mass LP and plan, no certificate returned
+    here). For p > 1 the shared mass is not kept in place (``d**p`` breaks
+    the triangle inequality), and the LP runs over the supports of the two
+    measures only. Like W1 it is bit-for-bit symmetric in the two measures.
     """
     if not (isinstance(p, (int, float)) and math.isfinite(p)):
         raise InputError(f"p must be a finite real, got {p!r}")
     if p < 1.0:
         raise InputError(f"wp_distance requires p >= 1, got {p}")
     cost = space.dist if p == 1.0 else space.dist**p
-    solved = _oriented_plan(space, mu1, mu2, cost)
+    solved = _oriented_plan(space, mu1, mu2, cost, excess=p == 1.0)
     if solved is None:
         return 0.0
     _, _, _, plan, _ = solved

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import subprocess
+import time
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +384,69 @@ def test_distance_three_files_triangle(tmp_path, capsys):
     assert rc == 0
     assert "triangle d(1,3) <= d(1,2) + d(2,3): holds" in out
     assert "admissible" in out
+
+
+def _count_solves(monkeypatch, fail_at=None):
+    """Count W1 calls and transport LPs; the LP numbered ``fail_at``
+    raises a CertificateError instead of solving."""
+    counts = {"w1": 0, "lp": 0}
+    w1, lp = mf.correspondence.w1_distance, mf.ot_core.linprog
+
+    def counted_w1(*args):
+        counts["w1"] += 1
+        return w1(*args)
+
+    def counted_lp(*args):
+        counts["lp"] += 1
+        if counts["lp"] == fail_at:
+            raise mf.CertificateError("injected LP failure")
+        return lp(*args)
+
+    monkeypatch.setattr(mf.correspondence, "w1_distance", counted_w1)
+    monkeypatch.setattr(mf.ot_core, "linprog", counted_lp)
+    return counts
+
+
+def test_triangle_solves_each_distinct_lp_once(tmp_path, capsys, monkeypatch):
+    """Three 4-point, 5-time static flows: the triangle makes 3 x 165 W1
+    calls plus d13's 160 cost entries again for its certificate, but solves
+    only the 200 distinct transport LPs among them, in every run; the memo
+    of solved LPs is gone after each command, also after one that fails."""
+    files = [
+        make_doc(tmp_path, f"f{i}.json", "generate", "static", "--m", "4", "--steps", "4",
+                 "--rate", str(rate))
+        for i, rate in enumerate((0.7, 1.1, 1.6))
+    ]
+    for _ in range(2):
+        counts = _count_solves(monkeypatch)
+        rc, out, _ = run_cli(capsys, "distance", *files, "--e-mode", "empty")
+        assert rc == 0 and "holds" in out
+        assert counts == {"w1": 655, "lp": 200}
+        assert mf.ot_core._SOLVED.get() is None
+    _count_solves(monkeypatch, fail_at=150)
+    rc, _, err = run_cli(capsys, "distance", *files, "--e-mode", "empty")
+    assert rc == 1 and "injected LP failure" in err
+    assert mf.ot_core._SOLVED.get() is None
+
+
+def test_oversized_flow_distance_is_refused_before_any_lp(tmp_path, capsys, monkeypatch):
+    """Two 24-point, 60-time flows need 1 770 x 576 + 60 W1 solves, hours
+    of work: the command says so and exits 2 at once, with no LP run."""
+    rng = np.random.default_rng(3)
+    slices = tuple(mf.FiniteMetricSpace(tuple(range(24)), np.abs(np.subtract.outer(x, x)))
+                   for x in rng.uniform(0.0, 1.0, (60, 24)))
+    kernels = [k / k.sum(axis=1, keepdims=True) for k in rng.uniform(0.05, 1.0, (59, 24, 24))]
+    flow = mf.MetricFlow(TimeGrid(tuple(np.linspace(0.0, 1.0, 60))), slices,
+                         adjacent_kernels=kernels)
+    path = str(tmp_path / "markov.json")
+    save_flow(flow, path)
+    counts = _count_solves(monkeypatch)
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "distance", path, path, "--e-mode", "empty")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and err.startswith("error: ") and "1019580 W1 solves" in err
+    assert "Traceback" not in out + err
+    assert counts == {"w1": 0, "lp": 0}
 
 
 def test_distance_relation_file_and_label_mismatch(tmp_path, capsys):

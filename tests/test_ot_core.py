@@ -19,6 +19,7 @@ from metricflow import (
     InputError,
     ProbMeasure,
 )
+from metricflow import ot_core
 from metricflow.ot_core import _coupling_columns, _transport_lp, linprog
 
 from conftest import euclidean_space, random_measure, random_space, two_point_space
@@ -360,6 +361,136 @@ def test_wp_distance_consistency():
         mu, nu = random_measure(rng, n, sparse=True), random_measure(rng, n)
         assert mf.wp_distance(space, mu, nu, 1.0) == mf.w1_distance(space, mu, nu).value
         assert mf.wp_distance(space, mu, nu, 2.0) == mf.wp_distance(space, nu, mu, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# reduced solves: excess mass, supports, solved once
+# ---------------------------------------------------------------------------
+
+
+def _pseudometric_space(rng, n):
+    """n points on fewer distinct sites, so distinct points can be at
+    distance zero."""
+    sites = random_space(rng, max(1, n // 2))
+    where = rng.integers(0, sites.n, n)
+    return FiniteMetricSpace(tuple(range(n)), sites.dist[np.ix_(where, where)])
+
+
+def _measure_pairs(rng, n):
+    """Zero weights; shared mass; measures on two disjoint blocks, as the
+    pushed kernels of a flow distance sit in a glued ambient."""
+    yield random_measure(rng, n, sparse=True), random_measure(rng, n, sparse=True)
+    mu, other = random_measure(rng, n), random_measure(rng, n, sparse=True)
+    yield mu, ProbMeasure(0.7 * mu.weights + 0.3 * other.weights)
+    k = n // 2
+    left, right = np.zeros(n), np.zeros(n)
+    left[:k], right[k:] = rng.dirichlet(np.ones(k)), rng.dirichlet(np.ones(n - k))
+    yield ProbMeasure(left), ProbMeasure(right)
+
+
+def _full_lp_value(cost, mu, nu):
+    plan, _, _ = _transport_lp(cost, mu.weights, nu.weights)
+    return float(np.sum(plan * cost))
+
+
+@pytest.mark.parametrize("space_kind", ["metric", "pseudometric"])
+def test_reduced_solve_equals_the_full_lp(space_kind):
+    rng = np.random.default_rng(29 if space_kind == "metric" else 31)
+    make = random_space if space_kind == "metric" else _pseudometric_space
+    for _ in range(12):
+        n = int(rng.integers(2, 10))
+        space = make(rng, n)
+        for mu, nu in _measure_pairs(rng, n):
+            res = mf.w1_distance(space, mu, nu)
+            full = _full_lp_value(space.dist, mu, nu)
+            assert res.value == pytest.approx(full, rel=1e-12, abs=1e-15)
+            assert res.value == mf.w1_distance(space, nu, mu).value
+            assert mf.wp_distance(space, mu, nu, 1.0) == res.value
+            full2 = math.sqrt(_full_lp_value(space.dist**2, mu, nu))
+            assert mf.wp_distance(space, mu, nu, 2.0) == pytest.approx(full2, rel=1e-12, abs=1e-15)
+
+
+def test_excess_on_one_side_only_is_certified():
+    """b exceeds a at one point by 1e-13 (ProbMeasure allows 1e-12 on the
+    sum): no mass has to move, and no LP or division runs."""
+    rng = np.random.default_rng(37)
+    for n in (2, 5, 8):
+        space = random_space(rng, n)
+        a = rng.dirichlet(np.ones(n))
+        b = a.copy()
+        b[0] += 1e-13
+        mu, nu = ProbMeasure(a), ProbMeasure(b)
+        for first, second in ((mu, nu), (nu, mu)):
+            res = mf.w1_distance(space, first, second)
+            assert res.value == 0.0 and res.certificate.gap == 0.0
+            res.certificate.validate(space, first, second)
+            assert mf.wp_distance(space, first, second, 1.0) == 0.0
+
+
+def test_near_equal_measures_are_certified_tightly():
+    """Measures 1e-10 apart on 24 points: the full LP's 1e-10 feasibility
+    slack swamps such a W1 (its certified gap was about half the value);
+    the excess-mass LP certifies it to a gap of at most 1e-12 of it."""
+    rng = np.random.default_rng(2)
+    space = random_space(rng, 24)
+    unit = 2.0**-40  # dyadic weights: both sums are exactly 1
+    counts = rng.multinomial(2**40 - 24 * 2**20, np.ones(24) / 24) + 2**20
+    shift = rng.integers(-200, 201, 24)
+    shift[-1] -= shift.sum()
+    mu, nu = ProbMeasure(counts * unit), ProbMeasure((counts + shift) * unit)
+    res = mf.w1_distance(space, mu, nu)
+    assert 0.0 < res.value < 1e-8
+    assert res.certificate.gap <= 1e-12 * res.value
+
+
+def test_w1_on_a_non_metric_cost_is_the_full_lp_or_refused():
+    """Keeping shared mass in place needs the triangle inequality, which
+    FiniteMetricSpace does not check: on a space that breaks it, W1 is the
+    full LP's value or a CertificateError, never another value."""
+    rng = np.random.default_rng(41)
+    outcomes = {"value": 0, "refused": 0}
+    while sum(outcomes.values()) < 100:
+        d = np.triu(rng.uniform(0.0, 1.0, (5, 5)), 1)
+        space = FiniteMetricSpace(tuple(range(5)), d + d.T)
+        if mf.check_metric_axioms(space).ok:
+            continue
+        mu, nu = random_measure(rng, 5), random_measure(rng, 5)
+        try:
+            value = mf.w1_distance(space, mu, nu).value
+        except CertificateError:
+            outcomes["refused"] += 1
+            continue
+        outcomes["value"] += 1
+        assert value == pytest.approx(_full_lp_value(space.dist, mu, nu), rel=1e-12)
+    assert outcomes["value"] > 0 and outcomes["refused"] > 0
+
+
+def test_solve_once_scope(monkeypatch):
+    """Inside one scope a repeated W1 solves its LP once; results stay
+    independent and read-only; nested scopes share the outer memo; the memo
+    is gone after the scope exits, by return or by an exception."""
+    solves = []
+    real = ot_core.linprog
+    monkeypatch.setattr(ot_core, "linprog", lambda *a: solves.append(1) or real(*a))
+    rng = np.random.default_rng(43)
+    space = random_space(rng, 6)
+    mu, nu = random_measure(rng, 6), random_measure(rng, 6)
+    with mf.solve_once():
+        first = mf.w1_distance(space, mu, nu)
+        with mf.solve_once():
+            memo = ot_core._SOLVED.get()
+            second = mf.w1_distance(space, nu, mu)
+        assert ot_core._SOLVED.get() is memo and len(memo) == 1
+        assert all(not v.flags.writeable for hit in memo.values() for v in hit)
+    assert len(solves) == 1 and first.value == second.value
+    assert not first.coupling.matrix.flags.writeable
+    assert ot_core._SOLVED.get() is None
+    with pytest.raises(InputError):
+        with mf.solve_once():
+            mf.w1_distance(space, mu, ProbMeasure.uniform(5))
+    assert ot_core._SOLVED.get() is None
+    mf.w1_distance(space, mu, nu)
+    assert len(solves) == 2
 
 
 # ---------------------------------------------------------------------------
