@@ -584,7 +584,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="smoothing-axiom mode (default: exhaustive-2pt, or skip for approximate flows)",
     )
-    v.add_argument("--seeds", type=int, default=256, help="random cone count for the battery")
+    v.add_argument(
+        "--seeds", type=int, default=256,
+        help="random cone count for the battery; seeds x largest slice size must be <= 4000000",
+    )
     v.add_argument("--seed", type=int, default=0, help="rng seed for the battery")
     v.add_argument("--json", dest="json_out", default=None, help="write machine-readable report")
     v.set_defaults(func=cmd_verify)

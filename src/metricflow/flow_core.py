@@ -1118,6 +1118,8 @@ def _sweep_two_point(groups, u_step, a_step):
 
 
 _SIGNS = np.array([-1.0, 1.0])
+# largest seeds × slice size a battery may build, checked before any draw
+_BATTERY_LIMIT = 4_000_000
 
 
 def _battery_cone(k, d_s, d_t, tau, T_values, offsets, seeds, rng):
@@ -1126,6 +1128,9 @@ def _battery_cone(k, d_s, d_t, tau, T_values, offsets, seeds, rng):
     Tests the smoothing axiom on cone data f_s = ±T^{-1/2} d_s(·, y0) + c
     (every anchor, sign, and offset) and on seeded random maxima of a few
     cones (a max of T^{-1/2}-Lipschitz functions is T^{-1/2}-Lipschitz).
+    Each seeded datum is the max of three cones; for each T in turn the
+    battery draws from ``rng`` all ``seeds × 3`` anchors, then all signs,
+    then all offsets in [-3, 3).
     """
     n_s = d_s.shape[0]
     n_t = d_t.shape[0]
@@ -1142,15 +1147,11 @@ def _battery_cone(k, d_s, d_t, tau, T_values, offsets, seeds, rng):
             np.array([1.0, -1.0])[None, None, :, None] * (lam * d_s)[:, :, None, None]
             + np.asarray(offsets, dtype=float)[None, None, None, :]
         ).reshape(n_s, -1)
-        # per seed: anchors, signs, offsets, drawn in this order from rng;
-        # _SIGNS[integers(0, 2)] reads the stream as choice([-1, 1]) does
-        J = np.empty((seeds, 3), dtype=np.int64)
-        S = np.empty((seeds, 3), dtype=np.int64)
-        C = np.empty((seeds, 3))
-        for i in range(seeds):
-            J[i] = rng.integers(0, n_s, size=3)
-            S[i] = rng.integers(0, 2, size=3)
-            C[i] = rng.uniform(-3.0, 3.0, size=3)
+        # three draws per T: every anchor, then every sign, then every
+        # offset; _SIGNS[integers(0, 2)] reads the stream as choice([-1, 1])
+        J = rng.integers(0, n_s, size=(seeds, 3))
+        S = rng.integers(0, 2, size=(seeds, 3))
+        C = rng.uniform(-3.0, 3.0, size=(seeds, 3))
         seeded = np.max(_SIGNS[S][None] * lam * d_s[:, J] + C[None], axis=2)
         f_s = np.concatenate([cones, seeded], axis=1)
         u_s = phi(f_s)
@@ -1164,7 +1165,8 @@ def _battery_cone(k, d_s, d_t, tau, T_values, offsets, seeds, rng):
             hi = min(f_t.shape[1], lo + step)
             blk = f_t[:, lo:hi]
             okblk = ok[:, lo:hi]
-            diffs = np.abs(blk[pair_i, :] - blk[pair_j, :])
+            with np.errstate(invalid="ignore"):  # inf - inf where both saturate, masked below
+                diffs = np.abs(blk[pair_i, :] - blk[pair_j, :])
             valid = okblk[pair_i, :] & okblk[pair_j, :]
             n_cases += valid.size
             saturated += int(valid.size - int(valid.sum()))
@@ -1177,29 +1179,43 @@ def _battery_cone(k, d_s, d_t, tau, T_values, offsets, seeds, rng):
 def _dedupe_pairs(flow: MetricFlow):
     """Group (s, t) grid pairs whose (lag, kernel, d_s, d_t) data coincide up
     to float clustering (the grid-time rule on the lag, 1e-14 absolute on the
-    matrices), so static flows sweep one representative per distinct lag."""
+    matrices), so static flows sweep one representative per distinct lag.
+    Each pair joins the first group, in creation order, that it matches.
+
+    Groups are listed per (kernel, d_s, d_t) shape triple with one row
+    ``[lag, K[0], d_s[0], d_t[0]]`` each. A match needs the lag rule and,
+    as its matrices agree within 1e-14, first rows within 1e-14 too: a
+    vectorised test of the list's lags, then of the first rows of the
+    groups that pass, picks the candidates, and ``np.allclose`` decides
+    only those.
+    """
     groups = []  # (tau, K, d_s, d_t, [pairs])
+    lists = {}  # shape triple -> [group indices, rows (grown by doubling)]
     for t_idx in range(flow.grid.n):
+        d_t = flow.slices[t_idx].dist
         for s_idx, k in enumerate(_full_column(flow, t_idx)):
             tau = flow.grid.times[t_idx] - flow.grid.times[s_idx]
-            tol = _time_tol(tau)
             d_s = flow.slices[s_idx].dist
-            d_t = flow.slices[t_idx].dist
-            placed = False
-            for g in groups:
+            row = np.concatenate(([tau], k[0], d_s[0], d_t[0]))
+            entry = lists.setdefault((k.shape, d_s.shape, d_t.shape), [[], np.empty((1, row.size))])
+            ids, rows = entry
+            n = len(ids)
+            hit = np.flatnonzero(np.abs(rows[:n, 0] - tau) <= _time_tol(tau))
+            hit = hit[(np.abs(rows[hit, 1:] - row[1:]) <= 1e-14).all(axis=1)]
+            for i in hit:
+                g = groups[ids[i]]
                 if (
-                    abs(g[0] - tau) <= tol
-                    and g[1].shape == k.shape
-                    and g[2].shape == d_s.shape
-                    and g[3].shape == d_t.shape
-                    and np.allclose(g[1], k, rtol=0.0, atol=1e-14)
+                    np.allclose(g[1], k, rtol=0.0, atol=1e-14)
                     and np.allclose(g[2], d_s, rtol=0.0, atol=1e-14)
                     and np.allclose(g[3], d_t, rtol=0.0, atol=1e-14)
                 ):
                     g[4].append((s_idx, t_idx))
-                    placed = True
                     break
-            if not placed:
+            else:
+                if n == rows.shape[0]:
+                    rows = entry[1] = np.resize(rows, (2 * n, row.size))
+                rows[n] = row
+                ids.append(len(groups))
                 groups.append((tau, k, d_s, d_t, [(s_idx, t_idx)]))
     return groups
 
@@ -1237,7 +1253,10 @@ def verify_flow_axioms(
     whose three kernels are stored (worst residual, tolerance 1e-10). A
     Markov flow stores no such triple, as its longer kernels are compositions
     of its steps, so it holds reproduction by definition and that record
-    reads 0.0. ``seeds`` and ``rng_seed`` must be >= 0.
+    reads 0.0. ``seeds`` and ``rng_seed`` must be >= 0, and unless ``mode``
+    is ``"skip"``, ``seeds`` times the largest slice size must be at most
+    4 000 000: the battery's seeded cones take about that many triples of
+    floats (96 MB).
 
     Smoothing axiom: ``mode="exhaustive-2pt"`` runs the complete extremal
     sweep on two-point slices and the cone battery on larger ones (verdicts
@@ -1253,6 +1272,12 @@ def verify_flow_axioms(
         raise InputError(f"unknown mode {mode!r}")
     if seeds < 0 or rng_seed < 0:
         raise InputError(f"seeds and rng_seed must be >= 0, got {seeds} and {rng_seed}")
+    n_max = max(s.n for s in flow.slices)
+    if mode != "skip" and seeds * n_max > _BATTERY_LIMIT:
+        raise InputError(
+            f"--seeds {seeds} times the largest slice size {n_max} exceeds the cone "
+            f"battery's limit of {_BATTERY_LIMIT:,} (seeds x points)"
+        )
     exact = not flow.flagged("approximate")
     records = []
 

@@ -666,10 +666,16 @@ def _oriented_plan(
     back by the mean of the two masses and refitted to ``(a, b)``.
 
     Returns ``None`` for bit-equal weights, else ``(swapped, a, b, plan,
-    beta)``: the oriented weights, the plan, and the LP's column duals,
-    ``-inf`` off its columns. When the excess lies on one side only, a
+    beta, balanced)``: the oriented weights, the plan, the LP's column
+    duals, ``-inf`` off its columns, and whether the masses agree within
+    1e-13 (see below). When the excess lies on one side only, a
     mass imbalance below ProbMeasure's 1e-12 sum tolerance, no LP runs:
     the plan is ``diag(stay)`` and ``beta`` is zero.
+
+    Masses that differ by more than 1e-13 (ProbMeasure admits sums 1e-12
+    off 1) have no coupling within the refit's tolerance, so each side is
+    fitted to their mean mass instead: the LP's plan is refitted to ``a``
+    and ``b`` rescaled to it, and the one-sided plan is ``diag((a + b)/2)``.
     """
     _check_measure_space(space, mu1, "mu1")
     _check_measure_space(space, mu2, "mu2")
@@ -680,16 +686,22 @@ def _oriented_plan(
     stay = np.minimum(a, b) if excess else np.zeros(a.size)
     da, db = a - stay, b - stay
     rows, cols = np.flatnonzero(da), np.flatnonzero(db)
-    plan = np.diag(stay)
     if rows.size == 0 or cols.size == 0:
-        return swapped, a, b, plan, np.zeros(a.size)
+        balanced = abs(float(da.sum()) - float(db.sum())) <= 1e-13
+        plan = np.diag(stay if balanced else 0.5 * (a + b))
+        return swapped, a, b, plan, np.zeros(a.size), balanced
+    plan = np.diag(stay)
     src, dst = da[rows], db[cols]
     sa, sb = float(src.sum()), float(dst.sum())
     sub, sub_beta = _solve(cost[np.ix_(rows, cols)], src / sa, dst / sb)
     plan[np.ix_(rows, cols)] += (0.5 * (sa + sb)) * sub
     beta = np.full(a.size, -np.inf)
     beta[cols] = sub_beta
-    return swapped, a, b, _fit_marginals(plan, a, b), beta
+    if abs(sa - sb) <= 1e-13:  # the masses differ as their excesses do
+        return swapped, a, b, _fit_marginals(plan, a, b), beta, True
+    ma, mb = float(a.sum()), float(b.sum())
+    mean = 0.5 * (ma + mb)
+    return swapped, a, b, _fit_marginals(plan, a * (mean / ma), b * (mean / mb)), beta, False
 
 
 def w1_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure) -> W1Result:
@@ -717,7 +729,7 @@ def w1_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure) ->
     if solved is None:
         cert = TransportCertificate(0.0, np.zeros(space.n), 0.0)
         return W1Result(0.0, Coupling.diagonal(mu1), cert)
-    swapped, a, b, plan, beta = solved
+    swapped, a, b, plan, beta, balanced = solved
     value = float(np.sum(plan * space.dist))
 
     # Kantorovich potential by c-transform of the column duals over the LP's
@@ -726,6 +738,10 @@ def w1_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure) ->
     # a - b is the difference of the two excesses, its dual value dominates
     # the reduced LP's dual optimum.
     f = (space.dist - beta[None, :]).min(axis=1)
+    if not balanced:
+        # with masses that differ, f @ (a - b) depends on f's free constant:
+        # centre f on a + b, so the imbalance adds nothing to first order
+        f = f - float(f @ (a + b)) / float((a + b).sum())
     dual = float(f @ (a - b))
     gap = value - dual
     if -EXACT_TOL <= gap < 0.0:
@@ -762,7 +778,7 @@ def wp_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure, p:
     solved = _oriented_plan(space, mu1, mu2, cost, excess=p == 1.0)
     if solved is None:
         return 0.0
-    _, _, _, plan, _ = solved
+    plan = solved[3]
     total = float(np.sum(plan * cost))
     return total if p == 1.0 else total ** (1.0 / p)
 

@@ -245,6 +245,19 @@ def test_huge_time_lag_is_refused_without_traceback(tmp_path, capsys):
     assert "Traceback" not in out + err
 
 
+def test_huge_seed_count_is_refused_before_the_battery(tmp_path, capsys):
+    """A billion seeds on 4-point slices would gather 12e9 floats; the limit
+    on seeds x largest slice size refuses them before any draw."""
+    tp = make_doc(tmp_path, "tp.json", "generate", "two-point", "--steps", "3")
+    prod = make_doc(tmp_path, "prod.json", "generate", "product", tp, tp)
+    capsys.readouterr()
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "verify", prod, "--seeds", "1000000000")
+    assert time.perf_counter() - start < 2.0
+    assert rc == 2 and err.startswith("error: ") and "--seeds" in err and "4,000,000" in err
+    assert "Traceback" not in out + err
+
+
 def test_huge_slice_distances_are_refused_without_traceback(tmp_path, capsys):
     """Distances above 1e150 overflow their squares (H constant, variances,
     the cone battery) into NaN, which no check can fail; the slice refuses

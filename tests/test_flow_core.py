@@ -235,6 +235,51 @@ def test_battery_detects_frozen_flow():
     assert mf.h_concentration_constant(frozen)[0] == 0.0  # frozen flows do not spread variance
 
 
+@pytest.mark.parametrize("steps", [4, 7])
+def test_battery_fails_slow_cycle_walks_under_every_seed(steps):
+    """Cycle walks that mix too slowly for their edge length fail the
+    smoothing axiom whichever random cones the battery draws."""
+    for rate, edge in ((2.0, 0.3), (0.5, 1.0), (5.0, 0.3)):
+        flow = mf.static_cycle_flow(5, rate, edge, TimeGrid.uniform(0.0, 1.0, steps))
+        for seed in range(5):
+            rep = mf.verify_flow_axioms(flow, rng_seed=seed)
+            assert all(r.passed for r in rep.records)
+            assert not rep.ok, (rate, edge, seed)
+
+
+@pytest.mark.parametrize("fixture", ["two_point_flow_fx", "static_cycle_fx", "product_fx"])
+def test_passing_fixtures_pass_under_every_seed(fixture, request):
+    flow = request.getfixturevalue(fixture)
+    for seed in range(5):
+        for mode in ("exhaustive-2pt", "randomized"):
+            if seed and mode == "exhaustive-2pt" and fixture == "two_point_flow_fx":
+                continue  # the complete sweep draws no random cones
+            assert mf.verify_flow_axioms(flow, mode=mode, rng_seed=seed).ok, (mode, seed)
+
+
+@pytest.mark.filterwarnings("ignore:box half-width:UserWarning")
+def test_battery_masks_saturated_pairs_without_warnings():
+    """Lattice points 12 apart saturate Phi at T = 0.01 on both points of a
+    pair; the battery masks those cases (inf - inf) and warns nothing
+    (RuntimeWarning is an error in this suite)."""
+    flow, _ = mf.gaussian_flow_discrete(1, 6.0, 0.5, TimeGrid((0.0, 1.0, 1.5, 2.0)))
+    rep = mf.verify_flow_axioms(flow, mode="randomized")
+    assert rep.ok and all(e.saturated > 0 for e in rep.axiom6)
+
+
+def test_battery_draws_are_batched():
+    """20 000 seeds on a 4-time, 4-point product flow: with three draws
+    per T this takes about 0.25 s on a 2-vCPU Xeon, with three draws per
+    seed 5.6 to 14 s."""
+    tp = mf.two_point_flow(C_STAR, 1.0, TimeGrid.uniform(0.0, 1.0, 3))
+    flow = mf.cartesian_product_flow(tp, tp)
+    start = time.perf_counter()
+    rep = mf.verify_flow_axioms(flow, mode="randomized", seeds=20000)
+    elapsed = time.perf_counter() - start
+    assert rep.ok and all(e.verdict == "necessary-only" for e in rep.axiom6)
+    assert elapsed < 3.0, f"{elapsed:.2f} s"
+
+
 def test_randomized_mode_agrees_on_valid_flow(two_point_flow_fx):
     rep = mf.verify_flow_axioms(two_point_flow_fx, mode="randomized", seeds=64)
     assert rep.ok
@@ -915,18 +960,19 @@ def test_multi_group_sweep_matches_single_pair_sweeps():
 
 
 def _reference_battery(k, d_s, d_t, tau, T_values, offsets, seeds, rng):
-    """The cone battery with each seeded column drawn and built on its own."""
+    """The cone battery with each seeded column built on its own from three
+    draws per T: all anchors, then all signs, then all offsets."""
     pair_i, pair_j = np.triu_indices(d_t.shape[0], k=1)
     worst_ratio, worst_excess = 0.0, -math.inf
     for T in T_values:
         lam = T ** -0.5
         cols = [sign * (lam * d_s[:, y0]) + c
                 for y0 in range(d_s.shape[0]) for sign in (1.0, -1.0) for c in offsets]
-        for _ in range(seeds):
-            j = rng.integers(0, d_s.shape[0], size=3)
-            sg = rng.choice([-1.0, 1.0], size=3)
-            cc = rng.uniform(-3.0, 3.0, size=3)
-            cols.append(np.max(sg[None, :] * lam * d_s[:, j] + cc[None, :], axis=1))
+        j = rng.integers(0, d_s.shape[0], size=(seeds, 3))
+        sg = rng.choice([-1.0, 1.0], size=(seeds, 3))
+        cc = rng.uniform(-3.0, 3.0, size=(seeds, 3))
+        for i in range(seeds):
+            cols.append(np.max(sg[i][None, :] * lam * d_s[:, j[i]] + cc[i][None, :], axis=1))
         f_s = np.stack(cols, axis=1)
         f_t, _ = flow_core._phi_inv_pair(k @ phi(f_s), k @ phi(-f_s))
         bound = (tau + T) ** -0.5
@@ -947,6 +993,70 @@ def test_cone_battery_reads_the_choice_stream(offsets):
     assert got[:2] == _reference_battery(*args, ref)
     assert got[2] == 3 * 6 * (5 * 2 * len(offsets) + 40)
     assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def _brute_dedupe(flow):
+    """Every pair compared with every group so far, in creation order."""
+    groups = []
+    for t_idx in range(flow.grid.n):
+        for s_idx in range(t_idx):
+            k = flow.kernel(s_idx, t_idx)
+            tau = flow.grid.times[t_idx] - flow.grid.times[s_idx]
+            d_s, d_t = flow.slices[s_idx].dist, flow.slices[t_idx].dist
+            for g in groups:
+                if (
+                    abs(g[0] - tau) <= flow_core._time_tol(tau)
+                    and (g[1].shape, g[2].shape, g[3].shape) == (k.shape, d_s.shape, d_t.shape)
+                    and np.allclose(g[1], k, rtol=0.0, atol=1e-14)
+                    and np.allclose(g[2], d_s, rtol=0.0, atol=1e-14)
+                    and np.allclose(g[3], d_t, rtol=0.0, atol=1e-14)
+                ):
+                    g[4].append((s_idx, t_idx))
+                    break
+            else:
+                groups.append((tau, k, d_s, d_t, [(s_idx, t_idx)]))
+    return groups
+
+
+def _group_bytes(groups):
+    return [(tau, k.tobytes(), d_s.tobytes(), d_t.tobytes(), members)
+            for tau, k, d_s, d_t, members in groups]
+
+
+def test_dedupe_pairs_matches_the_group_loop():
+    """Repeated lags (a static flow), distinct lags over mixed slice sizes
+    (a jittered Markov flow), and equal lags whose kernels share their
+    first row but differ below it, so np.allclose decides."""
+    static = mf.static_cycle_flow(5, 8.0, 0.7, TimeGrid.uniform(0.0, 1.0, 6))
+    jittered, _ = _random_markov(np.random.default_rng(4), [3, 2, 3, 3, 2, 4, 3])
+    rng = np.random.default_rng(5)
+    steps = []
+    for _ in range(6):
+        k = _stochastic(rng, 4, 4)
+        k[0] = (1.0, 0.0, 0.0, 0.0)  # point 0 absorbs: every K(s, t) has this first row
+        steps.append(k)
+    absorbing = MetricFlow(TimeGrid.uniform(0.0, 1.0, 6), (random_space(rng, 4),) * 7,
+                           adjacent_kernels=steps)
+    for flow in (static, jittered, absorbing):
+        got = flow_core._dedupe_pairs(flow)
+        assert _group_bytes(got) == _group_bytes(_brute_dedupe(flow))
+    assert len(flow_core._dedupe_pairs(static)) == 6  # one group per lag
+
+
+@pytest.mark.parametrize("grid", ["uniform", "jittered"])
+def test_dedupe_pairs_is_fast_on_long_flows(grid):
+    """60 times of 24 points: 1 830 pairs, and on the uniform grid each lag
+    recurs up to 59 times with distinct kernels."""
+    rng = np.random.default_rng(6)
+    flow, _ = _random_markov(rng, [24] * 60)
+    if grid == "uniform":
+        flow = MetricFlow(TimeGrid.uniform(0.0, 1.0, 59), flow.slices,
+                          adjacent_kernels=[flow.kernel(i, i + 1) for i in range(59)])
+    start = time.perf_counter()
+    groups = flow_core._dedupe_pairs(flow)
+    elapsed = time.perf_counter() - start
+    assert sum(len(g[4]) for g in groups) == 60 * 59 // 2
+    assert elapsed < 0.2, f"{elapsed:.2f} s"
 
 
 def test_worst_decrease_matches_pair_loop():

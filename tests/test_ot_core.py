@@ -427,6 +427,36 @@ def test_excess_on_one_side_only_is_certified():
             assert mf.wp_distance(space, first, second, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("imbalance", [1e-13, 5e-13, 1e-12])
+def test_measures_whose_sums_differ_are_certified(imbalance):
+    """ProbMeasure admits sums 1e-12 off 1, so two legal measures' masses
+    can differ by about 1e-12, beyond the 1e-13 marginal refit: W1 fits
+    both to their mean mass, and certifies every such pair. A copy that
+    differs at one point only has its excess on one side, and no LP runs."""
+    rng = np.random.default_rng(43)
+    for kind in ("near-equal", "unrelated", "copy"):
+        for _ in range(40):
+            n = int(rng.integers(3, 10))
+            space = random_space(rng, n)
+            a = rng.dirichlet(np.ones(n))
+            if kind == "near-equal":
+                b = a * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, n))
+                b /= b.sum()
+            elif kind == "copy":
+                b = a.copy()
+            else:
+                b = rng.dirichlet(np.ones(n))
+            i = a.argmax()
+            a[i] -= 0.5 * imbalance
+            b[i if kind == "copy" else rng.integers(n)] += 0.5 * imbalance
+            mu, nu = ProbMeasure(a), ProbMeasure(b)
+            res = mf.w1_distance(space, mu, nu)
+            assert res.coupling.check_marginals(mu, nu)[0]
+            res.certificate.validate(space, mu, nu)
+            assert mf.w1_distance(space, nu, mu).value == res.value
+            assert mf.wp_distance(space, mu, nu, 1.0) == res.value
+
+
 def test_near_equal_measures_are_certified_tightly():
     """Measures 1e-10 apart on 24 points: the full LP's 1e-10 feasibility
     slack swamps such a W1 (its certified gap was about half the value);
