@@ -50,6 +50,7 @@ import contextlib
 import contextvars
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -451,26 +452,37 @@ class W1Result(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
+# ``solver``: this thread's (HiGHS bindings, HiGHS instance), set by _highs()
+_THREAD = threading.local()
+
+
 def _highs():
-    """SciPy's HiGHS bindings, and the options scipy.optimize.linprog(
-    method="highs") sets with this package's feasibility tolerances (every
-    other option keeps its default); each solve copies them into its own
-    HiGHS instance. Imported on the first solve: ``scipy.optimize`` adds
-    about 0.4 s to the start of a command, which commands that solve no LP
-    (``verify`` of a two-point flow, for one) need not pay.
+    """SciPy's HiGHS bindings and this thread's one HiGHS instance, made on
+    the thread's first solve with the options scipy.optimize.linprog(
+    method="highs") sets, this package's feasibility tolerances and presolve
+    off (every other option keeps its default). Imported on the first solve:
+    ``scipy.optimize`` adds about 0.4 s to the start of a command, which
+    commands that solve no LP (``verify`` of a two-point flow, for one) need
+    not pay.
     """
+    try:
+        return _THREAD.solver
+    except AttributeError:
+        pass
     from scipy.optimize._highspy import _core
 
     options = _core.HighsOptions()
-    options.presolve = "on"
+    options.presolve = "off"
     options.highs_debug_level = 0
     options.dual_feasibility_tolerance = 1e-10
     options.log_to_console = False
     options.output_flag = False
     options.primal_feasibility_tolerance = 1e-10
     options.simplex_strategy = 1  # dual simplex
-    return _core, options
+    highs = _core._Highs()
+    highs.passOptions(options)
+    _THREAD.solver = (_core, highs)
+    return _THREAD.solver
 
 
 # linprog's post-solve feasibility tolerance: 10 * sqrt(tol) with tol = 1e-9
@@ -490,11 +502,15 @@ def linprog(c, indptr, indices, data, lhs, rhs) -> LPSolution:
     """Solve ``min c @ x  s.t.  lhs <= A x <= rhs,  x >= 0`` with HiGHS.
 
     ``A`` is given in CSC form (``indptr``, ``indices``, ``data``); ``c``,
-    ``lhs`` and ``rhs`` are float arrays. This is the call ``scipy.optimize.linprog(method="highs")`` makes, without its
-    input cleaning: the same arrays, bounds and options reach a fresh HiGHS
-    instance (a reused one could warm-start and return another vertex), and
-    the solution is accepted under linprog's own rule, an optimal model
-    status and no bound or row violated by more than ``_LP_CHECK_TOL``.
+    ``lhs`` and ``rhs`` are float arrays. This is the call
+    ``scipy.optimize.linprog(method="highs")`` makes with the option
+    ``"presolve": False``, without its input cleaning: the same arrays,
+    bounds and options reach HiGHS, and the result is bit-identical to that
+    linprog call's. Each thread solves on its own HiGHS instance, made on
+    its first solve (:func:`_highs`); ``passModel`` resets that instance's
+    model and basis, so no solve warm-starts from the one before. The
+    solution is accepted under linprog's own rule, an optimal model status
+    and no bound or row violated by more than ``_LP_CHECK_TOL``.
 
     Every LP of the package goes through this function. Callers look it up
     as a module attribute, ``ot_core.linprog`` and ``correspondence.linprog``
@@ -502,7 +518,7 @@ def linprog(c, indptr, indices, data, lhs, rhs) -> LPSolution:
     per-layer tracer (``perfbench/tracer.py``) rebinds that attribute in
     both modules to count and time transport and min-max solves apart.
     """
-    core, options = _highs()
+    core, highs = _highs()
     lp = core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = c.size
     lp.num_row_ = lp.a_matrix_.num_row_ = len(rhs)
@@ -516,8 +532,6 @@ def linprog(c, indptr, indices, data, lhs, rhs) -> LPSolution:
     lp.row_lower_ = lhs
     lp.row_upper_ = rhs
 
-    highs = core._Highs()
-    highs.passOptions(options)
     highs.passModel(lp)
     highs.run()
     status = highs.getModelStatus()
@@ -558,11 +572,21 @@ def _coupling_columns(n1: int, n2: int, rows: np.ndarray):
     return indptr, idx[keep], val[keep]
 
 
+@functools.lru_cache(maxsize=64)
+def _transport_columns(n1: int, n2: int):
+    """``_coupling_columns`` with no extra rows: the constraint layout of
+    every n1 x n2 transport LP, built once per shape and shared read-only."""
+    columns = _coupling_columns(n1, n2, np.empty((0, n1 * n2)))
+    for arr in columns:
+        arr.setflags(write=False)
+    return columns
+
+
 def _transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Solve min <cost, q> over couplings of (a, b). Returns (plan, duals)."""
     n1, n2 = cost.shape
     ab = np.concatenate([a, b])
-    res = linprog(cost.ravel(), *_coupling_columns(n1, n2, np.empty((0, n1 * n2))), ab, ab)
+    res = linprog(cost.ravel(), *_transport_columns(n1, n2), ab, ab)
     if res.x is None:
         raise CertificateError(f"transport LP failed: {res.message}")
     plan = res.x.reshape(n1, n2)

@@ -438,7 +438,11 @@ def test_f_distance_minmax_lps_solved_once_and_match_linprog(tp_corr, monkeypatc
             b_eq=rhs[n_ub:],
             bounds=(0, None),
             method="highs",
-            options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+            options={
+                "primal_feasibility_tolerance": 1e-10,
+                "dual_feasibility_tolerance": 1e-10,
+                "presolve": False,
+            },
         )
         assert np.array_equal(res.x, ref.x)
         assert np.all(data != 0.0)

@@ -18,6 +18,7 @@ from metricflow import (
     ProbMeasure,
     TimeGrid,
 )
+from metricflow.cli import main
 
 from conftest import C_STAR
 
@@ -50,6 +51,25 @@ def test_generate_two_point_does_not_import_scipy_optimize(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_verify_two_point_does_not_import_scipy_optimize(tmp_path):
+    """No LP runs in ``verify`` of a two-point flow, so neither the HiGHS
+    bindings nor a solver instance are loaded."""
+    doc = tmp_path / "tp.json"
+    assert main(["generate", "two-point", "--out", str(doc)]) == 0
+    code = (
+        "import sys; from metricflow.cli import main; "
+        f"code = main(['verify', {str(doc)!r}]); "
+        "print(code, 'scipy.optimize' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(mf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 def test_min_c_is_the_threshold_of_the_gradient_condition():

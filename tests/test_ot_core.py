@@ -2,7 +2,10 @@
 certificates, variance identities, mass-distribution functions, and the
 finite-approximation lemma."""
 
+import concurrent.futures
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -211,7 +214,11 @@ def test_certificate_validate_rejects_tampering():
         bad.validate(space, mu, nu)
 
 
-_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+_LP_OPTIONS = {
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+    "presolve": False,
+}
 
 
 def _scipy_linprog(c, a_ub, a_eq, b_eq):
@@ -336,6 +343,100 @@ def test_coupling_columns_match_dense_and_marginal_layouts():
 def test_transport_lp_refuses_unequal_masses():
     with pytest.raises(CertificateError, match="transport LP failed: model status is Infeasible"):
         _transport_lp(np.ones((2, 2)), np.array([0.5, 0.5]), np.array([0.5, 0.6]))
+
+
+def _minmax_case(rng, n1, n2, m=3):
+    """A min-max coupling LP laid out as ``solve_time`` lays it out:
+    minimise r with <c_s, q> - r <= 0 for m tied cost rows, q a coupling."""
+    nq = n1 * n2
+    indptr, indices, data = _coupling_columns(
+        n1, n2, np.round(rng.uniform(0.0, 1.0, (m, nq)) * 4.0) / 4.0
+    )
+    ab = np.concatenate([rng.dirichlet(np.ones(n1)), rng.dirichlet(np.ones(n2))])
+    c = np.zeros(nq + 1)
+    c[nq] = 1.0
+    return (
+        c,
+        np.append(indptr, indptr[-1] + m),
+        np.concatenate([indices, np.arange(m, dtype=np.int32)]),
+        np.concatenate([data, np.full(m, -1.0)]),
+        np.concatenate([np.full(m, -np.inf), ab]),
+        np.concatenate([np.zeros(m), ab]),
+    )
+
+
+def _solver_cases(seed):
+    """LPs as ``linprog`` arguments: transport LPs with and without tied
+    costs and zero marginals, then an infeasible transport LP (unequal
+    masses) and right after it a min-max LP, for each size."""
+    rng = np.random.default_rng(seed)
+    lps = []
+    for n in (2, 3, 5, 8):
+        columns = ot_core._transport_columns(n, n)
+        for ties in (False, True):
+            for zeros in (False, True):
+                cost, a, b = _transport_case(rng, n, ties, zeros)
+                ab = np.concatenate([a, b])
+                lps.append((cost.ravel(), *columns, ab, ab))
+        unequal = np.concatenate([a, 1.1 * b])
+        lps.append((cost.ravel(), *columns, unequal, unequal))
+        lps.append(_minmax_case(rng, n, n + 1))
+    return lps
+
+
+def _same_solution(got, ref):
+    return (
+        got.message == ref.message
+        and (got.x is None) == (ref.x is None)
+        and (ref.x is None or np.array_equal(got.x, ref.x))
+        and (ref.row_dual is None or np.array_equal(got.row_dual, ref.row_dual))
+    )
+
+
+def test_reused_highs_instance_solves_as_a_fresh_one(monkeypatch):
+    """Every LP solved in sequence on this thread's one instance (an
+    infeasible LP just before each min-max LP) returns the vertex and duals a
+    fresh instance with the same options returns, bit for bit."""
+    lps = _solver_cases(21)
+    _, highs = ot_core._highs()
+    reused = [linprog(*lp) for lp in lps]
+    assert ot_core._highs()[1] is highs
+    assert sum(res.x is None for res in reused) == 4
+    for lp, got in zip(lps, reused):
+        monkeypatch.setattr(ot_core, "_THREAD", threading.local())
+        ref = linprog(*lp)
+        assert ot_core._highs()[1] is not highs
+        assert _same_solution(got, ref)
+
+
+def test_threads_solve_on_their_own_highs_instances():
+    """Threads (more than the cores) solving the same LPs at once each get
+    the serial results bit for bit, each on an instance of its own."""
+    lps = _solver_cases(22)
+    serial = [linprog(*lp) for lp in lps]
+    workers = 4
+    start = threading.Barrier(workers)
+
+    def work():
+        start.wait(timeout=30)
+        highs = ot_core._highs()[1]
+        results = [linprog(*lp) for _ in range(3) for lp in lps]
+        assert ot_core._highs()[1] is highs
+        return highs, results
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(work) for _ in range(workers)]
+            done = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    instances = {id(highs) for highs, _ in done} | {id(ot_core._highs()[1])}
+    assert len(instances) == workers + 1
+    for _, results in done:
+        assert len(results) == 3 * len(lps)
+        assert all(_same_solution(got, ref) for got, ref in zip(results, serial * 3))
 
 
 def test_wp_distance_consistency():
