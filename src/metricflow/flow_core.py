@@ -1079,7 +1079,7 @@ def _sweep_two_point(groups, u_step, a_step):
     for k, d_s, d_t, tau in groups:
         du = float(d_s[0, 1])
         # bound(A) = (tau + T)^{-1/2} with T = (d_s / A)^2
-        bound = (big_a * du / np.sqrt(tau * big_a**2 + du * du))[:, None]
+        bound = (big_a / np.sqrt(tau * big_a**2 + du * du))[:, None]
         p00, p01, p10, p11 = (float(p) for p in k.ravel())
         symmetric = abs(k[0, 0] - k[1, 1]) == 0.0
         pairs.append((p00 * u_plus, p00 * v_plus, p01, p10 * u_plus, p10 * v_plus, p11,

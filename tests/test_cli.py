@@ -325,6 +325,19 @@ def test_verify_battery_failure_exits_1(tmp_path, capsys):
     assert re.search(r"axiom \(6\).*FAIL", out)
 
 
+def test_verify_passes_a_narrow_admissible_two_point_flow(tmp_path, capsys):
+    """The admissible two-point flow at D = 0.1 passes as its D = 1 copy
+    does: the sweep's output bound carries no factor of d_s."""
+    narrow = make_doc(
+        tmp_path, "narrow.json", "generate", "two-point",
+        "--C", "auto", "--D", "0.1", "--t0", "0", "--t1", "0.0005", "--steps", "2",
+    )
+    capsys.readouterr()
+    rc, out, _ = run_cli(capsys, "verify", narrow)
+    assert rc == 0
+    assert "summary: PASS" in out
+
+
 @pytest.mark.filterwarnings("ignore:box half-width:UserWarning")
 def test_verify_approximate_is_informational(tmp_path, capsys):
     g = make_doc(

@@ -206,6 +206,47 @@ def test_two_point_flow_passes_complete_sweep(two_point_flow_fx):
     assert all(e.passed for e in rep.axiom6)
 
 
+def _single_sweep(flow):
+    rep = mf.verify_flow_axioms(flow)
+    (entry,) = rep.axiom6
+    assert entry.verdict == "complete"
+    return rep, entry
+
+
+def test_two_point_sweep_is_scale_invariant():
+    """two_point_flow(C, D) at lag tau·D² is two_point_flow(C, 1) at lag tau
+    with every length scaled by D, so its worst ratio does not depend on D."""
+    ratios = [_single_sweep(mf.two_point_flow(60.0, D, TimeGrid((0.0, 0.02 * D * D))))[1].worst_ratio
+              for D in (0.1, 1.0, 3.0)]
+    assert ratios == pytest.approx([ratios[1]] * 3, rel=1e-9)
+    assert 0.5 < ratios[1] < 0.6
+
+
+def test_two_point_sweep_fails_a_subcritical_wide_flow():
+    rep, entry = _single_sweep(mf.two_point_flow(3.0, 3.0, TimeGrid((0.0, 0.45))))
+    assert not rep.ok and not entry.passed
+    assert entry.worst_ratio == pytest.approx(1.2944, abs=1e-4)
+
+
+def _brute_two_point_ratio(k, d, tau):
+    """Worst |f_t(+) - f_t(-)| / (d · (tau + T)^{-1/2}) over extremal data
+    f_s = (x, x ± d T^{-1/2}), taken from the definition on a (T, x) grid."""
+    x = np.linspace(-7.0, 7.0, 1401)
+    worst = 0.0
+    for T in d * d * np.geomspace(1e-3, 1e4, 300):
+        for sign in (1.0, -1.0):
+            f_t = phi_inv(k @ phi(np.stack([x, x + sign * d / math.sqrt(T)])))
+            worst = max(worst, float(np.abs(f_t[0] - f_t[1]).max()) / d * math.sqrt(tau + T))
+    return worst
+
+
+@pytest.mark.parametrize("C, D, tau", [(3.0, 3.0, 0.45), (60.0, 0.1, 2e-4), (150.0, 2.0, 0.1)])
+def test_two_point_sweep_matches_brute_force_off_unit_distance(C, D, tau):
+    flow = mf.two_point_flow(C, D, TimeGrid((0.0, tau)))
+    _, entry = _single_sweep(flow)
+    assert entry.worst_ratio == pytest.approx(_brute_two_point_ratio(flow.kernel(0, 1), D, tau), rel=1e-4)
+
+
 def test_reproduction_identity_closed_form():
     C, D = C_STAR, 1.0
     for t1, t2 in ((0.1, 0.2), (0.05, 0.6)):
@@ -920,7 +961,7 @@ def _reference_sweep(k, d_s, d_t, tau, u_step, a_step):
     v_plus = phi(-f_plus)
     a = np.arange(0.0, 1.0, a_step)
     big_a = a / (1.0 - a)
-    bound = big_a * du / np.sqrt(tau * big_a**2 + du * du)
+    bound = big_a / np.sqrt(tau * big_a**2 + du * du)
     sigmas = (1.0,) if k[0, 0] == k[1, 1] else (1.0, -1.0)
     worst_ratio, worst_excess, n_cases, saturated = 0.0, -math.inf, 0, 0
     for sigma in sigmas:
