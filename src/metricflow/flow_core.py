@@ -1049,6 +1049,10 @@ class FlowVerifyReport:
         raise KeyError(name)
 
 
+# slope rows per sweep block: one 32 × 999 float64 buffer (256 KB) stays in L2
+_SWEEP_ROWS = 32
+
+
 def _sweep_two_point(groups, u_step, a_step):
     """Complete extremal sweep of the smoothing axiom on two-point slices.
 
@@ -1059,62 +1063,98 @@ def _sweep_two_point(groups, u_step, a_step):
     slopes are dominated: w·T^{-1/2}-Lipschitz data with w < 1 is extremal
     for T/w², whose admissible output bound is stricter, so sweeping extremal
     data over all (u, a, sign) on a grid is complete at that resolution.
-    The propagated value is tracked together with its complement so the
-    output slope is recovered accurately in both tails.
+    Each output slope |f_t(0) - f_t(1)| / d_t is compared with the bound
+    (tau + T)^{-1/2} = A / sqrt(tau·A² + d_s²). The propagated value is
+    tracked together with its complement so the output slope is recovered
+    accurately in both tails.
 
-    ``groups`` holds one (k, d_s, d_t, tau) per slice pair. The tables that
-    do not depend on the pair (the u and A grids and Phi at ±f for each
-    chunk of slopes) are computed once and shared by every pair; the slope
-    sign -1 is swept only for pairs whose kernel is asymmetric. Returns one
-    (worst_ratio, worst_excess, n_cases, saturated) per group.
+    ``groups`` holds one (k, d_s, d_t, tau) per slice pair. The slope rows
+    run in blocks of ``_SWEEP_ROWS`` through scratch buffers allocated once
+    per call. Phi at ±f for each block is shared by every pair, so a case
+    costs 2 ``ndtri`` per pair plus 2 ``erfc`` per slope row and u value for
+    all pairs together; the slope sign -1 is swept only for pairs whose
+    kernel is asymmetric. Returns one (worst_ratio, worst_excess, n_cases,
+    saturated) per group.
     """
     u = np.arange(u_step, 1.0, u_step)
     f_plus = phi_inv(u)
-    u_plus = u[None, :]
-    v_plus = phi(-f_plus)[None, :]
+    v_plus = phi(-f_plus)
     a = np.arange(0.0, 1.0, a_step)
     big_a = a / (1.0 - a)
 
     pairs = []
     for k, d_s, d_t, tau in groups:
         du = float(d_s[0, 1])
-        # bound(A) = (tau + T)^{-1/2} with T = (d_s / A)^2
-        bound = (big_a / np.sqrt(tau * big_a**2 + du * du))[:, None]
+        bound = big_a / np.sqrt(tau * big_a**2 + du * du)
         p00, p01, p10, p11 = (float(p) for p in k.ravel())
+        sides = ((p00 * u, p00 * v_plus, p01), (p10 * u, p10 * v_plus, p11))
         symmetric = abs(k[0, 0] - k[1, 1]) == 0.0
-        pairs.append((p00 * u_plus, p00 * v_plus, p01, p10 * u_plus, p10 * v_plus, p11,
-                      float(d_t[0, 1]), bound, symmetric))
-    out = [[0.0, -math.inf, 0, 0] for _ in groups]  # worst ratio, worst excess, cases, saturated
+        pairs.append((sides, float(d_t[0, 1]), bound, symmetric))
+    top = np.zeros((len(groups), big_a.size))  # each slope row's largest |f0 - f1|
+    saturated = [0] * len(groups)
 
-    chunk = 128
+    shape = (_SWEEP_ROWS, u.size)
+    scratch = [np.empty(shape) for _ in range(7)] + [np.empty(shape, dtype=bool) for _ in range(4)]
+    row_max = np.empty(_SWEEP_ROWS)
+
+    def invert(u_minus, v_minus, side, w_u, w_v, x, below, bad):
+        # x = sqrt2·ndtri(min(u, v)) for the side's propagated value u and its
+        # complement v, so f = x where u <= v (``below``) and -x elsewhere;
+        # ``bad`` marks both sides underflowed to 0, where x is set to 0
+        p_u, p_v, p = side
+        np.multiply(u_minus, p, out=w_u)
+        np.add(w_u, p_u, out=w_u)
+        np.multiply(v_minus, p, out=w_v)
+        np.add(w_v, p_v, out=w_v)
+        np.less_equal(w_u, w_v, out=below)
+        np.minimum(w_u, w_v, out=w_u)
+        np.less_equal(w_u, 0.0, out=bad)
+        np.copyto(w_u, 0.5, where=bad)
+        ndtri(w_u, out=x)  # Phi(f) = ndtr(f / sqrt2)
+        np.multiply(x, _SQRT2, out=x)
+
     for sigma in (1.0, -1.0):
         active = [i for i, pair in enumerate(pairs) if sigma > 0.0 or not pair[-1]]
         if not active:
             continue
-        for lo in range(0, big_a.size, chunk):
-            hi = min(big_a.size, lo + chunk)
-            f_minus = f_plus[None, :] + sigma * big_a[lo:hi][:, None]
-            u_minus = phi(f_minus)
-            v_minus = phi(-f_minus)
+        for lo in range(0, big_a.size, _SWEEP_ROWS):
+            hi = min(big_a.size, lo + _SWEEP_ROWS)
+            f_minus, u_minus, v_minus, w_u, w_v, x0, x1, below0, below1, bad0, bad1 = (
+                buf[:hi - lo] for buf in scratch
+            )
+            # Phi(f_-) and Phi(-f_-) = 0.5·erfc(∓f_-/2), with f_- = f_+ + sigma·A
+            np.add(f_plus, sigma * big_a[lo:hi, None], out=f_minus)
+            np.multiply(f_minus, -0.5, out=f_minus)
+            erfc(f_minus, out=u_minus)
+            np.negative(f_minus, out=f_minus)
+            erfc(f_minus, out=v_minus)
+            np.multiply(u_minus, 0.5, out=u_minus)
+            np.multiply(v_minus, 0.5, out=v_minus)
             for i in active:
-                pu0, pv0, p01, pu1, pv1, p11, dt_, bound, _ = pairs[i]
-                f0, ok0 = _phi_inv_pair(pu0 + p01 * u_minus, pv0 + p01 * v_minus)
-                f1, ok1 = _phi_inv_pair(pu1 + p11 * u_minus, pv1 + p11 * v_minus)
-                valid = ok0 & ok1
-                res = out[i]
-                res[2] += valid.size
-                res[3] += int(valid.size - int(valid.sum()))
-                ratio = np.where(valid, np.abs(f0 - f1), 0.0) / dt_
-                # x - b and x / b (b > 0) round monotonically in x, so each
-                # slope row's extremes come from its largest ratio
-                top = ratio.max(axis=1, keepdims=True)
-                blk = bound[lo:hi]
-                res[1] = max(res[1], float((top - blk).max()))
-                pos = blk > 0.0
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    rr = np.where(pos, top / np.where(pos, blk, 1.0), 0.0)
-                res[0] = max(res[0], float(rr.max()))
-    return [tuple(res) for res in out]
+                side0, side1 = pairs[i][0]
+                invert(u_minus, v_minus, side0, w_u, w_v, x0, below0, bad0)
+                invert(u_minus, v_minus, side1, w_u, w_v, x1, below1, bad1)
+                # |f0 - f1| = |x0 - x1| where the signs agree, |x0 + x1| where not
+                np.not_equal(below0, below1, out=below0)
+                np.negative(x1, out=x1, where=below0)
+                np.subtract(x0, x1, out=x0)
+                np.abs(x0, out=x0)
+                np.logical_or(bad0, bad1, out=bad0)
+                np.copyto(x0, 0.0, where=bad0)
+                saturated[i] += int(np.count_nonzero(bad0))
+                np.max(x0, axis=1, out=row_max[:hi - lo])
+                np.maximum(top[i, lo:hi], row_max[:hi - lo], out=top[i, lo:hi])
+
+    out = []
+    for i, (_, dt_, bound, symmetric) in enumerate(pairs):
+        # x / b and x - b (b > 0) round monotonically in x, so each slope
+        # row's extremes come from its largest |f0 - f1|
+        ratio = top[i] / dt_
+        worst = np.zeros_like(bound)
+        np.divide(ratio, bound, out=worst, where=bound > 0.0)
+        n_cases = (1 if symmetric else 2) * big_a.size * u.size
+        out.append((float(worst.max()), float((ratio - bound).max()), n_cases, saturated[i]))
+    return out
 
 
 _SIGNS = np.array([-1.0, 1.0])

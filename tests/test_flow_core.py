@@ -984,20 +984,60 @@ def _reference_sweep(k, d_s, d_t, tau, u_step, a_step):
     return worst_ratio, worst_excess, n_cases, saturated
 
 
+_D1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+_D2 = np.array([[0.0, 0.7], [0.7, 0.0]])
+_SWEEP_GROUPS = [
+    (np.array([[0.8, 0.2], [0.2, 0.8]]), _D1, _D1, 0.3),
+    (np.array([[0.9, 0.1], [0.35, 0.65]]), _D1, _D2, 0.2),  # asymmetric: both signs
+    (np.array([[0.0, 1.0], [0.4, 0.6]]), _D2, _D2, 0.05),  # saturates at steep slopes
+]
+
+
+def _sweep_matches_reference(groups, u_step, a_step):
+    """The multi-group sweep equals each single-pair sweep and the
+    reference, tuple for tuple; returns its result."""
+    together = flow_core._sweep_two_point(groups, u_step, a_step)
+    for g, res in zip(groups, together):
+        assert flow_core._sweep_two_point([g], u_step, a_step) == [res]
+        assert res == _reference_sweep(*g, u_step, a_step)
+    return together
+
+
 def test_multi_group_sweep_matches_single_pair_sweeps():
-    d1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    d2 = np.array([[0.0, 0.7], [0.7, 0.0]])
+    # slope counts 25, 1000 (31 blocks of 32 and 8 rows), 997 (31 and 5)
+    # and 64 (two full blocks)
+    for u_step, a_step in ((0.05, 0.04), (1e-3, 1e-3), (0.01, 1 / 997), (0.01, 1 / 64)):
+        together = _sweep_matches_reference(_SWEEP_GROUPS, u_step, a_step)
+    assert together[2][3] > 0  # the saturated cases are reached
+
+
+def test_sweep_matches_reference_where_only_some_blocks_saturate():
+    """Side 0 of the last group and side 1 of the second propagate one
+    point's value alone, which underflows with its complement only once
+    |f_-| passes about 54: from slope row 980 of the 1e-3 grid on, in the
+    middle of its second-to-last block, and on both signs for the
+    asymmetric group."""
     groups = [
-        (np.array([[0.8, 0.2], [0.2, 0.8]]), d1, d1, 0.3),
-        (np.array([[0.9, 0.1], [0.35, 0.65]]), d1, d2, 0.2),  # asymmetric: both signs
-        (np.array([[0.0, 1.0], [0.4, 0.6]]), d2, d2, 0.05),  # saturates at steep slopes
+        _SWEEP_GROUPS[0],
+        (np.array([[0.3, 0.7], [0.0, 1.0]]), _D1, _D2, 0.1),
+        _SWEEP_GROUPS[2],
     ]
-    for u_step, a_step in ((0.05, 0.04), (1e-3, 1e-3)):
-        together = flow_core._sweep_two_point(groups, u_step, a_step)
-        for g, res in zip(groups, together):
-            assert flow_core._sweep_two_point([g], u_step, a_step) == [res]
-            assert res == _reference_sweep(*g, u_step, a_step)
-    assert together[2][3] > 0  # the fine grid reaches the saturated cases
+    together = _sweep_matches_reference(groups, 1e-3, 1e-3)
+    assert together[0][3] == 0
+    for _, _, n_cases, saturated in together[1:]:
+        assert 0 < saturated < n_cases // 20
+
+
+def test_sweep_working_set_stays_small():
+    """Scratch buffers hold one block of slope rows, not the whole grid."""
+    flow_core._sweep_two_point(_SWEEP_GROUPS, 1e-3, 1e-3)
+    tracemalloc.start()
+    try:
+        flow_core._sweep_two_point(_SWEEP_GROUPS, 1e-3, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
 
 
 def _reference_battery(k, d_s, d_t, tau, T_values, offsets, seeds, rng):
