@@ -976,7 +976,8 @@ def _reference_sweep(k, d_s, d_t, tau, u_step, a_step):
             valid = ok0 & ok1
             n_cases += valid.size
             saturated += int(valid.size - valid.sum())
-            ratio = np.where(valid, np.abs(f0 - f1), 0.0) / dt_
+            with np.errstate(invalid="ignore"):  # inf - inf where both sides saturate, masked
+                ratio = np.where(valid, np.abs(f0 - f1), 0.0) / dt_
             worst_excess = max(worst_excess, float((ratio - b).max()))
             with np.errstate(divide="ignore", invalid="ignore"):
                 rr = np.where(b > 0.0, ratio / np.where(b > 0.0, b, 1.0), 0.0)
@@ -990,42 +991,24 @@ _SWEEP_GROUPS = [
     (np.array([[0.8, 0.2], [0.2, 0.8]]), _D1, _D1, 0.3),
     (np.array([[0.9, 0.1], [0.35, 0.65]]), _D1, _D2, 0.2),  # asymmetric: both signs
     (np.array([[0.0, 1.0], [0.4, 0.6]]), _D2, _D2, 0.05),  # saturates at steep slopes
+    (np.array([[0.3, 0.7], [0.0, 1.0]]), _D1, _D2, 0.1),  # saturates on both signs
+    (np.array([[0.0, 1.0], [0.0, 1.0]]), _D2, _D1, 0.4),  # both sides saturate at once
 ]
 
 
-def _sweep_matches_reference(groups, u_step, a_step):
-    """The multi-group sweep equals each single-pair sweep and the
-    reference, tuple for tuple; returns its result."""
-    together = flow_core._sweep_two_point(groups, u_step, a_step)
-    for g, res in zip(groups, together):
-        assert flow_core._sweep_two_point([g], u_step, a_step) == [res]
-        assert res == _reference_sweep(*g, u_step, a_step)
-    return together
-
-
 def test_multi_group_sweep_matches_single_pair_sweeps():
-    # slope counts 25, 1000 (31 blocks of 32 and 8 rows), 997 (31 and 5)
-    # and 64 (two full blocks)
-    for u_step, a_step in ((0.05, 0.04), (1e-3, 1e-3), (0.01, 1 / 997), (0.01, 1 / 64)):
-        together = _sweep_matches_reference(_SWEEP_GROUPS, u_step, a_step)
-    assert together[2][3] > 0  # the saturated cases are reached
-
-
-def test_sweep_matches_reference_where_only_some_blocks_saturate():
-    """Side 0 of the last group and side 1 of the second propagate one
-    point's value alone, which underflows with its complement only once
-    |f_-| passes about 54: from slope row 980 of the 1e-3 grid on, in the
-    middle of its second-to-last block, and on both signs for the
-    asymmetric group."""
-    groups = [
-        _SWEEP_GROUPS[0],
-        (np.array([[0.3, 0.7], [0.0, 1.0]]), _D1, _D2, 0.1),
-        _SWEEP_GROUPS[2],
-    ]
-    together = _sweep_matches_reference(groups, 1e-3, 1e-3)
-    assert together[0][3] == 0
-    for _, _, n_cases, saturated in together[1:]:
-        assert 0 < saturated < n_cases // 20
+    # slope counts 25, 997 (31 blocks of 32 and 5 rows), 64 (two full
+    # blocks) and 1000 (31 and 8)
+    for u_step, a_step in ((0.05, 0.04), (0.01, 1 / 997), (0.01, 1 / 64), (1e-3, 1e-3)):
+        together = flow_core._sweep_two_point(_SWEEP_GROUPS, u_step, a_step)
+        for g, res in zip(_SWEEP_GROUPS, together):
+            assert flow_core._sweep_two_point([g], u_step, a_step) == [res]
+            assert res == _reference_sweep(*g, u_step, a_step)
+    # the last three groups propagate one point's value alone on one side or
+    # both, which underflows with its complement once |f_-| passes about 54:
+    # from slope row 980 of the 1e-3 grid on, inside its second-to-last block
+    assert [res[3] > 0 for res in together] == [False, False, True, True, True]
+    assert all(res[3] < res[2] // 20 for res in together)
 
 
 def test_sweep_working_set_stays_small():
