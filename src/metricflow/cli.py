@@ -59,7 +59,9 @@ from .ot_core import (
     MetricflowError,
     ProbMeasure,
     StructuralError,
+    _prefetch_w1,
     mass_distribution_fn,
+    solve_once,
     variance,
     w1_distance,
 )
@@ -506,11 +508,16 @@ def cmd_report(args) -> int:
                 raise InputError(f"{name} index {idx} out of range for a {n_top}-point slice")
         chf1 = conj_backward(flow, flow.grid.times[top_idx], ProbMeasure.delta(args.x1, n_top))
         chf2 = conj_backward(flow, flow.grid.times[top_idx], ProbMeasure.delta(args.x2, n_top))
-        rows = []
-        for idx in chf1.time_indices:
-            t = flow.grid.times[idx]
-            d = w1_distance(flow.slices[idx], chf1.measure_at(idx), chf2.measure_at(idx)).value
-            rows.append([t, d])
+        pairs = [
+            (flow.slices[idx], chf1.measure_at(idx), chf2.measure_at(idx))
+            for idx in chf1.time_indices
+        ]
+        with solve_once():
+            _prefetch_w1(pairs)
+            rows = [
+                [flow.grid.times[idx], w1_distance(*pair).value]
+                for idx, pair in zip(chf1.time_indices, pairs)
+            ]
         _write_csv(args.csv, ["time", "dW1"], rows)
     elif quantity == "b-function":
         mu = _basepoint_measure(flow, args.basepoint, top_idx)

@@ -38,6 +38,7 @@ derived is cached; loops over all grid pairs read whole kernel columns.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -56,10 +57,12 @@ from .ot_core import (
     ProbMeasure,
     StructuralError,
     _clamp_noise,
+    _prefetch_w1,
     _readonly,
     check_metric_axioms,
     mass_distribution_fn,
     product_space,
+    solve_once,
     variance,
     w1_distance,
 )
@@ -603,6 +606,7 @@ def _worst_decrease(vals) -> float:
     return worst
 
 
+@solve_once()
 def w1_kernel_monotonicity_check(
     flow: MetricFlow,
     mu1: ConjHeatFlowField,
@@ -610,12 +614,11 @@ def w1_kernel_monotonicity_check(
 ) -> CheckRecord:
     """t -> d_W1(mu1_t, mu2_t) must be non-decreasing along two conjugate
     heat flows; report the worst decrease over common time pairs (passes at
-    most 1e-9)."""
+    most 1e-9). The W1 LPs are solved ahead in block-diagonal LPs."""
     common = _common_times(mu1, mu2)
-    vals = [
-        w1_distance(flow.slices[i], mu1.measure_at(i), mu2.measure_at(i)).value
-        for i in common
-    ]
+    pairs = [(flow.slices[i], mu1.measure_at(i), mu2.measure_at(i)) for i in common]
+    _prefetch_w1(pairs)
+    vals = [w1_distance(*pair).value for pair in pairs]
     worst = _worst_decrease(vals)
     return CheckRecord(
         name="w1-monotonicity",
@@ -625,23 +628,25 @@ def w1_kernel_monotonicity_check(
     )
 
 
+@solve_once()
 def kernel_w1_contraction_check(flow: MetricFlow, t: float, s: float) -> CheckRecord:
     """Special case on kernels: d_W1(nu_{x1;s}, nu_{x2;s}) <= d_t(x1, x2) + 1e-9
-    over all unordered pairs (x1, x2) of the slice at t."""
+    over all unordered pairs (x1, x2) of the slice at t. The W1 LPs are
+    solved ahead in block-diagonal LPs."""
     t_idx, s_idx = flow.grid.index_of(t), flow.grid.index_of(s)
     if s_idx > t_idx:
         raise InputError("need s <= t")
-    k = flow.kernel(s_idx, t_idx)
+    kernels = [ProbMeasure(row) for row in flow.kernel(s_idx, t_idx)]
     space_s = flow.slices[s_idx]
     d_t = flow.slices[t_idx].dist
-    n = flow.slices[t_idx].n
+    x_pairs = list(itertools.combinations(range(flow.slices[t_idx].n), 2))
+    _prefetch_w1([(space_s, kernels[x1], kernels[x2]) for x1, x2 in x_pairs])
     worst = -math.inf
     rows = []
-    for x1 in range(n):
-        for x2 in range(x1 + 1, n):
-            val = w1_distance(space_s, ProbMeasure(k[x1]), ProbMeasure(k[x2])).value
-            worst = max(worst, val - d_t[x1, x2])
-            rows.append((x1, x2, float(val), float(d_t[x1, x2])))
+    for x1, x2 in x_pairs:
+        val = w1_distance(space_s, kernels[x1], kernels[x2]).value
+        worst = max(worst, val - d_t[x1, x2])
+        rows.append((x1, x2, float(val), float(d_t[x1, x2])))
     return CheckRecord(
         name="kernel-w1-contraction", passed=worst <= 1e-9, worst=worst, details=tuple(rows)
     )

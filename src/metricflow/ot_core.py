@@ -10,7 +10,8 @@ The LP is reduced before it is solved. It runs over the supports of the two
 measures only, and for W1 over their excess mass only: by
 Kantorovich-Rubinstein duality W1 depends on mu - nu alone, so the mass the
 measures share stays in place. Inside a :func:`solve_once` scope each
-distinct reduced LP is solved once.
+distinct reduced LP is solved once, and callers that need many W1 at once
+have their LPs solved ahead, stacked into block-diagonal LPs.
 
 Core objects
 ------------
@@ -582,15 +583,48 @@ def _transport_columns(n1: int, n2: int):
     return columns
 
 
-def _transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Solve min <cost, q> over couplings of (a, b). Returns (plan, duals)."""
-    n1, n2 = cost.shape
-    ab = np.concatenate([a, b])
-    res = linprog(cost.ravel(), *_transport_columns(n1, n2), ab, ab)
+def _transport_block(problems: Sequence):
+    """Solve the transport LPs ``problems``, each a ``(cost, a, b)`` of min
+    <cost, q> over couplings of (a, b), as one block-diagonal LP: problem
+    k's ``_transport_columns`` layout sits at its own row and column
+    offsets, so no constraint links two problems and each block of the
+    solution is an optimal solution of its problem. Returns ``(solved,
+    message)``; ``solved`` lists each problem's ``(plan, alpha, beta)``,
+    its plan and the row duals of its two marginals, or is ``None`` when
+    the solve failed, and ``message`` then says why.
+    """
+    indptr, indices, data = [np.zeros(1, dtype=np.int32)], [], []
+    n_rows = n_nonzero = 0
+    for cost, _, _ in problems:
+        start, index, value = _transport_columns(*cost.shape)
+        indptr.append(start[1:] + n_nonzero)
+        indices.append(index + n_rows)
+        data.append(value)
+        n_rows += sum(cost.shape)
+        n_nonzero += int(start[-1])
+    ab = np.concatenate([v for _, a, b in problems for v in (a, b)])
+    res = linprog(
+        np.concatenate([cost.ravel() for cost, _, _ in problems]),
+        np.concatenate(indptr), np.concatenate(indices), np.concatenate(data), ab, ab,
+    )
     if res.x is None:
-        raise CertificateError(f"transport LP failed: {res.message}")
-    plan = res.x.reshape(n1, n2)
-    return plan, res.row_dual[:n1], res.row_dual[n1:]
+        return None, res.message
+    solved, col, row = [], 0, 0
+    for cost, _, _ in problems:
+        n1, n2 = cost.shape
+        plan = res.x[col : col + n1 * n2].reshape(n1, n2)
+        solved.append((plan, res.row_dual[row : row + n1], res.row_dual[row + n1 : row + n1 + n2]))
+        col, row = col + n1 * n2, row + n1 + n2
+    return solved, res.message
+
+
+def _transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Solve min <cost, q> over couplings of (a, b), the one-problem case
+    of ``_transport_block``. Returns (plan, row duals of a, of b)."""
+    solved, message = _transport_block([(cost, a, b)])
+    if solved is None:
+        raise CertificateError(f"transport LP failed: {message}")
+    return solved[0]
 
 
 def _fit_marginals(plan: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -663,7 +697,7 @@ def _solve(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Read-only plan and column duals of ``_transport_lp(cost, a, b)``,
     taken from the current :func:`solve_once` scope when it holds them."""
     memo = _SOLVED.get()
-    key = None if memo is None else (cost.tobytes(), a.tobytes(), b.tobytes())
+    key = None if memo is None else _lp_key(cost, a, b)
     if key is not None and key in memo:
         return memo[key]
     plan, _, beta = _transport_lp(cost, a, b)
@@ -672,6 +706,52 @@ def _solve(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
     if key is not None:
         memo[key] = (plan, beta)
     return plan, beta
+
+
+def _lp_key(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """The key of a reduced LP in the :func:`solve_once` memo: its exact bytes."""
+    return cost.tobytes(), a.tobytes(), b.tobytes()
+
+
+class _Reduction(NamedTuple):
+    """A transport problem oriented and reduced as ``_oriented_plan``
+    describes: the oriented weights ``a`` and ``b``, the mass ``stay``
+    kept in place, the supports ``rows`` and ``cols`` of the two excesses
+    and their masses ``sa`` and ``sb``, and ``lp``, the ``(cost, source,
+    target)`` of the LP that moves the excess, ``None`` when one side has
+    none."""
+
+    swapped: bool
+    a: np.ndarray
+    b: np.ndarray
+    stay: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    sa: float
+    sb: float
+    lp: tuple | None
+
+
+def _reduce(
+    space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure, cost, excess: bool
+) -> _Reduction | None:
+    """The orientation and reduction of ``_oriented_plan``; ``None`` for
+    bit-equal weights."""
+    _check_measure_space(space, mu1, "mu1")
+    _check_measure_space(space, mu2, "mu2")
+    if np.array_equal(mu1.weights, mu2.weights):
+        return None
+    swapped = mu1.weights.tobytes() > mu2.weights.tobytes()
+    a, b = (mu2.weights, mu1.weights) if swapped else (mu1.weights, mu2.weights)
+    stay = np.minimum(a, b) if excess else np.zeros(a.size)
+    da, db = a - stay, b - stay
+    rows, cols = np.flatnonzero(da), np.flatnonzero(db)
+    if rows.size == 0 or cols.size == 0:
+        return _Reduction(swapped, a, b, stay, rows, cols, float(da.sum()), float(db.sum()), None)
+    src, dst = da[rows], db[cols]
+    sa, sb = float(src.sum()), float(dst.sum())
+    lp = (cost[np.ix_(rows, cols)], src / sa, dst / sb)
+    return _Reduction(swapped, a, b, stay, rows, cols, sa, sb, lp)
 
 
 def _oriented_plan(
@@ -701,23 +781,16 @@ def _oriented_plan(
     fitted to their mean mass instead: the LP's plan is refitted to ``a``
     and ``b`` rescaled to it, and the one-sided plan is ``diag((a + b)/2)``.
     """
-    _check_measure_space(space, mu1, "mu1")
-    _check_measure_space(space, mu2, "mu2")
-    if np.array_equal(mu1.weights, mu2.weights):
+    reduced = _reduce(space, mu1, mu2, cost, excess)
+    if reduced is None:
         return None
-    swapped = mu1.weights.tobytes() > mu2.weights.tobytes()
-    a, b = (mu2.weights, mu1.weights) if swapped else (mu1.weights, mu2.weights)
-    stay = np.minimum(a, b) if excess else np.zeros(a.size)
-    da, db = a - stay, b - stay
-    rows, cols = np.flatnonzero(da), np.flatnonzero(db)
-    if rows.size == 0 or cols.size == 0:
-        balanced = abs(float(da.sum()) - float(db.sum())) <= 1e-13
+    swapped, a, b, stay, rows, cols, sa, sb, lp = reduced
+    if lp is None:
+        balanced = abs(sa - sb) <= 1e-13
         plan = np.diag(stay if balanced else 0.5 * (a + b))
         return swapped, a, b, plan, np.zeros(a.size), balanced
     plan = np.diag(stay)
-    src, dst = da[rows], db[cols]
-    sa, sb = float(src.sum()), float(dst.sum())
-    sub, sub_beta = _solve(cost[np.ix_(rows, cols)], src / sa, dst / sb)
+    sub, sub_beta = _solve(*lp)
     plan[np.ix_(rows, cols)] += (0.5 * (sa + sb)) * sub
     beta = np.full(a.size, -np.inf)
     beta[cols] = sub_beta
@@ -726,6 +799,53 @@ def _oriented_plan(
     ma, mb = float(a.sum()), float(b.sum())
     mean = 0.5 * (ma + mb)
     return swapped, a, b, _fit_marginals(plan, a * (mean / ma), b * (mean / mb)), beta, False
+
+
+# Largest number of columns (plan entries) of one block-diagonal LP that
+# _prefetch_w1 solves; a problem wider than this goes alone. The simplex
+# costs more than linearly in the block's size: the 60 LPs of a 24-point
+# dW1 curve, about 13 x 11 each, take 28 ms one by one, 18 ms in blocks of
+# 1 024 columns and 25 ms in blocks of 8 192.
+_BLOCK_COLUMNS = 1024
+
+
+def _prefetch_w1(pairs: Sequence) -> None:
+    """Solve ahead the LPs that ``w1_distance(space, mu1, mu2)`` will ask
+    for, for each ``(space, mu1, mu2)`` of ``pairs``, into the current
+    :func:`solve_once` scope.
+
+    Each pair is oriented and reduced as ``w1_distance`` does it
+    (``_reduce``). Reduced LPs that the scope already holds or that repeat
+    are skipped, and the rest are solved in order, as block-diagonal LPs of
+    at most ``_BLOCK_COLUMNS`` columns each (``_transport_block``). Each
+    result is stored under the key ``_solve`` reads. Best effort: a block
+    that fails is not stored, and ``w1_distance`` then solves its LPs one
+    at a time, raising as ever if one fails. ``w1_distance`` still
+    certifies every result it returns.
+    """
+    memo = _SOLVED.get()
+    if memo is None:
+        raise InternalInvariantError("_prefetch_w1 needs an open solve_once() scope")
+    todo = {}
+    for space, mu1, mu2 in pairs:
+        reduced = _reduce(space, mu1, mu2, space.dist, excess=True)
+        if reduced is not None and reduced.lp is not None:
+            key = _lp_key(*reduced.lp)
+            if key not in memo:
+                todo.setdefault(key, reduced.lp)
+    blocks, width = [], _BLOCK_COLUMNS  # starts full, so the first LP opens a block
+    for key, lp in todo.items():
+        if width + lp[0].size > _BLOCK_COLUMNS:
+            blocks.append([])
+            width = 0
+        blocks[-1].append((key, lp))
+        width += lp[0].size
+    for block in blocks:
+        solved, _ = _transport_block([lp for _, lp in block])
+        for (key, _), (plan, _, beta) in zip(block, solved or ()):
+            plan.setflags(write=False)
+            beta.setflags(write=False)
+            memo[key] = (plan, beta)
 
 
 def w1_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure) -> W1Result:

@@ -436,20 +436,31 @@ def _count_solves(monkeypatch, fail_at=None):
 def test_triangle_solves_each_distinct_lp_once(tmp_path, capsys, monkeypatch):
     """Three 4-point, 5-time static flows: the triangle makes 3 x 165 W1
     calls plus d13's 160 cost entries again for its certificate, but solves
-    only the 200 distinct transport LPs among them, in every run; the memo
-    of solved LPs is gone after each command, also after one that fails."""
+    only the 200 distinct transport LPs among them, each once and most of
+    them together in block LPs, in every run; the memo of solved LPs is
+    gone after each command, also after one that fails."""
     files = [
         make_doc(tmp_path, f"f{i}.json", "generate", "static", "--m", "4", "--steps", "4",
                  "--rate", str(rate))
         for i, rate in enumerate((0.7, 1.1, 1.6))
     ]
+    block = mf.ot_core._transport_block
     for _ in range(2):
         counts = _count_solves(monkeypatch)
+        carried = []  # the key of every transport problem an LP carries
+
+        def recorded_block(problems):
+            carried.extend(mf.ot_core._lp_key(*problem) for problem in problems)
+            return block(problems)
+
+        monkeypatch.setattr(mf.ot_core, "_transport_block", recorded_block)
         rc, out, _ = run_cli(capsys, "distance", *files, "--e-mode", "empty")
         assert rc == 0 and "holds" in out
-        assert counts == {"w1": 655, "lp": 200}
+        assert counts["w1"] == 655
+        assert len(carried) == len(set(carried)) == 200
+        assert counts["lp"] <= 20
         assert mf.ot_core._SOLVED.get() is None
-    _count_solves(monkeypatch, fail_at=150)
+    _count_solves(monkeypatch, fail_at=3)
     rc, _, err = run_cli(capsys, "distance", *files, "--e-mode", "empty")
     assert rc == 1 and "injected LP failure" in err
     assert mf.ot_core._SOLVED.get() is None

@@ -624,6 +624,118 @@ def test_solve_once_scope(monkeypatch):
     assert len(solves) == 2
 
 
+def _cycle_space(n: int) -> FiniteMetricSpace:
+    """Hop distances on an n-cycle: small integers, so costs tie."""
+    hops = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    return FiniteMetricSpace(tuple(range(n)), np.minimum(hops, n - hops).astype(float))
+
+
+def _mixed_w1_pairs(rng) -> list:
+    """W1 problems whose reduced LPs differ in shape: tied costs, one-point
+    excess sides, near-equal measures, zero weights."""
+    pairs = []
+    for n in (2, 3, 5, 7):
+        for space in (random_space(rng, n), _cycle_space(n)):
+            pairs += [(space, mu, nu) for mu, nu in _measure_pairs(rng, n)]
+            mu = random_measure(rng, n)
+            near = mu.weights.copy()
+            near[np.argmax(near)] -= 1e-9
+            near[np.argmin(near)] += 1e-9
+            pairs.append((space, mu, ProbMeasure(near)))
+            pairs.append((space, ProbMeasure.delta(n - 1, n), mu))
+    return pairs
+
+
+def test_block_lp_agrees_with_single_lps():
+    """Each member of a block-diagonal LP gets a coupling of its own
+    marginals whose cost is the single LP's optimum, on mixed shapes with
+    one-point sides, tied costs and zero weights."""
+    rng = np.random.default_rng(71)
+    problems = []
+    for n1, n2 in ((1, 3), (4, 1), (1, 1), (2, 2), (3, 5), (6, 4), (5, 5)):
+        for ties in (False, True):
+            cost, a, b = _transport_case(rng, max(n1, n2), ties, zeros=False)
+            problems.append((cost[:n1, :n2], a[:n1] / a[:n1].sum(), b[:n2] / b[:n2].sum()))
+    solved, message = ot_core._transport_block(problems)
+    assert message == "optimal" and len(solved) == len(problems)
+    for (cost, a, b), (plan, _, _) in zip(problems, solved):
+        assert plan.shape == cost.shape and plan.min() >= 0.0
+        np.testing.assert_allclose(plan.sum(axis=1), a, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(plan.sum(axis=0), b, rtol=0.0, atol=1e-10)
+        single = _transport_lp(cost, a, b)[0]
+        assert float(np.sum(plan * cost)) == pytest.approx(
+            float(np.sum(single * cost)), rel=1e-12, abs=1e-15
+        )
+
+
+def test_prefetched_w1_agrees_with_single_solves(monkeypatch):
+    """W1 answered from prefetched block LPs matches W1 solved one LP at a
+    time within 1e-12 relative, and certifies; the prefetch solves the
+    distinct reduced LPs in a few blocks, and no W1 after it solves one."""
+    rng = np.random.default_rng(73)
+    pairs = _mixed_w1_pairs(rng)
+    single = [mf.w1_distance(*pair) for pair in pairs]
+    solves = []
+    real = ot_core.linprog
+    monkeypatch.setattr(ot_core, "linprog", lambda *a: solves.append(1) or real(*a))
+    with mf.solve_once():
+        ot_core._prefetch_w1(pairs)
+        n_blocks, n_solved = len(solves), len(ot_core._SOLVED.get())
+        blocked = [mf.w1_distance(*pair) for pair in pairs]
+    assert len(solves) == n_blocks and 1 <= n_blocks < n_solved / 4
+    for (space, mu, nu), one, res in zip(pairs, single, blocked):
+        assert res.value == pytest.approx(one.value, rel=1e-12, abs=1e-15)
+        res.certificate.validate(space, mu, nu)
+        assert res.coupling.check_marginals(mu, nu)[0]
+    with pytest.raises(mf.InternalInvariantError, match="solve_once"):
+        ot_core._prefetch_w1(pairs)
+
+
+def test_failed_block_leaves_its_lps_to_single_solves(monkeypatch):
+    """A block LP that fails stores nothing: every W1 then solves its own
+    LP, bit for bit as with no prefetch."""
+    rng = np.random.default_rng(79)
+    pairs = _mixed_w1_pairs(rng)
+    single = [mf.w1_distance(*pair) for pair in pairs]
+    refused = []
+    real = ot_core.linprog
+
+    def failing_blocks(c, indptr, indices, data, lhs, rhs):
+        if lhs.sum() > 2.5:  # more than one problem: each carries two unit marginals
+            refused.append(1)
+            return ot_core.LPSolution(None, None, "forced failure")
+        return real(c, indptr, indices, data, lhs, rhs)
+
+    monkeypatch.setattr(ot_core, "linprog", failing_blocks)
+    with mf.solve_once():
+        ot_core._prefetch_w1(pairs)
+        assert refused and ot_core._SOLVED.get() == {}
+        again = [mf.w1_distance(*pair) for pair in pairs]
+    for one, res in zip(single, again):
+        assert res.value == one.value
+        assert np.array_equal(res.coupling.matrix, one.coupling.matrix)
+        assert np.array_equal(res.certificate.dual_potential, one.certificate.dual_potential)
+
+
+def test_flow_distance_solves_its_w1_lps_in_blocks(tmp_path, monkeypatch):
+    """A 2-file ``distance --e-mode empty`` on 4-point, 3-time static cycle
+    flows, the benchmark's shape, makes 51 W1 calls (48 cost-matrix entries
+    and 3 top measures) but only a few transport LPs: one per block. A
+    change that solves them one at a time again fails here."""
+    from metricflow.cli import main
+
+    paths = []
+    for rate in (0.8, 1.3):
+        paths.append(str(tmp_path / f"static-{rate}.json"))
+        assert main(["generate", "static", "--m", "4", "--steps", "2", "--rate", str(rate),
+                     "--out", paths[-1]]) == 0
+    solves = []
+    real = ot_core.linprog
+    monkeypatch.setattr(ot_core, "linprog", lambda *a: solves.append(1) or real(*a))
+    assert main(["distance", *paths, "--e-mode", "empty", "--out", str(tmp_path / "d.json")]) == 0
+    assert 1 <= len(solves) <= 4
+
+
 # ---------------------------------------------------------------------------
 # variance
 # ---------------------------------------------------------------------------
