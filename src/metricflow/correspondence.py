@@ -513,127 +513,42 @@ def _fingerprint(pair: MetricFlowPair, embeddings: Sequence, idxs: Sequence[int]
     return h.digest()
 
 
-class _FDistanceProblem:
-    """Shared state for one f-distance computation: cached cost matrices and
-    per-(t, active-s-set) LP solves over a fixed correspondence."""
+def _cost_matrices(
+    c: Correspondence, pair1: MetricFlowPair, pair2: MetricFlowPair, idxs: Sequence[int]
+) -> dict:
+    """The read-only cost matrices c_{s,t}(x1, x2) for every s <= t of
+    ``idxs``, keyed ``(s, t)``: W1 on Z_s between the pushed kernels
+    nu^1_{x1;s} and nu^2_{x2;s}; the ambient distance when s = t.
 
-    def __init__(self, c: Correspondence, pair1: MetricFlowPair, pair2: MetricFlowPair):
-        self.c = c
-        self.pairs = (pair1, pair2)
-        self.idxs = tuple(int(i) for i in c.time_indices)
-        self.grid = c.grid
-        self._costs: dict = {}
-        self._entries: dict = {}
-        self._solves: dict = {}
-        self._mu = []
-        for which, pair in enumerate(self.pairs):
-            per_t = {}
-            for t_idx in self.idxs:
-                try:
-                    per_t[t_idx] = pair.mu.measure_at(t_idx)
-                except ValueError:
-                    raise InputError(
-                        f"flow pair {which + 1} has no basepoint measure at grid index {t_idx}"
-                    ) from None
-                if pair.flow.slices[t_idx].n != per_t[t_idx].n:
-                    raise InputError(f"basepoint measure size mismatch at grid index {t_idx}")
-            self._mu.append(per_t)
-        for pos, t_idx in enumerate(self.idxs):
-            glued = c.ambients[pos]
-            glued.validate((pair1.flow.slices[t_idx], pair2.flow.slices[t_idx]))
-
-    def mu(self, which: int, t_idx: int) -> ProbMeasure:
-        return self._mu[which][t_idx]
-
-    def entries(self, s_idx: int, t_idx: int) -> list:
-        """The W1 problems ``(Z_s, pushed nu^1_{x1;s}, pushed nu^2_{x2;s})``
-        of the cost matrix at s < t, row by row in (x1, x2)."""
-        key = (s_idx, t_idx)
-        if key not in self._entries:
-            glued = self.c.ambient_at(s_idx)
+    Each ambient is checked isometric first, and the LPs of every entry are
+    solved ahead in block-diagonal LPs (:func:`_prefetch_w1`) in the order
+    of the times and entries; callers pass them in a canonical order, so
+    both orientations of a flow distance lay out the same blocks. Each
+    entry is still one ``w1_distance`` call, which certifies its own value
+    (a block LP is not trusted on its own); the benchmark's tracer counts
+    these calls.
+    """
+    for t_idx in idxs:
+        c.ambient_at(t_idx).validate((pair1.flow.slices[t_idx], pair2.flow.slices[t_idx]))
+    entries = {}
+    for pos, t_idx in enumerate(idxs):
+        for s_idx in idxs[:pos]:
+            glued = c.ambient_at(s_idx)
             pushed = [
                 [ProbMeasure(glued.push_weights(which, row)) for row in pair.flow.kernel(s_idx, t_idx)]
-                for which, pair in enumerate(self.pairs)
+                for which, pair in enumerate((pair1, pair2))
             ]
-            self._entries[key] = [(glued.ambient, m1, m2) for m1 in pushed[0] for m2 in pushed[1]]
-        return self._entries[key]
-
-    def prefetch(self) -> None:
-        """Solve the LPs of every cost matrix at s < t in block-diagonal
-        LPs (:func:`_prefetch_w1`), in the order of the times and entries.
-        That order is the problem's, so both orientations of a flow
-        distance lay out the same blocks."""
-        _prefetch_w1([
-            entry
-            for pos, t_idx in enumerate(self.idxs)
-            for s_idx in self.idxs[:pos]
-            for entry in self.entries(s_idx, t_idx)
-        ])
-
-    def cost(self, s_idx: int, t_idx: int) -> np.ndarray:
-        """Cost matrix c_{s,t}(x1, x2) = W1 on Z_s between the pushed
-        kernels nu^1_{x1;s} and nu^2_{x2;s}; ambient distance when s = t.
-
-        Each entry is one ``w1_distance`` call, which certifies its own
-        value even when :meth:`prefetch` solved its LP: a block LP is not
-        trusted on its own, and the benchmark's tracer counts these calls.
-        """
-        key = (s_idx, t_idx)
-        if key in self._costs:
-            return self._costs[key]
-        f1, f2 = self.pairs[0].flow, self.pairs[1].flow
-        n1, n2 = f1.slices[t_idx].n, f2.slices[t_idx].n
-        if s_idx == t_idx:
-            glued = self.c.ambient_at(s_idx)
-            e1 = np.asarray(glued.embeddings[0], dtype=int)
-            e2 = np.asarray(glued.embeddings[1], dtype=int)
-            out = glued.ambient.dist[np.ix_(e1, e2)]
-        else:
-            values = [w1_distance(*entry).value for entry in self.entries(s_idx, t_idx)]
-            out = np.array(values).reshape(n1, n2)
-        out = np.ascontiguousarray(out)
+            entries[s_idx, t_idx] = [[(glued.ambient, m1, m2) for m2 in pushed[1]] for m1 in pushed[0]]
+    _prefetch_w1([entry for block in entries.values() for row in block for entry in row])
+    costs = {}
+    for t_idx in idxs:
+        glued = c.ambient_at(t_idx)
+        costs[t_idx, t_idx] = np.ascontiguousarray(glued.ambient.dist[np.ix_(*glued.embeddings)])
+    for key, block in entries.items():
+        costs[key] = np.array([[w1_distance(*entry).value for entry in row] for row in block])
+    for out in costs.values():
         out.setflags(write=False)
-        self._costs[key] = out
-        return out
-
-    def solve_time(self, t_idx: int, s_list: Sequence[int]) -> tuple:
-        """Min-max LP at one time: the coupling of the two basepoint
-        measures minimizing the largest s-integral. Returns
-        ``(r_t, coupling, integrals dict)`` with r_t re-certified from the
-        marginal-repaired coupling. Each distinct ``(t_idx, s_list)`` is
-        solved once per problem; the E-search asks for many repeats."""
-        key = (t_idx, tuple(s_list))
-        if key in self._solves:
-            return self._solves[key]
-        mu1, mu2 = self.mu(0, t_idx), self.mu(1, t_idx)
-        n1, n2 = mu1.n, mu2.n
-        nq = n1 * n2
-        costs = {s: self.cost(s, t_idx) for s in s_list}
-        m = len(s_list)
-        # variables (q, r): rows -inf <= <c_s, q> - r <= 0, then the marginals
-        # of q; the r column holds -1 in each of the m cost rows
-        indptr, indices, data = _coupling_columns(
-            n1, n2, np.array([costs[s].ravel() for s in s_list]).reshape(m, nq)
-        )
-        b_eq = np.concatenate([mu1.weights, mu2.weights])
-        cvec = np.zeros(nq + 1)
-        cvec[nq] = 1.0
-        res = linprog(
-            cvec,
-            np.append(indptr, indptr[-1] + m),
-            np.concatenate([indices, np.arange(m, dtype=np.int32)]),
-            np.concatenate([data, np.full(m, -1.0)]),
-            np.concatenate([np.full(m, -np.inf), b_eq]),
-            np.concatenate([np.zeros(m), b_eq]),
-        )
-        if res.x is None:  # pragma: no cover - defensive
-            raise InternalInvariantError(f"min-max transport LP failed at t_idx={t_idx}: {res.message}")
-        plan = _fit_marginals(res.x[:nq].reshape(n1, n2), mu1.weights, mu2.weights)
-        coupling = Coupling(matrix=plan)
-        integrals = {s: float(np.sum(costs[s] * plan)) for s in s_list}
-        r_t = max(integrals.values()) if integrals else 0.0
-        self._solves[key] = (r_t, coupling, integrals)
-        return self._solves[key]
+    return costs
 
 
 def _resolve_J(grid: TimeGrid, idxs: tuple, J) -> tuple:
@@ -683,9 +598,11 @@ def f_distance_within(
 
     The W1 solves it needs, one per cost-matrix entry (x1, x2) at each
     participating pair s < t plus one per participating time, are counted
-    first: above 20 000 it raises :class:`InputError` before any LP runs.
-    Each distinct transport LP is solved once (:func:`solve_once`), most
-    of them ahead, in block-diagonal LPs (:meth:`_FDistanceProblem.prefetch`).
+    first: above 20 000 it raises :class:`InputError` before any LP runs,
+    as do an unknown ``e_mode`` and an exhaustive search over more than 12
+    times. Each distinct transport LP is solved once (:func:`solve_once`),
+    all the cost matrices' LPs ahead, in block-diagonal LPs
+    (:func:`_cost_matrices`).
     """
     if c.n_flows != 2:
         raise InputError("f_distance_within expects a two-flow correspondence (use pair_view)")
@@ -694,6 +611,12 @@ def f_distance_within(
             raise InputError("flow pair lives on a different time grid than the correspondence")
     idxs = tuple(int(i) for i in c.time_indices)
     J_idx = _resolve_J(c.grid, idxs, J)
+    for which, pair in enumerate((pair1, pair2), start=1):
+        for t_idx in idxs:
+            if t_idx not in pair.mu.time_indices:
+                raise InputError(f"flow pair {which} has no basepoint measure at grid index {t_idx}")
+            if pair.mu.measure_at(t_idx).n != pair.flow.slices[t_idx].n:
+                raise InputError(f"flow pair {which}: basepoint measure size mismatch at grid index {t_idx}")
     w1_count = len(idxs) + sum(
         pos * pair1.flow.slices[t].n * pair2.flow.slices[t].n for pos, t in enumerate(idxs)
     )
@@ -702,17 +625,56 @@ def f_distance_within(
             f"flow distance needs {w1_count} W1 solves ({len(idxs)} participating times), "
             f"over the budget of {_W1_BUDGET}: use fewer times or fewer points per slice"
         )
+    if e_mode not in ("empty", "exhaustive", "greedy"):
+        raise InputError(f"unknown e_mode {e_mode!r} (use empty, exhaustive, or greedy)")
+    if e_mode == "exhaustive" and len(idxs) > 12:
+        raise InputError(f"exhaustive E-search limited to 12 participating times, got {len(idxs)}")
 
     emb1 = {t: c.ambient_at(t).embeddings[0] for t in idxs}
     emb2 = {t: c.ambient_at(t).embeddings[1] for t in idxs}
     fp1 = _fingerprint(pair1, emb1, idxs)
     fp2 = _fingerprint(pair2, emb2, idxs)
     swapped = fp2 < fp1
-    if swapped:
-        problem = _FDistanceProblem(c.pair_view(1, 0), pair2, pair1)
-    else:
-        problem = _FDistanceProblem(c, pair1, pair2)
-    problem.prefetch()
+    oriented, first, second = (c.pair_view(1, 0), pair2, pair1) if swapped else (c, pair1, pair2)
+    costs = _cost_matrices(oriented, first, second, idxs)
+    solves: dict = {}
+
+    def solve_time(t_idx: int, s_list: Sequence[int]) -> tuple:
+        """Min-max LP at one time: the coupling of the two basepoint
+        measures minimizing the largest s-integral. Returns ``(r_t,
+        coupling, integrals dict)`` with r_t re-certified from the
+        marginal-repaired coupling. Each distinct ``(t_idx, s_list)`` is
+        solved once; the E-search asks for many repeats."""
+        key = (t_idx, tuple(s_list))
+        if key in solves:
+            return solves[key]
+        mu1, mu2 = first.mu.measure_at(t_idx), second.mu.measure_at(t_idx)
+        n1, n2 = mu1.n, mu2.n
+        nq = n1 * n2
+        m = len(s_list)
+        # variables (q, r): rows -inf <= <c_s, q> - r <= 0, then the marginals
+        # of q; the r column holds -1 in each of the m cost rows
+        indptr, indices, data = _coupling_columns(
+            n1, n2, np.array([costs[s, t_idx].ravel() for s in s_list]).reshape(m, nq)
+        )
+        b_eq = np.concatenate([mu1.weights, mu2.weights])
+        cvec = np.zeros(nq + 1)
+        cvec[nq] = 1.0
+        res = linprog(
+            cvec,
+            np.append(indptr, indptr[-1] + m),
+            np.concatenate([indices, np.arange(m, dtype=np.int32)]),
+            np.concatenate([data, np.full(m, -1.0)]),
+            np.concatenate([np.full(m, -np.inf), b_eq]),
+            np.concatenate([np.zeros(m), b_eq]),
+        )
+        if res.x is None:  # pragma: no cover - defensive
+            raise InternalInvariantError(f"min-max transport LP failed at t_idx={t_idx}: {res.message}")
+        plan = _fit_marginals(res.x[:nq].reshape(n1, n2), mu1.weights, mu2.weights)
+        integrals = {s: float(np.sum(costs[s, t_idx] * plan)) for s in s_list}
+        r_t = max(integrals.values()) if integrals else 0.0
+        solves[key] = (r_t, Coupling(matrix=plan), integrals)
+        return solves[key]
 
     measure_total = c.grid.measure(idxs)
 
@@ -723,7 +685,7 @@ def f_distance_within(
         worst = 0.0
         for t in active:
             s_list = [s for s in active if s <= t]
-            r_t, q, ints = problem.solve_time(t, s_list)
+            r_t, q, ints = solve_time(t, s_list)
             r_by_time[t] = r_t
             couplings[t] = q
             for s, v in ints.items():
@@ -737,10 +699,6 @@ def f_distance_within(
         best = evaluate(best_E)
     elif e_mode == "exhaustive":
         free = [t for t in idxs if t not in J_idx]
-        if len(idxs) > 12:
-            raise InputError(
-                f"exhaustive E-search limited to 12 participating times, got {len(idxs)}"
-            )
         candidates = []
         for size in range(len(free) + 1):
             for combo in itertools.combinations(free, size):
@@ -755,7 +713,7 @@ def f_distance_within(
             cand = evaluate(frozenset(combo))
             if best is None or cand[0] < best[0]:
                 best, best_E = cand, frozenset(combo)
-    elif e_mode == "greedy":
+    else:
         flags.append("greedy")
         best_E = frozenset()
         best = evaluate(best_E)
@@ -776,8 +734,6 @@ def f_distance_within(
                 best, best_E = cand, E_next
             else:
                 break
-    else:
-        raise InputError(f"unknown e_mode {e_mode!r} (use empty, exhaustive, or greedy)")
 
     value, e_measure, r_by_time, couplings, integrals = best
     if swapped:
@@ -870,8 +826,8 @@ def f_triangle_check(
     idxs = tuple(int(i) for i in c123.time_indices)
     e_union = sorted(set(d12.E_indices) | set(d23.E_indices))
     e_measure = c123.grid.measure(e_union)
-    problem13 = _FDistanceProblem(c123.pair_view(0, 2), pair1, pair3)
     active = [t for t in idxs if t not in e_union]
+    costs13 = _cost_matrices(c123.pair_view(0, 2), pair1, pair3, active)
     cert_worst = math.sqrt(e_measure)
     cert_ok = True
     for t in active:
@@ -882,7 +838,7 @@ def f_triangle_check(
         for s in active:
             if s > t:
                 continue
-            integral = float(np.sum(problem13.cost(s, t) * q13))
+            integral = float(np.sum(costs13[s, t] * q13))
             cert_worst = max(cert_worst, integral)
             if integral > bound + 1e-9:
                 cert_ok = False

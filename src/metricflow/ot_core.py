@@ -9,9 +9,9 @@ potential) rather than trusted blindly.
 The LP is reduced before it is solved. It runs over the supports of the two
 measures only, and for W1 over their excess mass only: by
 Kantorovich-Rubinstein duality W1 depends on mu - nu alone, so the mass the
-measures share stays in place. Inside a :func:`solve_once` scope each
-distinct reduced LP is solved once, and callers that need many W1 at once
-have their LPs solved ahead, stacked into block-diagonal LPs.
+measures share stays in place. One function solves every reduced LP: it
+stacks the LPs it is given into block-diagonal LPs, and inside a
+:func:`solve_once` scope it solves each distinct LP once.
 
 Core objects
 ------------
@@ -678,10 +678,11 @@ def solve_once():
 
     Inside it, :func:`w1_distance` and :func:`wp_distance` reuse the plan
     and duals of a reduced LP (see ``_oriented_plan``) already solved with
-    the same cost, source and target bytes; every call still builds and
-    certifies its own result. A nested entry joins the outer scope, and the
-    solved LPs are dropped when the outermost scope exits, normally or by
-    an exception. Usable as ``with solve_once():`` or as a decorator.
+    the same cost, source and target bytes, by an earlier call or ahead by
+    ``_prefetch_w1``; every call still builds and certifies its own result.
+    A nested entry joins the outer scope, and the solved LPs are dropped
+    when the outermost scope exits, normally or by an exception. Usable as
+    ``with solve_once():`` or as a decorator.
     """
     if _SOLVED.get() is not None:
         yield
@@ -693,24 +694,50 @@ def solve_once():
         _SOLVED.reset(token)
 
 
-def _solve(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Read-only plan and column duals of ``_transport_lp(cost, a, b)``,
-    taken from the current :func:`solve_once` scope when it holds them."""
-    memo = _SOLVED.get()
-    key = None if memo is None else _lp_key(cost, a, b)
-    if key is not None and key in memo:
-        return memo[key]
-    plan, _, beta = _transport_lp(cost, a, b)
-    plan.setflags(write=False)
-    beta.setflags(write=False)
-    if key is not None:
-        memo[key] = (plan, beta)
-    return plan, beta
+# Largest number of columns (plan entries) of one block-diagonal LP that
+# _solve builds; a problem wider than this goes alone. The simplex costs
+# more than linearly in the block's size: the 60 LPs of a 24-point dW1
+# curve, about 13 x 11 each, take 28 ms one by one, 18 ms in blocks of
+# 1 024 columns and 25 ms in blocks of 8 192.
+_BLOCK_COLUMNS = 1024
 
 
 def _lp_key(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
     """The key of a reduced LP in the :func:`solve_once` memo: its exact bytes."""
     return cost.tobytes(), a.tobytes(), b.tobytes()
+
+
+def _solve(lps: Sequence) -> list:
+    """Read-only plan and column duals of each transport LP ``(cost, a, b)``
+    of ``lps``: read from the :func:`solve_once` scope's memo (outside every
+    scope, a memo local to this call), repeats solved once, and the rest
+    solved in order as block-diagonal LPs of at most ``_BLOCK_COLUMNS``
+    columns (``_transport_block``). A failed block, and a block of one LP,
+    is solved one LP at a time by ``_transport_lp``, which raises
+    :class:`CertificateError` when an LP fails.
+    """
+    memo = _SOLVED.get()
+    if memo is None:
+        memo = {}
+    keys = [_lp_key(*lp) for lp in lps]
+    todo = {key: lp for key, lp in zip(keys, lps) if key not in memo}
+    blocks, width = [], _BLOCK_COLUMNS  # starts full, so the first LP opens a block
+    for key, lp in todo.items():
+        if width + lp[0].size > _BLOCK_COLUMNS:
+            blocks.append([])
+            width = 0
+        blocks[-1].append(key)
+        width += lp[0].size
+    for block in blocks:
+        problems = [todo[key] for key in block]
+        solved = _transport_block(problems)[0] if len(problems) > 1 else None
+        if solved is None:
+            solved = [_transport_lp(*lp) for lp in problems]
+        for key, (plan, _, beta) in zip(block, solved):
+            plan.setflags(write=False)
+            beta.setflags(write=False)
+            memo[key] = (plan, beta)
+    return [memo[key] for key in keys]
 
 
 class _Reduction(NamedTuple):
@@ -790,7 +817,7 @@ def _oriented_plan(
         plan = np.diag(stay if balanced else 0.5 * (a + b))
         return swapped, a, b, plan, np.zeros(a.size), balanced
     plan = np.diag(stay)
-    sub, sub_beta = _solve(*lp)
+    [(sub, sub_beta)] = _solve([lp])
     plan[np.ix_(rows, cols)] += (0.5 * (sa + sb)) * sub
     beta = np.full(a.size, -np.inf)
     beta[cols] = sub_beta
@@ -801,51 +828,18 @@ def _oriented_plan(
     return swapped, a, b, _fit_marginals(plan, a * (mean / ma), b * (mean / mb)), beta, False
 
 
-# Largest number of columns (plan entries) of one block-diagonal LP that
-# _prefetch_w1 solves; a problem wider than this goes alone. The simplex
-# costs more than linearly in the block's size: the 60 LPs of a 24-point
-# dW1 curve, about 13 x 11 each, take 28 ms one by one, 18 ms in blocks of
-# 1 024 columns and 25 ms in blocks of 8 192.
-_BLOCK_COLUMNS = 1024
-
-
 def _prefetch_w1(pairs: Sequence) -> None:
-    """Solve ahead the LPs that ``w1_distance(space, mu1, mu2)`` will ask
-    for, for each ``(space, mu1, mu2)`` of ``pairs``, into the current
-    :func:`solve_once` scope.
-
-    Each pair is oriented and reduced as ``w1_distance`` does it
-    (``_reduce``). Reduced LPs that the scope already holds or that repeat
-    are skipped, and the rest are solved in order, as block-diagonal LPs of
-    at most ``_BLOCK_COLUMNS`` columns each (``_transport_block``). Each
-    result is stored under the key ``_solve`` reads. Best effort: a block
-    that fails is not stored, and ``w1_distance`` then solves its LPs one
-    at a time, raising as ever if one fails. ``w1_distance`` still
+    """Solve ahead, into the current :func:`solve_once` scope, the LPs that
+    ``w1_distance(space, mu1, mu2)`` will ask for, for each ``(space, mu1,
+    mu2)`` of ``pairs``: each pair is oriented and reduced as
+    ``w1_distance`` does it (``_reduce``), and the reduced LPs are solved
+    together by ``_solve``, in block-diagonal LPs. ``w1_distance`` still
     certifies every result it returns.
     """
-    memo = _SOLVED.get()
-    if memo is None:
+    if _SOLVED.get() is None:
         raise InternalInvariantError("_prefetch_w1 needs an open solve_once() scope")
-    todo = {}
-    for space, mu1, mu2 in pairs:
-        reduced = _reduce(space, mu1, mu2, space.dist, excess=True)
-        if reduced is not None and reduced.lp is not None:
-            key = _lp_key(*reduced.lp)
-            if key not in memo:
-                todo.setdefault(key, reduced.lp)
-    blocks, width = [], _BLOCK_COLUMNS  # starts full, so the first LP opens a block
-    for key, lp in todo.items():
-        if width + lp[0].size > _BLOCK_COLUMNS:
-            blocks.append([])
-            width = 0
-        blocks[-1].append((key, lp))
-        width += lp[0].size
-    for block in blocks:
-        solved, _ = _transport_block([lp for _, lp in block])
-        for (key, _), (plan, _, beta) in zip(block, solved or ()):
-            plan.setflags(write=False)
-            beta.setflags(write=False)
-            memo[key] = (plan, beta)
+    reduced = [_reduce(space, mu1, mu2, space.dist, excess=True) for space, mu1, mu2 in pairs]
+    _solve([r.lp for r in reduced if r is not None and r.lp is not None])
 
 
 def w1_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure) -> W1Result:

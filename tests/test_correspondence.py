@@ -348,14 +348,31 @@ def test_f_distance_frozen_value_uniform(tp_corr):
     assert rep.E_measure <= rep.value**2
 
 
-def test_f_distance_symmetric_bit_for_bit(tp_corr):
+def _assert_mirror_images(fwd, bwd):
+    """Two reports of one flow distance in opposite orientations agree bit
+    for bit, their couplings transposed."""
+    assert bwd.value == fwd.value
+    assert fwd.swapped != bwd.swapped
+    assert bwd.E_indices == fwd.E_indices
+    assert bwd.r_by_time == fwd.r_by_time
+    assert bwd.per_pair_integrals == fwd.per_pair_integrals
+    assert bwd.couplings.keys() == fwd.couplings.keys()
+    for t, q in fwd.couplings.items():
+        assert np.array_equal(bwd.couplings[t].matrix.T, q.matrix)
+
+
+def test_f_distance_symmetric_bit_for_bit(tp_corr, spiked_corr):
     c, f1, f2 = tp_corr
     for anchor in (ProbMeasure.uniform(2), ProbMeasure.delta(0, 2)):
         p1, p2 = tp_pair(f1, anchor), tp_pair(f2, anchor)
         fwd = mf.f_distance_within(c, p1, p2)
         bwd = mf.f_distance_within(c.pair_view(1, 0), p2, p1)
-        assert bwd.value == fwd.value
-        assert fwd.swapped != bwd.swapped
+        _assert_mirror_images(fwd, bwd)
+    c, p1, p2 = spiked_corr
+    fwd = mf.f_distance_within(c, p1, p2, e_mode="exhaustive")
+    bwd = mf.f_distance_within(c.pair_view(1, 0), p2, p1, e_mode="exhaustive")
+    assert fwd.E_indices == (1,)
+    _assert_mirror_images(fwd, bwd)
 
 
 def test_f_distance_matches_coupling_family_oracle(tp_corr):
@@ -467,11 +484,29 @@ def test_f_distance_protected_times(spiked_corr):
         mf.f_distance_within(c, p1, p2, J=(9,))
 
 
-def test_f_distance_input_validation(tp_corr):
+def _spy_lps(monkeypatch) -> list:
+    """Record every transport and min-max LP solve."""
+    calls = []
+    for module in (mf.ot_core, correspondence):
+        real = module.linprog
+        monkeypatch.setattr(module, "linprog", lambda *a, real=real: calls.append(1) or real(*a))
+    return calls
+
+
+def test_f_distance_input_validation(tp_corr, monkeypatch):
     c, f1, f2 = tp_corr
     p1, p2 = tp_pair(f1, ProbMeasure.uniform(2)), tp_pair(f2, ProbMeasure.uniform(2))
-    with pytest.raises(InputError):
+    calls = _spy_lps(monkeypatch)
+    with pytest.raises(InputError, match="unknown e_mode"):
         mf.f_distance_within(c, p1, p2, e_mode="annealed")
+    assert calls == []
+    grid13 = TimeGrid.uniform(0.0, 1.0, 12)
+    g1, g2 = (mf.two_point_flow(C_STAR, d, grid13) for d in (1.0, 1.1))
+    c13 = mf.build_union_correspondence(g1, g2, [(0, 0), (1, 1)])
+    anchor = ProbMeasure.uniform(2)
+    with pytest.raises(InputError, match="limited to 12 participating times, got 13"):
+        mf.f_distance_within(c13, tp_pair(g1, anchor), tp_pair(g2, anchor), e_mode="exhaustive")
+    assert calls == []
     other = mf.two_point_flow(C_STAR, 1.0, TimeGrid.uniform(0.0, 2.0, 4))
     with pytest.raises(InputError, match="grid"):
         mf.f_distance_within(c, tp_pair(other, ProbMeasure.uniform(2)), p2)
@@ -481,6 +516,26 @@ def test_f_distance_input_validation(tp_corr):
     c3 = mf.combine_correspondences(c12, c23)
     with pytest.raises(InputError, match="two-flow"):
         mf.f_distance_within(c3, p1, p2)
+
+
+def test_f_distance_names_the_pair_whose_measures_fall_short(tp_corr):
+    """A conjugate heat flow that misses a participating time, or whose
+    measure does not fit its slice, is an InputError naming the caller's
+    pair, in either argument position."""
+    c, f1, f2 = tp_corr
+    anchor = ProbMeasure.uniform(2)
+    full = tp_pair(f2, anchor)
+    short = MetricFlowPair(f1, mf.conj_backward(f1, f1.grid.times[-2], anchor))
+    with pytest.raises(InputError, match="flow pair 1 has no basepoint measure at grid index 4"):
+        mf.f_distance_within(c, short, full)
+    short = MetricFlowPair(f2, mf.conj_backward(f2, f2.grid.times[-2], anchor))
+    with pytest.raises(InputError, match="flow pair 2 has no basepoint measure at grid index 4"):
+        mf.f_distance_within(c, tp_pair(f1, anchor), short)
+    wrong = mf.ConjHeatFlowField(
+        full.mu.time_indices, full.mu.measures[:-1] + (ProbMeasure.uniform(3),)
+    )
+    with pytest.raises(InputError, match="flow pair 2: basepoint measure size mismatch"):
+        mf.f_distance_within(c, tp_pair(f1, anchor), MetricFlowPair(f2, wrong))
 
 
 def test_f_distance_json_payload(tp_corr):
