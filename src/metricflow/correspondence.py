@@ -58,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flow_core import ConjHeatFlowField, MetricFlow, MetricFlowPair, TimeGrid, _stored
+from .flow_core import MetricFlow, MetricFlowPair, TimeGrid, _stored
 from .ot_core import (
     EXACT_TOL,
     CertificateError,

@@ -49,11 +49,9 @@ from scipy.special import erfc, erfcinv, ndtri
 
 from .ot_core import (
     EXACT_TOL,
-    Coupling,
     FiniteMetricSpace,
     InputError,
     InternalInvariantError,
-    MetricAxiomReport,
     ProbMeasure,
     StructuralError,
     _clamp_noise,

@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erf
 
-from .flow_core import ConjHeatFlowField, MetricFlow, TimeGrid, _full_column, _nearest_time, _time_tol
+from .flow_core import MetricFlow, TimeGrid, _full_column, _nearest_time, _time_tol
 from .ot_core import (
     FiniteMetricSpace,
     InputError,
@@ -154,6 +154,14 @@ class GaussianSidecar:
         return 4.0 * self.dim
 
 
+# Largest N x N x dim float64 array, in entries, that gaussian_flow_discrete
+# may build for a lattice of N points in dim dimensions. It holds about four
+# such arrays at once (coordinate differences and erf terms) beside one N x N
+# matrix per slice and per kernel; 2**20 entries are 8.4 MB per array, and
+# allow 1 024 points at dim 1, 724 at dim 2.
+_GAUSSIAN_MAX_ENTRIES = 2**20
+
+
 def gaussian_flow_discrete(
     dim: int,
     L: float,
@@ -174,8 +182,9 @@ def gaussian_flow_discrete(
     O(h²) and truncation error).
 
     Raises :class:`InputError` when h² exceeds the smallest lag
-    (undersampled kernel); warns when L < 5 sqrt(largest lag) (significant
-    truncated mass near the boundary).
+    (undersampled kernel) or when an N x N x dim array of the lattice's N
+    points would exceed ``_GAUSSIAN_MAX_ENTRIES`` floats; warns when
+    L < 5 sqrt(largest lag) (significant truncated mass near the boundary).
     """
     if dim < 1:
         raise InputError(f"dim must be >= 1, got {dim}")
@@ -187,6 +196,16 @@ def gaussian_flow_discrete(
     if h * h > float(gaps.min()):
         raise InputError(
             f"lattice spacing h={h} undersamples the smallest lag {float(gaps.min())}: need h² <= lag"
+        )
+    spacings = 2.0 * L / h  # inf when the ratio overflows
+    # past 64 axes, a lattice of two or more points per axis is over the limit anyway
+    n_points = (round(spacings) + 1) ** min(dim, 64) if spacings < 1e15 else math.inf
+    if n_points > _GAUSSIAN_MAX_ENTRIES or n_points * n_points * dim > _GAUSSIAN_MAX_ENTRIES:
+        count = f"{n_points:,}" if n_points < 1e15 else "more than 10^15"
+        raise InputError(
+            f"the {dim}-dimensional lattice with L={L}, h={h} has {count} points, and its "
+            f"N x N x dim arrays would exceed {_GAUSSIAN_MAX_ENTRIES:,} floats: "
+            "shrink --L or --dim, or raise --h"
         )
     max_lag = float(grid.times[-1] - grid.times[0])
     truncated = L < 5.0 * math.sqrt(max_lag)

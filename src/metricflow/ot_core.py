@@ -9,9 +9,10 @@ potential) rather than trusted blindly.
 The LP is reduced before it is solved. It runs over the supports of the two
 measures only, and for W1 over their excess mass only: by
 Kantorovich-Rubinstein duality W1 depends on mu - nu alone, so the mass the
-measures share stays in place. One function solves every reduced LP: it
-stacks the LPs it is given into block-diagonal LPs, and inside a
-:func:`solve_once` scope it solves each distinct LP once.
+measures share stays in place. One function reduces a batch of problems and
+solves their LPs in block-diagonal LPs; inside a :func:`solve_once` scope
+each distinct LP is solved once, and a batch of W1 problems reduced ahead
+hands each W1 call its own reduced and solved problem.
 
 Core objects
 ------------
@@ -52,7 +53,7 @@ import contextvars
 import functools
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -670,6 +671,9 @@ def _fit_marginals(plan: np.ndarray, a: np.ndarray, b: np.ndarray):
 # Solved transport LPs of the current solve_once() scope, keyed by the exact
 # bytes of their (cost, a, b); None outside every scope.
 _SOLVED: contextvars.ContextVar = contextvars.ContextVar("metricflow_solved_lps", default=None)
+# Reductions that _prefetch_w1 hands to w1_distance in the current scope,
+# keyed by the (space, mu1, mu2) objects; None outside every scope.
+_HANDED: contextvars.ContextVar = contextvars.ContextVar("metricflow_handed_w1", default=None)
 
 
 @contextlib.contextmanager
@@ -677,21 +681,23 @@ def solve_once():
     """Solve each distinct transport LP once within this scope.
 
     Inside it, :func:`w1_distance` and :func:`wp_distance` reuse the plan
-    and duals of a reduced LP (see ``_oriented_plan``) already solved with
-    the same cost, source and target bytes, by an earlier call or ahead by
-    ``_prefetch_w1``; every call still builds and certifies its own result.
-    A nested entry joins the outer scope, and the solved LPs are dropped
-    when the outermost scope exits, normally or by an exception. Usable as
-    ``with solve_once():`` or as a decorator.
+    and duals of a reduced LP (see ``_reduce``) already solved with the
+    same cost, source and target bytes, by an earlier call or ahead by
+    ``_prefetch_w1``, which also hands each W1 call it reduced ahead that
+    call's reduction; every call still builds and certifies its own
+    result. A nested entry joins the outer scope, and the solved LPs are
+    dropped when the outermost scope exits, normally or by an exception.
+    Usable as ``with solve_once():`` or as a decorator.
     """
     if _SOLVED.get() is not None:
         yield
         return
-    token = _SOLVED.set({})
+    tokens = _SOLVED.set({}), _HANDED.set({})
     try:
         yield
     finally:
-        _SOLVED.reset(token)
+        _SOLVED.reset(tokens[0])
+        _HANDED.reset(tokens[1])
 
 
 # Largest number of columns (plan entries) of one block-diagonal LP that
@@ -740,106 +746,90 @@ def _solve(lps: Sequence) -> list:
     return [memo[key] for key in keys]
 
 
-class _Reduction(NamedTuple):
-    """A transport problem oriented and reduced as ``_oriented_plan``
-    describes: the oriented weights ``a`` and ``b``, the mass ``stay``
-    kept in place, the supports ``rows`` and ``cols`` of the two excesses
-    and their masses ``sa`` and ``sb``, and ``lp``, the ``(cost, source,
-    target)`` of the LP that moves the excess, ``None`` when one side has
-    none."""
-
-    swapped: bool
-    a: np.ndarray
-    b: np.ndarray
-    stay: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    sa: float
-    sb: float
-    lp: tuple | None
-
-
-def _reduce(
-    space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure, cost, excess: bool
-) -> _Reduction | None:
-    """The orientation and reduction of ``_oriented_plan``; ``None`` for
-    bit-equal weights."""
-    _check_measure_space(space, mu1, "mu1")
-    _check_measure_space(space, mu2, "mu2")
-    if np.array_equal(mu1.weights, mu2.weights):
-        return None
-    swapped = mu1.weights.tobytes() > mu2.weights.tobytes()
-    a, b = (mu2.weights, mu1.weights) if swapped else (mu1.weights, mu2.weights)
-    stay = np.minimum(a, b) if excess else np.zeros(a.size)
-    da, db = a - stay, b - stay
-    rows, cols = np.flatnonzero(da), np.flatnonzero(db)
-    if rows.size == 0 or cols.size == 0:
-        return _Reduction(swapped, a, b, stay, rows, cols, float(da.sum()), float(db.sum()), None)
-    src, dst = da[rows], db[cols]
-    sa, sb = float(src.sum()), float(dst.sum())
-    lp = (cost[np.ix_(rows, cols)], src / sa, dst / sb)
-    return _Reduction(swapped, a, b, stay, rows, cols, sa, sb, lp)
-
-
-def _oriented_plan(
-    space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure, cost, excess: bool
-):
-    """An optimal plan between two measures on ``space`` under ``cost``.
+def _reduce(problems: Sequence) -> list:
+    """Orient and reduce each transport problem ``(space, mu1, mu2, cost,
+    excess)`` of ``problems``, and solve all their reduced LPs in one
+    ``_solve`` call, so in block-diagonal LPs.
 
     The pair is oriented canonically (the weight vector whose bytes sort
     first is the source ``a``), so swapping the measures gives the same
     plan. With ``excess`` the shared mass ``stay = min(a, b)`` stays on the
     diagonal, which is optimal when ``cost`` satisfies the triangle
     inequality (W1 on a metric); otherwise ``stay`` is zero. The LP then
-    moves the rest, ``a - stay`` to ``b - stay``, over the supports of
-    those two vectors only, each normalised to unit mass (excess entries
-    can sit near HiGHS's 1e-10 feasibility tolerance); its plan is scaled
-    back by the mean of the two masses and refitted to ``(a, b)``.
+    moves the rest, ``a - stay`` to ``b - stay``, over the supports
+    ``rows`` and ``cols`` of those two vectors only, each divided by its
+    mass, ``sa`` or ``sb`` (excess entries can sit near HiGHS's 1e-10
+    feasibility tolerance).
 
-    Returns ``None`` for bit-equal weights, else ``(swapped, a, b, plan,
-    beta, balanced)``: the oriented weights, the plan, the LP's column
-    duals, ``-inf`` off its columns, and whether the masses agree within
-    1e-13 (see below). When the excess lies on one side only, a
-    mass imbalance below ProbMeasure's 1e-12 sum tolerance, no LP runs:
-    the plan is ``diag(stay)`` and ``beta`` is zero.
+    Returns per problem ``None`` for bit-equal weights, else ``[swapped, a,
+    b, stay, rows, cols, sa, sb, solved]``, with ``solved`` the LP's plan
+    and column duals, or ``None`` when the excess lies on one side only (a
+    mass imbalance below ProbMeasure's 1e-12 sum tolerance) and no LP runs.
+    """
+    reduced, todo, lps = [], [], []
+    for space, mu1, mu2, cost, excess in problems:
+        _check_measure_space(space, mu1, "mu1")
+        _check_measure_space(space, mu2, "mu2")
+        if np.array_equal(mu1.weights, mu2.weights):
+            reduced.append(None)
+            continue
+        swapped = mu1.weights.tobytes() > mu2.weights.tobytes()
+        a, b = (mu2.weights, mu1.weights) if swapped else (mu1.weights, mu2.weights)
+        stay = np.minimum(a, b) if excess else np.zeros(a.size)
+        da, db = a - stay, b - stay
+        rows, cols = np.flatnonzero(da), np.flatnonzero(db)
+        src, dst = da[rows], db[cols]
+        sa, sb = float(src.sum()), float(dst.sum())
+        reduced.append([swapped, a, b, stay, rows, cols, sa, sb, None])
+        if rows.size and cols.size:
+            todo.append(reduced[-1])
+            lps.append((cost[np.ix_(rows, cols)], src / sa, dst / sb))
+    for entry, solved in zip(todo, _solve(lps)):
+        entry[-1] = solved
+    return reduced
+
+
+def _plan(reduced) -> tuple:
+    """``(plan, beta, balanced)`` of a reduction of ``_reduce``: the LP's
+    plan scaled back by the mean excess mass, added to ``diag(stay)`` and
+    refitted to ``(a, b)`` (just ``diag(stay)`` with no LP), its column
+    duals (``-inf`` off its columns; zero with no LP), and whether the
+    masses agree within 1e-13.
 
     Masses that differ by more than 1e-13 (ProbMeasure admits sums 1e-12
     off 1) have no coupling within the refit's tolerance, so each side is
     fitted to their mean mass instead: the LP's plan is refitted to ``a``
     and ``b`` rescaled to it, and the one-sided plan is ``diag((a + b)/2)``.
     """
-    reduced = _reduce(space, mu1, mu2, cost, excess)
-    if reduced is None:
-        return None
-    swapped, a, b, stay, rows, cols, sa, sb, lp = reduced
-    if lp is None:
-        balanced = abs(sa - sb) <= 1e-13
-        plan = np.diag(stay if balanced else 0.5 * (a + b))
-        return swapped, a, b, plan, np.zeros(a.size), balanced
+    _, a, b, stay, rows, cols, sa, sb, solved = reduced
+    balanced = abs(sa - sb) <= 1e-13  # the masses differ as their excesses do
+    if solved is None:
+        return np.diag(stay if balanced else 0.5 * (a + b)), np.zeros(a.size), balanced
     plan = np.diag(stay)
-    [(sub, sub_beta)] = _solve([lp])
-    plan[np.ix_(rows, cols)] += (0.5 * (sa + sb)) * sub
+    plan[np.ix_(rows, cols)] += (0.5 * (sa + sb)) * solved[0]
     beta = np.full(a.size, -np.inf)
-    beta[cols] = sub_beta
-    if abs(sa - sb) <= 1e-13:  # the masses differ as their excesses do
-        return swapped, a, b, _fit_marginals(plan, a, b), beta, True
+    beta[cols] = solved[1]
+    if balanced:
+        return _fit_marginals(plan, a, b), beta, True
     ma, mb = float(a.sum()), float(b.sum())
     mean = 0.5 * (ma + mb)
-    return swapped, a, b, _fit_marginals(plan, a * (mean / ma), b * (mean / mb)), beta, False
+    return _fit_marginals(plan, a * (mean / ma), b * (mean / mb)), beta, False
 
 
 def _prefetch_w1(pairs: Sequence) -> None:
-    """Solve ahead, into the current :func:`solve_once` scope, the LPs that
-    ``w1_distance(space, mu1, mu2)`` will ask for, for each ``(space, mu1,
-    mu2)`` of ``pairs``: each pair is oriented and reduced as
-    ``w1_distance`` does it (``_reduce``), and the reduced LPs are solved
-    together by ``_solve``, in block-diagonal LPs. ``w1_distance`` still
-    certifies every result it returns.
+    """Reduce and solve ahead, in the current :func:`solve_once` scope, the
+    problem of ``w1_distance(space, mu1, mu2)`` for each ``(space, mu1,
+    mu2)`` of ``pairs``: ``_reduce`` solves their LPs together, and each
+    reduction is handed to the one ``w1_distance`` call with those three
+    objects, which still certifies its result. Any other call (a pair asked
+    twice, or equal measures in other objects) reduces its pair again and
+    finds its LP in the scope's memo.
     """
-    if _SOLVED.get() is None:
+    handed = _HANDED.get()
+    if handed is None:
         raise InternalInvariantError("_prefetch_w1 needs an open solve_once() scope")
-    reduced = [_reduce(space, mu1, mu2, space.dist, excess=True) for space, mu1, mu2 in pairs]
-    _solve([r.lp for r in reduced if r is not None and r.lp is not None])
+    reduced = _reduce([(space, mu1, mu2, space.dist, True) for space, mu1, mu2 in pairs])
+    handed.update(zip(map(tuple, pairs), reduced))
 
 
 def w1_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure) -> W1Result:
@@ -856,18 +846,20 @@ def w1_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure) ->
 
     Only the excess mass moves: the mass the two measures share stays in
     place, and the LP runs between the supports of the excesses (see
-    ``_oriented_plan``). That is optimal when ``space.dist`` satisfies the
+    ``_reduce``). That is optimal when ``space.dist`` satisfies the
     triangle inequality, which :class:`FiniteMetricSpace` does not check.
     On a space that breaks it the result is either the value of the full
     transport LP, certified as always, or a :class:`CertificateError`
     (the shared-mass plan is then not optimal, and no 1-Lipschitz
     potential closes its gap).
     """
-    solved = _oriented_plan(space, mu1, mu2, space.dist, excess=True)
-    if solved is None:
+    handed, key = _HANDED.get() or {}, (space, mu1, mu2)
+    [reduced] = [handed.pop(key)] if key in handed else _reduce([(*key, space.dist, True)])
+    if reduced is None:
         cert = TransportCertificate(0.0, np.zeros(space.n), 0.0)
         return W1Result(0.0, Coupling.diagonal(mu1), cert)
-    swapped, a, b, plan, beta, balanced = solved
+    swapped, a, b = reduced[:3]
+    plan, beta, balanced = _plan(reduced)
     value = float(np.sum(plan * space.dist))
 
     # Kantorovich potential by c-transform of the column duals over the LP's
@@ -913,10 +905,10 @@ def wp_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure, p:
     if p < 1.0:
         raise InputError(f"wp_distance requires p >= 1, got {p}")
     cost = space.dist if p == 1.0 else space.dist**p
-    solved = _oriented_plan(space, mu1, mu2, cost, excess=p == 1.0)
-    if solved is None:
+    [reduced] = _reduce([(space, mu1, mu2, cost, p == 1.0)])
+    if reduced is None:
         return 0.0
-    plan = solved[3]
+    plan = _plan(reduced)[0]
     total = float(np.sum(plan * cost))
     return total if p == 1.0 else total ** (1.0 / p)
 

@@ -132,6 +132,21 @@ def test_generate_parameter_errors_exit_2(tmp_path, capsys):
     assert rc == 2 and "undersamples" in err
 
 
+@pytest.mark.parametrize("argv, count", [
+    (["--dim", "2"], "58,081 points"),
+    (["--dim", "1", "--h", "0.001"], "24,001 points"),
+    (["--L", "1e308", "--h", "1", "--times", "0,1,2"], "more than 10^15 points"),
+], ids=["dim-2-default", "h-0.001", "L-over-h-overflows"])
+def test_oversized_gaussian_lattice_exits_2(tmp_path, capsys, argv, count):
+    """A lattice whose N x N x dim arrays would not fit (at --dim 2 the
+    default 58 081 points ask for about 54 GB per array) is refused before
+    any is built, with its point count and what to shrink."""
+    rc, _, err = run_cli(capsys, "generate", "gaussian", *argv, "--out", str(tmp_path / "g.json"))
+    assert rc == 2 and err.startswith("error: ") and count in err
+    assert all(flag in err for flag in ("--L", "--h", "--dim"))
+    assert not (tmp_path / "g.json").exists()
+
+
 def test_generate_two_point_explicit_C(tmp_path, capsys):
     path = make_doc(tmp_path, "c95.json", "generate", "two-point", "--C", "95", "--steps", "3")
     flow = mf.cli.load_flow(path)

@@ -671,18 +671,30 @@ def test_block_lp_agrees_with_single_lps():
 def test_prefetched_w1_agrees_with_single_solves(monkeypatch):
     """W1 answered from prefetched block LPs matches W1 solved one LP at a
     time within 1e-12 relative, and certifies; the prefetch solves the
-    distinct reduced LPs in a few blocks, and no W1 after it solves one."""
+    distinct reduced LPs in a few blocks, and no W1 after it solves one.
+    Each pair is reduced once: the prefetch hands its reduction to the W1
+    call with the same objects, and none is left over. A call with a copy
+    of a prefetched measure reduces its pair again, to the same result."""
     rng = np.random.default_rng(73)
     pairs = _mixed_w1_pairs(rng)
     single = [mf.w1_distance(*pair) for pair in pairs]
-    solves = []
-    real = ot_core.linprog
+    solves, checks = [], []
+    real, real_check = ot_core.linprog, ot_core._check_measure_space
     monkeypatch.setattr(ot_core, "linprog", lambda *a: solves.append(1) or real(*a))
+    monkeypatch.setattr(
+        ot_core, "_check_measure_space", lambda *a: checks.append(1) or real_check(*a)
+    )
     with mf.solve_once():
         ot_core._prefetch_w1(pairs)
         n_blocks, n_solved = len(solves), len(ot_core._SOLVED.get())
         blocked = [mf.w1_distance(*pair) for pair in pairs]
+        assert len(checks) == 2 * len(pairs) and ot_core._HANDED.get() == {}
+        copied = [mf.w1_distance(space, ProbMeasure(mu.weights), nu) for space, mu, nu in pairs]
     assert len(solves) == n_blocks and 1 <= n_blocks < n_solved / 4
+    for res, copy in zip(blocked, copied):
+        assert copy.value == res.value
+        assert np.array_equal(copy.coupling.matrix, res.coupling.matrix)
+        assert np.array_equal(copy.certificate.dual_potential, res.certificate.dual_potential)
     for (space, mu, nu), one, res in zip(pairs, single, blocked):
         assert res.value == pytest.approx(one.value, rel=1e-12, abs=1e-15)
         res.certificate.validate(space, mu, nu)
