@@ -15,7 +15,8 @@ Floats are serialized with ``repr`` (shortest round-trip), so
 parse(serialize(flow)) reproduces every matrix bit-identically.
 
 Exit codes: 0 success / all checks pass; 1 a verification or certification
-check failed (witness on stderr/stdout); 2 usage, parse, or input errors.
+check failed (witness on stderr/stdout); 2 usage, parse, or input errors,
+and an output path that cannot be written.
 The environment variable METRICFLOW_THREADS caps BLAS parallelism; the
 package ``__init__`` applies it, before numpy is first imported.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -40,12 +42,14 @@ from .flow_core import (
     MetricFlow,
     MetricFlowPair,
     TimeGrid,
+    cartesian_product_flow,
     conj_backward,
     d_integral,
     h_concentration_constant,
     verify_flow_axioms,
 )
 from .generators import (
+    _MAX_ENTRIES,
     gaussian_flow_discrete,
     min_C,
     static_cycle_flow,
@@ -303,24 +307,32 @@ def _write_csv(path: str, header: list, rows: list) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _check_entries(entries: int, flags: str) -> None:
+    """Refuse, before anything is built, a generated flow whose kernels
+    would store more than ``_MAX_ENTRIES`` floats."""
+    if entries > _MAX_ENTRIES:
+        raise InputError(
+            f"the flow would store {entries:,} kernel entries, over the limit of "
+            f"{_MAX_ENTRIES:,}: shrink {flags}"
+        )
+
+
 def cmd_generate(args) -> int:
     kind = args.kind
     if kind == "two-point":
-        if args.C == "auto":
-            c_val = min_C() * (1.0 + 1e-6)
-        else:
-            c_val = float(args.C)
+        _check_entries(4 * args.steps, "--steps")
+        c_val = min_C() * (1.0 + 1e-6) if args.C == "auto" else _finite(args.C, "--C")
         grid = TimeGrid.uniform(args.t0, args.t1, args.steps)
         flow = two_point_flow(c_val, args.D, grid)
     elif kind == "gaussian":
         times = _parse_times_list(args.times)
         flow, _ = gaussian_flow_discrete(args.dim, args.L, args.h, TimeGrid(times))
     elif kind == "static":
+        steps = max(args.steps, 1)
+        _check_entries(args.m * args.m * (steps * (steps + 1) // 2), "--m or --steps")
         grid = TimeGrid.uniform(args.t0, args.t1, args.steps)
         flow = static_cycle_flow(args.m, args.rate, args.edge, grid)
     elif kind == "product":
-        from .flow_core import cartesian_product_flow
-
         f1 = load_flow(args.files[0])
         f2 = load_flow(args.files[1])
         flow = cartesian_product_flow(f1, f2)
@@ -545,7 +557,9 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="metricflow",
         description="Finite metric flows: generation, verification, distances, reports.",
@@ -641,6 +655,9 @@ def main(argv=None) -> int:
     except (CertificateError, InternalInvariantError) as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -58,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flow_core import MetricFlow, MetricFlowPair, TimeGrid, _stored
+from .flow_core import MetricFlow, MetricFlowPair, TimeGrid
 from .ot_core import (
     EXACT_TOL,
     CertificateError,
@@ -506,10 +506,9 @@ def _fingerprint(pair: MetricFlowPair, embeddings: Sequence, idxs: Sequence[int]
         h.update(np.ascontiguousarray(pair.flow.slices[t_idx].dist).tobytes())
         h.update(np.ascontiguousarray(pair.mu.measure_at(t_idx).weights).tobytes())
         h.update(np.asarray(embeddings[t_idx], dtype=np.int64).tobytes())
-    cols = {t_idx: pair.flow.column(t_idx) for t_idx in idxs}
     for s_pos, s_idx in enumerate(idxs):
         for t_idx in idxs[s_pos + 1 :]:
-            h.update(np.ascontiguousarray(_stored(cols[t_idx][s_idx], s_idx, t_idx)).tobytes())
+            h.update(np.ascontiguousarray(pair.flow.kernel(s_idx, t_idx)).tobytes())
     return h.digest()
 
 
@@ -672,7 +671,7 @@ def f_distance_within(
             raise InternalInvariantError(f"min-max transport LP failed at t_idx={t_idx}: {res.message}")
         plan = _fit_marginals(res.x[:nq].reshape(n1, n2), mu1.weights, mu2.weights)
         integrals = {s: float(np.sum(costs[s, t_idx] * plan)) for s in s_list}
-        r_t = max(integrals.values()) if integrals else 0.0
+        r_t = max(integrals.values())
         solves[key] = (r_t, Coupling(matrix=plan), integrals)
         return solves[key]
 
@@ -829,7 +828,6 @@ def f_triangle_check(
     active = [t for t in idxs if t not in e_union]
     costs13 = _cost_matrices(c123.pair_view(0, 2), pair1, pair3, active)
     cert_worst = math.sqrt(e_measure)
-    cert_ok = True
     for t in active:
         q12 = d12.couplings[t]
         q23 = d23.couplings[t]
@@ -840,10 +838,7 @@ def f_triangle_check(
                 continue
             integral = float(np.sum(costs13[s, t] * q13))
             cert_worst = max(cert_worst, integral)
-            if integral > bound + 1e-9:
-                cert_ok = False
-    if cert_worst > bound + 1e-9:
-        cert_ok = False
+    cert_ok = cert_worst <= bound + 1e-9
     return FTriangleReport(
         d12=d12,
         d23=d23,

@@ -364,12 +364,14 @@ class MetricFlow:
             yield mat
 
     def column(self, t_idx: int) -> list:
-        """[K(0, t), ..., K(t-1, t)], composed by one walk and not cached; an
-        entry is None where a pair-stored flow has no kernel."""
+        """[K(0, t), ..., K(t-1, t)], composed by one walk and not cached.
+        Raises :class:`InputError` naming the lowest pair (s, t) a pair-stored
+        flow does not store."""
         t_idx = int(t_idx)
         if not (0 <= t_idx < self.grid.n):
             raise InputError(f"column({t_idx}): need 0 <= t < {self.grid.n}")
-        return list(self._walk(0, t_idx))[::-1]
+        walk = list(self._walk(0, t_idx))[::-1]
+        return [_stored(mat, s_idx, t_idx) for s_idx, mat in enumerate(walk)]
 
     def kernel(self, s_idx: int, t_idx: int) -> np.ndarray:
         """The kernel matrix nu_{·;s} for slice t: shape (n_t, n_s), rows summing
@@ -389,11 +391,6 @@ def _stored(mat, s_idx: int, t_idx: int) -> np.ndarray:
     if mat is None:
         raise InputError(f"no stored kernel for pair {(s_idx, t_idx)}")
     return mat
-
-
-def _full_column(flow: MetricFlow, t_idx: int) -> list:
-    """``flow.column(t_idx)`` with every pair required to exist."""
-    return [_stored(mat, s_idx, t_idx) for s_idx, mat in enumerate(flow.column(t_idx))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,7 +464,7 @@ def conj_backward(flow: MetricFlow, t0: float, mu0: ProbMeasure) -> ConjHeatFlow
     i0 = flow.grid.index_of(t0)
     if mu0.n != flow.slices[i0].n:
         raise InputError(f"mu0 lives on {mu0.n} points, slice has {flow.slices[i0].n}")
-    kernels = _full_column(flow, i0) + [np.eye(mu0.n)]
+    kernels = flow.column(i0) + [np.eye(mu0.n)]
     measures = tuple(ProbMeasure(k.T @ mu0.weights) for k in kernels)
     return ConjHeatFlowField(tuple(range(i0 + 1)), measures)
 
@@ -513,7 +510,7 @@ def h_concentration_constant(flow: MetricFlow):
     times = flow.grid.times
     d2 = [s.dist ** 2 for s in flow.slices]
     for t_idx in range(flow.grid.n):
-        for s_idx, k in enumerate(_full_column(flow, t_idx)):
+        for s_idx, k in enumerate(flow.column(t_idx)):
             var = k @ d2[s_idx] @ k.T
             num = var - d2[t_idx]
             ratio = num / (times[t_idx] - times[s_idx])
@@ -829,9 +826,7 @@ def cartesian_product_flow(f1: MetricFlow, f2: MetricFlow) -> MetricFlow:
         kernels = {}
         for t_idx in range(f1.grid.n):
             for s_idx, (k1, k2) in enumerate(zip(f1.column(t_idx), f2.column(t_idx))):
-                kernels[(s_idx, t_idx)] = np.kron(
-                    _stored(k1, s_idx, t_idx), _stored(k2, s_idx, t_idx)
-                )
+                kernels[(s_idx, t_idx)] = np.kron(k1, k2)
     return _flow_like(markov, f1.grid, slices, kernels, meta)
 
 
@@ -1236,7 +1231,7 @@ def _dedupe_pairs(flow: MetricFlow):
     lists = {}  # shape triple -> [group indices, rows (grown by doubling)]
     for t_idx in range(flow.grid.n):
         d_t = flow.slices[t_idx].dist
-        for s_idx, k in enumerate(_full_column(flow, t_idx)):
+        for s_idx, k in enumerate(flow.column(t_idx)):
             tau = flow.grid.times[t_idx] - flow.grid.times[s_idx]
             d_s = flow.slices[s_idx].dist
             row = np.concatenate(([tau], k[0], d_s[0], d_t[0]))

@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import erf
 
-from .flow_core import MetricFlow, TimeGrid, _full_column, _nearest_time, _time_tol
+from .flow_core import MetricFlow, TimeGrid, _nearest_time, _time_tol
 from .ot_core import (
     FiniteMetricSpace,
     InputError,
@@ -158,8 +158,9 @@ class GaussianSidecar:
 # may build for a lattice of N points in dim dimensions. It holds about four
 # such arrays at once (coordinate differences and erf terms) beside one N x N
 # matrix per slice and per kernel; 2**20 entries are 8.4 MB per array, and
-# allow 1 024 points at dim 1, 724 at dim 2.
-_GAUSSIAN_MAX_ENTRIES = 2**20
+# allow 1 024 points at dim 1, 724 at dim 2. The CLI also bounds by it the
+# kernel entries a generated two-point or static flow would store in all.
+_MAX_ENTRIES = 2**20
 
 
 def gaussian_flow_discrete(
@@ -183,7 +184,7 @@ def gaussian_flow_discrete(
 
     Raises :class:`InputError` when h² exceeds the smallest lag
     (undersampled kernel) or when an N x N x dim array of the lattice's N
-    points would exceed ``_GAUSSIAN_MAX_ENTRIES`` floats; warns when
+    points would exceed ``_MAX_ENTRIES`` floats; warns when
     L < 5 sqrt(largest lag) (significant truncated mass near the boundary).
     """
     if dim < 1:
@@ -200,11 +201,11 @@ def gaussian_flow_discrete(
     spacings = 2.0 * L / h  # inf when the ratio overflows
     # past 64 axes, a lattice of two or more points per axis is over the limit anyway
     n_points = (round(spacings) + 1) ** min(dim, 64) if spacings < 1e15 else math.inf
-    if n_points > _GAUSSIAN_MAX_ENTRIES or n_points * n_points * dim > _GAUSSIAN_MAX_ENTRIES:
+    if n_points > _MAX_ENTRIES or n_points * n_points * dim > _MAX_ENTRIES:
         count = f"{n_points:,}" if n_points < 1e15 else "more than 10^15"
         raise InputError(
             f"the {dim}-dimensional lattice with L={L}, h={h} has {count} points, and its "
-            f"N x N x dim arrays would exceed {_GAUSSIAN_MAX_ENTRIES:,} floats: "
+            f"N x N x dim arrays would exceed {_MAX_ENTRIES:,} floats: "
             "shrink --L or --dim, or raise --h"
         )
     max_lag = float(grid.times[-1] - grid.times[0])
@@ -458,8 +459,8 @@ def soliton_fixed_point(
             raise InputError(f"pushed distances at level {k} off by {res:.3e} from one half")
     for k in range(k_levels):
         psi_k = psi_maps[k]
-        col_src = _full_column(flow, k) + [np.eye(flow.slices[k].n)]
-        col_dst = _full_column(flow, k + 1) + [np.eye(flow.slices[k + 1].n)]
+        col_src = flow.column(k) + [np.eye(flow.slices[k].n)]
+        col_dst = flow.column(k + 1) + [np.eye(flow.slices[k + 1].n)]
         for j in range(k + 1):
             # push nu_{x; t_j} through psi_j and compare with nu_{psi_k(x); t_{j+1}}
             k_src = col_src[j]

@@ -171,14 +171,66 @@ def test_generate_two_point_explicit_C(tmp_path, capsys):
     ["generate", "static", "--m", "3", "--steps", "2", "--rate", "0", "--out", "{out}"],
     ["generate", "static", "--m", "3", "--steps", "2", "--rate", "nan", "--out", "{out}"],
     ["generate", "static", "--m", "3", "--steps", "2", "--edge", "inf", "--out", "{out}"],
+    ["generate", "two-point", "--C", "abc", "--out", "{out}"],
+    ["generate", "two-point", "--out", "{missing}"],
+    ["verify", "{flow}", "--json", "{missing}"],
+    ["distance", "{flow}", "{flow}", "--out", "{missing}"],
+    ["report", "{flow}", "--quantity", "var-curve", "--csv", "{missing}"],
 ], ids=["eps-step-0", "eps-step-nan", "eps-start-nan", "eps-stop-inf", "eps-1e12-samples",
         "gaussian-L-inf", "seeds-negative", "seed-negative", "H-nan", "H-not-a-number",
-        "static-rate-negative", "static-rate-0", "static-rate-nan", "static-edge-inf"])
+        "static-rate-negative", "static-rate-0", "static-rate-nan", "static-edge-inf",
+        "two-point-C-not-a-number", "generate-out-missing-dir", "verify-json-missing-dir",
+        "distance-out-missing-dir", "report-csv-missing-dir"])
 def test_bad_arguments_exit_2(tp4, tmp_path, capsys, argv):
-    argv = [a.format(flow=tp4, out=tmp_path / "out") for a in argv]
-    rc, _, err = run_cli(capsys, *argv)
-    assert rc == 2 and err.startswith("error: ") and "Traceback" not in err
-    assert not (tmp_path / "out").exists()
+    """A bad parameter, or an output path in a missing directory, exits 2
+    with ``error: `` and writes nothing."""
+    missing = tmp_path / "missing" / "out"
+    argv = [a.format(flow=tp4, out=tmp_path / "out", missing=missing) for a in argv]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and err.startswith("error: ") and "Traceback" not in out + err
+    assert not (tmp_path / "out").exists() and not missing.parent.exists()
+
+
+@pytest.mark.parametrize("argv, entries, flag", [
+    (["two-point", "--steps", "100000000"], "400,000,000", "--steps"),
+    (["two-point", "--steps", "262145"], "1,048,580", "--steps"),
+    (["static", "--m", "100000"], "100,000,000,000", "--m"),
+    (["static", "--steps", "241"], "1,049,796", "--steps"),
+], ids=["two-point-1e8-steps", "two-point-one-step-over", "static-m-1e5", "static-one-step-over"])
+def test_oversized_generate_exits_2_at_once(tmp_path, capsys, monkeypatch, argv, entries, flag):
+    """A two-point or static flow whose kernels would store more than 2**20
+    floats is refused before its time grid is built, naming what to shrink."""
+    def no_grid(*args):
+        raise AssertionError("time grid built for an oversized flow")
+
+    monkeypatch.setattr(mf.cli.TimeGrid, "uniform", staticmethod(no_grid))
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "generate", *argv, "--out", str(tmp_path / "g.json"))
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and err.startswith("error: ") and "Traceback" not in out + err
+    assert f"{entries} kernel entries" in err and flag in err
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    """Every ``main`` call parses with the same parser, and a call that ends
+    in a usage error leaves it working for the next one."""
+    main(["generate", "two-point", "--steps", "2", "--out", str(tmp_path / "a.json")])
+    parsers = []
+    parse_args = mf.cli.argparse.ArgumentParser.parse_args
+
+    def recorded(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(mf.cli.argparse.ArgumentParser, "parse_args", recorded)
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "two-point", "--steps", "two"])
+    assert exc.value.code == 2
+    rc, out, _ = run_cli(capsys, "generate", "two-point", "--steps", "3",
+                         "--out", str(tmp_path / "b.json"))
+    assert rc == 0 and "4 times" in out
+    assert len(parsers) == 2 and parsers[0] is parsers[1] is mf.cli.build_parser()
 
 
 @pytest.mark.parametrize("layout", ["markov", "pairs", "partial-pairs"])
@@ -425,6 +477,30 @@ def test_distance_three_files_triangle(tmp_path, capsys):
     assert rc == 0
     assert "triangle d(1,3) <= d(1,2) + d(2,3): holds" in out
     assert "admissible" in out
+
+
+def test_inadmissible_triangle_certificate_exits_1(tmp_path, capsys, monkeypatch):
+    """Glued through the independent coupling a_i b_j c_k in place of the
+    optimal couplings, the outer pair's certificate exceeds d(1,2) + d(2,3):
+    the triangle still holds, but ``distance`` reports the certificate
+    inadmissible and exits 1."""
+    files = [
+        make_doc(tmp_path, f"f{i}.json", "generate", "static", "--m", "3", "--steps", "2",
+                 "--rate", str(rate))
+        for i, rate in enumerate((0.7, 1.1, 1.6))
+    ]
+
+    def independent(q12, q23):
+        a, b, c = q12.matrix.sum(axis=1), q12.matrix.sum(axis=0), q23.matrix.sum(axis=0)
+        return a[:, None, None] * b[None, :, None] * c[None, None, :]
+
+    monkeypatch.setattr(mf.correspondence, "glue_couplings", independent)
+    out_path = tmp_path / "tri.json"
+    rc, out, _ = run_cli(capsys, "distance", *files, "--out", str(out_path))
+    payload = json.loads(out_path.read_text())
+    assert rc == 1 and payload["holds"] and not payload["certificate_ok"]
+    assert payload["certificate_value"] > payload["d12"]["value"] + payload["d23"]["value"] + 1e-9
+    assert "holds" in out and "(INADMISSIBLE)" in out
 
 
 def _count_solves(monkeypatch, fail_at=None):

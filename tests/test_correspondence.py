@@ -538,6 +538,27 @@ def test_f_distance_names_the_pair_whose_measures_fall_short(tp_corr):
         mf.f_distance_within(c, tp_pair(f1, anchor), MetricFlowPair(f2, wrong))
 
 
+def test_f_distance_of_a_partially_stored_flow_on_times_avoiding_its_gaps():
+    """A pair-stored flow missing K(1, 2) gets, within a correspondence on
+    times (0, 2, 3), bit for bit the distance of the flow it copies; one on
+    every time needs the missing pair and refuses it by name."""
+    grid = TimeGrid((0.0, 0.3, 0.6, 1.0))
+    f1 = mf.static_cycle_flow(4, 1.1, 1.0, grid)
+    f2 = mf.static_cycle_flow(4, 1.6, 1.0, grid)
+    kernels = {pair: k for pair, k in f1.stored().items() if pair != (1, 2)}
+    gapped = MetricFlow(grid, f1.slices, pair_kernels=kernels)
+    anchor = ProbMeasure.uniform(4)
+    ident = [(i, i) for i in range(4)]
+    c = mf.build_union_correspondence(f1, f2, ident, time_indices=(0, 2, 3))
+    full = mf.f_distance_within(c, tp_pair(f1, anchor), tp_pair(f2, anchor))
+    rep = mf.f_distance_within(c, tp_pair(gapped, anchor), tp_pair(f2, anchor))
+    assert full.value > 0.0
+    assert rep.value == full.value and rep.per_pair_integrals == full.per_pair_integrals
+    every = mf.build_union_correspondence(f1, f2, ident)
+    with pytest.raises(InputError, match=r"no stored kernel for pair \(1, 2\)"):
+        mf.f_distance_within(every, tp_pair(gapped, anchor), tp_pair(f2, anchor))
+
+
 def test_f_distance_json_payload(tp_corr):
     c, f1, f2 = tp_corr
     p1, p2 = tp_pair(f1, ProbMeasure.uniform(2)), tp_pair(f2, ProbMeasure.uniform(2))

@@ -834,19 +834,25 @@ def test_column_is_the_kernel_walk_bit_for_bit():
     rng = np.random.default_rng(3)
     flow, markov, adj = _pair_stored_with_gaps(rng, [4, 3, 3, 5, 4, 4, 2, 3, 4, 4])
     for t_idx in range(markov.grid.n):
-        col, stored = markov.column(t_idx), flow.column(t_idx)
-        assert len(col) == len(stored) == t_idx
+        col = markov.column(t_idx)
+        assert len(col) == t_idx
+        missing = [s_idx for s_idx in range(t_idx) if (s_idx + 2 * t_idx) % 5 == 0]
+        if missing:
+            with pytest.raises(InputError, match=re.escape(f"pair {(missing[0], t_idx)}")):
+                flow.column(t_idx)
+        else:
+            assert len(flow.column(t_idx)) == t_idx
         for s_idx in range(t_idx):
             expect = _left_to_right(adj, s_idx, t_idx)
             assert np.array_equal(col[s_idx], expect)
             assert np.array_equal(markov.kernel(s_idx, t_idx), expect)
-            if (s_idx + 2 * t_idx) % 5 == 0:
-                assert stored[s_idx] is None
+            if s_idx in missing:
                 with pytest.raises(InputError, match=re.escape(f"pair {(s_idx, t_idx)}")):
                     flow.kernel(s_idx, t_idx)
             else:
-                assert stored[s_idx] is flow.kernel(s_idx, t_idx)
-                assert np.array_equal(stored[s_idx], expect)
+                assert np.array_equal(flow.kernel(s_idx, t_idx), expect)
+                if not missing:
+                    assert flow.column(t_idx)[s_idx] is flow.kernel(s_idx, t_idx)
     with pytest.raises(InputError):
         markov.column(markov.grid.n)
 
