@@ -28,6 +28,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -393,7 +394,7 @@ def cmd_verify(args) -> int:
     lines.append(f"summary: {summary}")
     print("\n".join(lines))
 
-    if args.json_out:
+    if args.out:
         payload = {
             "records": [
                 {
@@ -422,7 +423,7 @@ def cmd_verify(args) -> int:
             "approximate": bool(approximate),
             "summary": summary,
         }
-        _write_json(args.json_out, payload)
+        _write_json(args.out, payload)
     return 0 if report.ok else 1
 
 
@@ -512,7 +513,7 @@ def cmd_report(args) -> int:
             t = flow.grid.times[idx]
             v = variance(flow.slices[idx], chf.measure_at(idx))
             rows.append([t, v, v + h_value * t])
-        _write_csv(args.csv, ["time", "var", "var_plus_Ht"], rows)
+        _write_csv(args.out, ["time", "var", "var_plus_Ht"], rows)
     elif quantity == "dW1-curve":
         n_top = flow.slices[top_idx].n
         for name, idx in (("--x1", args.x1), ("--x2", args.x2)):
@@ -530,14 +531,14 @@ def cmd_report(args) -> int:
                 [flow.grid.times[idx], w1_distance(*pair).value]
                 for idx, pair in zip(chf1.time_indices, pairs)
             ]
-        _write_csv(args.csv, ["time", "dW1"], rows)
+        _write_csv(args.out, ["time", "dW1"], rows)
     elif quantity == "b-function":
         mu = _basepoint_measure(flow, args.basepoint, top_idx)
         rows = []
         for eps in _eps_values(args.eps_grid):
             b = mass_distribution_fn(flow.slices[top_idx], mu, args.r, float(eps))
             rows.append([float(eps), b])
-        _write_csv(args.csv, ["eps", "b"], rows)
+        _write_csv(args.out, ["eps", "b"], rows)
     elif quantity == "d-integral":
         mu0 = _basepoint_measure(flow, args.basepoint, top_idx)
         chf = conj_backward(flow, flow.grid.times[top_idx], mu0)
@@ -545,10 +546,10 @@ def cmd_report(args) -> int:
         for idx in chf.time_indices:
             t = flow.grid.times[idx]
             rows.append([t, d_integral(flow, chf, t)])
-        _write_csv(args.csv, ["time", "int_d"], rows)
+        _write_csv(args.out, ["time", "int_d"], rows)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown quantity {quantity!r}")
-    print(f"wrote {args.csv}")
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -610,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="random cone count for the battery; seeds x largest slice size must be <= 4000000",
     )
     v.add_argument("--seed", type=int, default=0, help="rng seed for the battery")
-    v.add_argument("--json", dest="json_out", default=None, help="write machine-readable report")
+    v.add_argument("--json", dest="out", metavar="JSON", default=None, help="write machine-readable report")
     v.set_defaults(func=cmd_verify)
 
     d = sub.add_parser("distance", help="flow distance (2 files) or triangle audit (3 files)")
@@ -630,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["var-curve", "dW1-curve", "b-function", "d-integral"],
     )
-    r.add_argument("--csv", required=True, help="output CSV path")
+    r.add_argument("--csv", dest="out", metavar="CSV", required=True, help="output CSV path")
     r.add_argument("--basepoint", default="uniform")
     r.add_argument("--time", type=float, default=None, help="reference time (default: top)")
     r.add_argument("--x1", type=int, default=0)
@@ -648,6 +649,8 @@ def main(argv=None) -> int:
     if args.command == "distance" and not (2 <= len(args.files) <= 3):
         parser.error("distance takes two or three flow files")
     try:
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise InputError(f"cannot write {args.out}: its directory does not exist")
         return args.func(args)
     except (InputError, StructuralError) as e:
         print(f"error: {e}", file=sys.stderr)

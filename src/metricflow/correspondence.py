@@ -506,9 +506,10 @@ def _fingerprint(pair: MetricFlowPair, embeddings: Sequence, idxs: Sequence[int]
         h.update(np.ascontiguousarray(pair.flow.slices[t_idx].dist).tobytes())
         h.update(np.ascontiguousarray(pair.mu.measure_at(t_idx).weights).tobytes())
         h.update(np.asarray(embeddings[t_idx], dtype=np.int64).tobytes())
-    for s_pos, s_idx in enumerate(idxs):
-        for t_idx in idxs[s_pos + 1 :]:
-            h.update(np.ascontiguousarray(pair.flow.kernel(s_idx, t_idx)).tobytes())
+    cols = [pair.flow.column(t_idx, idxs[:pos]) for pos, t_idx in enumerate(idxs)]
+    for s_pos in range(len(idxs)):
+        for col in cols[s_pos + 1 :]:
+            h.update(np.ascontiguousarray(col[s_pos]).tobytes())
     return h.digest()
 
 
@@ -531,11 +532,11 @@ def _cost_matrices(
         c.ambient_at(t_idx).validate((pair1.flow.slices[t_idx], pair2.flow.slices[t_idx]))
     entries = {}
     for pos, t_idx in enumerate(idxs):
-        for s_idx in idxs[:pos]:
+        cols = [pair.flow.column(t_idx, idxs[:pos]) for pair in (pair1, pair2)]
+        for s_idx, *kernels in zip(idxs[:pos], *cols):
             glued = c.ambient_at(s_idx)
             pushed = [
-                [ProbMeasure(glued.push_weights(which, row)) for row in pair.flow.kernel(s_idx, t_idx)]
-                for which, pair in enumerate((pair1, pair2))
+                [ProbMeasure(glued.push_weights(which, row)) for row in k] for which, k in enumerate(kernels)
             ]
             entries[s_idx, t_idx] = [[(glued.ambient, m1, m2) for m2 in pushed[1]] for m1 in pushed[0]]
     _prefetch_w1([entry for block in entries.values() for row in block for entry in row])
@@ -593,7 +594,9 @@ def f_distance_within(
       ``greedy`` since it may miss the optimum.
 
     Both orientations produce bit-identical values: the computation runs in
-    a fingerprint-canonical order and swaps back afterwards.
+    a fingerprint-canonical order and swaps back afterwards. The fingerprint
+    and the cost matrices read each participating column in one walk, and
+    ask only for participating pairs.
 
     The W1 solves it needs, one per cost-matrix entry (x1, x2) at each
     participating pair s < t plus one per participating time, are counted
@@ -601,7 +604,8 @@ def f_distance_within(
     as do an unknown ``e_mode`` and an exhaustive search over more than 12
     times. Each distinct transport LP is solved once (:func:`solve_once`),
     all the cost matrices' LPs ahead, in block-diagonal LPs
-    (:func:`_cost_matrices`).
+    (:func:`_cost_matrices`); each min-max LP drops the cost rows that
+    another row bounds entrywise.
     """
     if c.n_flows != 2:
         raise InputError("f_distance_within expects a two-flow correspondence (use pair_view)")
@@ -642,38 +646,39 @@ def f_distance_within(
         """Min-max LP at one time: the coupling of the two basepoint
         measures minimizing the largest s-integral. Returns ``(r_t,
         coupling, integrals dict)`` with r_t re-certified from the
-        marginal-repaired coupling. Each distinct ``(t_idx, s_list)`` is
-        solved once; the E-search asks for many repeats."""
-        key = (t_idx, tuple(s_list))
-        if key in solves:
-            return solves[key]
-        mu1, mu2 = first.mu.measure_at(t_idx), second.mu.measure_at(t_idx)
-        n1, n2 = mu1.n, mu2.n
-        nq = n1 * n2
-        m = len(s_list)
-        # variables (q, r): rows -inf <= <c_s, q> - r <= 0, then the marginals
-        # of q; the r column holds -1 in each of the m cost rows
-        indptr, indices, data = _coupling_columns(
-            n1, n2, np.array([costs[s, t_idx].ravel() for s in s_list]).reshape(m, nq)
-        )
-        b_eq = np.concatenate([mu1.weights, mu2.weights])
-        cvec = np.zeros(nq + 1)
-        cvec[nq] = 1.0
-        res = linprog(
-            cvec,
-            np.append(indptr, indptr[-1] + m),
-            np.concatenate([indices, np.arange(m, dtype=np.int32)]),
-            np.concatenate([data, np.full(m, -1.0)]),
-            np.concatenate([np.full(m, -np.inf), b_eq]),
-            np.concatenate([np.zeros(m), b_eq]),
-        )
-        if res.x is None:  # pragma: no cover - defensive
-            raise InternalInvariantError(f"min-max transport LP failed at t_idx={t_idx}: {res.message}")
-        plan = _fit_marginals(res.x[:nq].reshape(n1, n2), mu1.weights, mu2.weights)
+        marginal-repaired coupling over all of ``s_list``. A cost row that
+        another row bounds entrywise is implied (q >= 0) and dropped, of equal
+        rows all but the first: HiGHS called LPs with such rows infeasible.
+        Each distinct LP is solved once; the E-search asks for many repeats."""
+        rows = np.array([costs[s, t_idx].ravel() for s in s_list])
+        ge = (rows[None, :, :] >= rows[:, None, :]).all(axis=2)  # ge[i, j]: row j >= row i
+        implied = (ge & (~ge.T | np.tri(len(rows), k=-1, dtype=bool))).any(axis=1)
+        key = (t_idx, tuple(s for s, drop in zip(s_list, implied) if not drop))
+        if key not in solves:
+            mu1, mu2 = first.mu.measure_at(t_idx), second.mu.measure_at(t_idx)
+            n1, n2 = mu1.n, mu2.n
+            nq = n1 * n2
+            m = len(key[1])
+            # variables (q, r): rows -inf <= <c_s, q> - r <= 0, then the
+            # marginals of q; the r column holds -1 in each of the m cost rows
+            indptr, indices, data = _coupling_columns(n1, n2, rows[~implied])
+            b_eq = np.concatenate([mu1.weights, mu2.weights])
+            cvec = np.zeros(nq + 1)
+            cvec[nq] = 1.0
+            res = linprog(
+                cvec,
+                np.append(indptr, indptr[-1] + m),
+                np.concatenate([indices, np.arange(m, dtype=np.int32)]),
+                np.concatenate([data, np.full(m, -1.0)]),
+                np.concatenate([np.full(m, -np.inf), b_eq]),
+                np.concatenate([np.zeros(m), b_eq]),
+            )
+            if res.x is None:
+                raise InternalInvariantError(f"min-max transport LP failed at t_idx={t_idx}: {res.message}")
+            solves[key] = _fit_marginals(res.x[:nq].reshape(n1, n2), mu1.weights, mu2.weights)
+        plan = solves[key]
         integrals = {s: float(np.sum(costs[s, t_idx] * plan)) for s in s_list}
-        r_t = max(integrals.values())
-        solves[key] = (r_t, Coupling(matrix=plan), integrals)
-        return solves[key]
+        return max(integrals.values()), Coupling(matrix=plan), integrals
 
     measure_total = c.grid.measure(idxs)
 

@@ -348,49 +348,36 @@ class MetricFlow:
         the adjacent pairs (j, j + 1) of a Markov flow, else the given pairs."""
         return MappingProxyType(self._kernels)
 
-    def _walk(self, s_idx: int, t_idx: int):
-        """Yield K(j, t) for j = t-1 down to s, None for a pair the flow does
-        not store. A Markov flow composes K(j, t) = K(j+1, t) @ K(j, j+1): the
-        left-to-right product K(t-1, t) @ ... @ K(j, j+1), so each K(j, t) has
-        one float order whichever caller asks for it."""
-        stored = self.stored()
-        mat = None
-        for j in range(t_idx - 1, s_idx - 1, -1):
-            if self.is_markov:
-                step = stored[(j, j + 1)]
-                mat = step if mat is None else mat @ step
-            else:
-                mat = stored.get((j, t_idx))
-            yield mat
-
-    def column(self, t_idx: int) -> list:
-        """[K(0, t), ..., K(t-1, t)], composed by one walk and not cached.
-        Raises :class:`InputError` naming the lowest pair (s, t) a pair-stored
-        flow does not store."""
+    def column(self, t_idx: int, s_idxs: Sequence[int] | None = None) -> list:
+        """[K(s, t) for s in s_idxs], by default every s < t; K(t, t) is the
+        identity. The one kernel reader, one walk from t-1 down to min(s_idxs)
+        and not cached: a Markov flow composes K(j, t) = K(j+1, t) @ K(j, j+1),
+        the left-to-right product K(t-1, t) @ ... @ K(j, j+1), so each K(j, t)
+        has one float order whichever caller asks for it. Raises
+        :class:`InputError` naming the lowest requested pair it does not store."""
         t_idx = int(t_idx)
-        if not (0 <= t_idx < self.grid.n):
-            raise InputError(f"column({t_idx}): need 0 <= t < {self.grid.n}")
-        walk = list(self._walk(0, t_idx))[::-1]
-        return [_stored(mat, s_idx, t_idx) for s_idx, mat in enumerate(walk)]
+        s_idxs = range(t_idx) if s_idxs is None else [int(s) for s in s_idxs]
+        if not (0 <= t_idx < self.grid.n and all(0 <= s <= t_idx for s in s_idxs)):
+            raise InputError(f"column({t_idx}): need 0 <= s <= t < {self.grid.n} for each requested s")
+        walk = {t_idx: np.eye(self.slices[t_idx].n) if t_idx in s_idxs else None}
+        mat = None
+        for j in range(t_idx - 1, min(s_idxs, default=t_idx) - 1, -1):
+            if self.is_markov:
+                mat = self._kernels[(j, j + 1)] if mat is None else mat @ self._kernels[(j, j + 1)]
+            else:
+                mat = self._kernels.get((j, t_idx))
+            walk[j] = mat
+        missing = [s for s in s_idxs if walk[s] is None]
+        if missing:
+            raise InputError(f"no stored kernel for pair {(min(missing), t_idx)}")
+        return [walk[s] for s in s_idxs]
 
     def kernel(self, s_idx: int, t_idx: int) -> np.ndarray:
         """The kernel matrix nu_{·;s} for slice t: shape (n_t, n_s), rows summing
-        to 1; the identity if s == t, else the walk of :meth:`column` stopped at s."""
-        s_idx, t_idx = int(s_idx), int(t_idx)
+        to 1; ``column(t, (s,))[0]``."""
         if not (0 <= s_idx <= t_idx < self.grid.n):
             raise InputError(f"kernel({s_idx}, {t_idx}): need 0 <= s <= t < {self.grid.n}")
-        if s_idx == t_idx:
-            return np.eye(self.slices[s_idx].n)
-        for mat in self._walk(s_idx, t_idx):
-            pass
-        return _stored(mat, s_idx, t_idx)
-
-
-def _stored(mat, s_idx: int, t_idx: int) -> np.ndarray:
-    """``mat`` as K(s, t); the one place a pair the flow does not store is refused."""
-    if mat is None:
-        raise InputError(f"no stored kernel for pair {(s_idx, t_idx)}")
-    return mat
+        return self.column(t_idx, (s_idx,))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,7 +451,7 @@ def conj_backward(flow: MetricFlow, t0: float, mu0: ProbMeasure) -> ConjHeatFlow
     i0 = flow.grid.index_of(t0)
     if mu0.n != flow.slices[i0].n:
         raise InputError(f"mu0 lives on {mu0.n} points, slice has {flow.slices[i0].n}")
-    kernels = flow.column(i0) + [np.eye(mu0.n)]
+    kernels = flow.column(i0, range(i0 + 1))
     measures = tuple(ProbMeasure(k.T @ mu0.weights) for k in kernels)
     return ConjHeatFlowField(tuple(range(i0 + 1)), measures)
 

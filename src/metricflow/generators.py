@@ -459,8 +459,8 @@ def soliton_fixed_point(
             raise InputError(f"pushed distances at level {k} off by {res:.3e} from one half")
     for k in range(k_levels):
         psi_k = psi_maps[k]
-        col_src = flow.column(k) + [np.eye(flow.slices[k].n)]
-        col_dst = flow.column(k + 1) + [np.eye(flow.slices[k + 1].n)]
+        col_src = flow.column(k, range(k + 1))
+        col_dst = flow.column(k + 1, range(k + 2))
         for j in range(k + 1):
             # push nu_{x; t_j} through psi_j and compare with nu_{psi_k(x); t_{j+1}}
             k_src = col_src[j]

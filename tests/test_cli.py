@@ -183,11 +183,11 @@ def test_generate_two_point_explicit_C(tmp_path, capsys):
         "distance-out-missing-dir", "report-csv-missing-dir"])
 def test_bad_arguments_exit_2(tp4, tmp_path, capsys, argv):
     """A bad parameter, or an output path in a missing directory, exits 2
-    with ``error: `` and writes nothing."""
+    with ``error: `` before any work: nothing on stdout, nothing written."""
     missing = tmp_path / "missing" / "out"
     argv = [a.format(flow=tp4, out=tmp_path / "out", missing=missing) for a in argv]
     rc, out, err = run_cli(capsys, *argv)
-    assert rc == 2 and err.startswith("error: ") and "Traceback" not in out + err
+    assert rc == 2 and err.startswith("error: ") and "Traceback" not in err and out == ""
     assert not (tmp_path / "out").exists() and not missing.parent.exists()
 
 
@@ -501,6 +501,72 @@ def test_inadmissible_triangle_certificate_exits_1(tmp_path, capsys, monkeypatch
     assert rc == 1 and payload["holds"] and not payload["certificate_ok"]
     assert payload["certificate_value"] > payload["d12"]["value"] + payload["d23"]["value"] + 1e-9
     assert "holds" in out and "(INADMISSIBLE)" in out
+
+
+def _spiked_pair(tmp_path, n_times: int, where, seed: int) -> list:
+    """Two-point flow documents on a uniform grid, drawn from
+    ``default_rng([seed, 0])`` as the benchmark's ``spiked_pair`` draws them:
+    the flow, and a copy whose slices at ``where`` are stretched by factors
+    in [3, 5] while the kernels stay."""
+    rng = np.random.default_rng([seed, 0])
+    c_val, d_val = mf.min_C() * (1.0 + 1e-6) * rng.uniform(1.0, 1.6), rng.uniform(0.8, 1.25)
+    spikes = {int(i): rng.uniform(3.0, 5.0) for i in where}
+    flow = mf.two_point_flow(c_val, d_val, TimeGrid(tuple(np.linspace(0.0, 1.0, n_times))))
+    slices = [mf.FiniteMetricSpace(("+", "-"), flow.slices[0].dist * spikes.get(i, 1.0))
+              for i in range(n_times)]
+    spiked = mf.MetricFlow(flow.grid, slices, adjacent_kernels=list(flow.stored().values()))
+    paths = [str(tmp_path / "base.json"), str(tmp_path / "spiked.json")]
+    for f, path in zip((flow, spiked), paths):
+        save_flow(f, path)
+    return paths
+
+
+@pytest.mark.parametrize("n_times, where, seed, e_mode, value, E", [
+    (12, (2, 4), 0, "empty", 0.9591571909110294, []),
+    (10, (2, 5, 7), 1, "exhaustive", 0.5773502691896257, [2, 5, 7]),
+])
+def test_minmax_lps_with_dominated_cost_rows_solve(tmp_path, capsys, n_times, where, seed,
+                                                   e_mode, value, E):
+    """Min-max LPs whose cost rows include zero, near-zero and dominated rows,
+    which HiGHS without presolve called infeasible: ``distance`` exits 0 with
+    the value found before the single-instance solver, within 1e-9."""
+    out_path = tmp_path / "d.json"
+    rc, _, err = run_cli(capsys, "distance", *_spiked_pair(tmp_path, n_times, where, seed),
+                         "--e-mode", e_mode, "--out", str(out_path))
+    assert rc == 0, err
+    payload = json.loads(out_path.read_text())
+    assert payload["value"] == pytest.approx(value, abs=1e-9) and payload["E"]["indices"] == E
+
+
+@pytest.mark.parametrize("n_times", [10, 12])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_spiked_two_point_distances_never_fail_their_lps(tmp_path, capsys, n_times, seed):
+    """Each spike placement and search mode on spiked two-point pairs exits
+    0: 12 of these 48 runs exited 1 with an infeasible min-max LP."""
+    for where in ((1, 2), (2, 4), (1, n_times - 2), (2, n_times // 2, n_times - 3)):
+        files = _spiked_pair(tmp_path, n_times, where, seed)
+        for e_mode in ("empty", "exhaustive", "greedy"):
+            rc, _, err = run_cli(capsys, "distance", *files, "--e-mode", e_mode)
+            assert rc == 0, (where, e_mode, err)
+
+
+def test_failed_minmax_lp_exits_1(tmp_path, capsys, monkeypatch):
+    """A min-max LP that returns no solution raises InternalInvariantError,
+    and ``distance`` reports the failed check and exits 1."""
+    monkeypatch.setattr(mf.correspondence, "linprog",
+                        lambda *args: mf.ot_core.LPSolution(None, None, "model status is Infeasible"))
+    grid = TimeGrid.uniform(0.0, 1.0, 2)
+    flows = [mf.two_point_flow(C_STAR, d, grid) for d in (1.0, 1.3)]
+    files = [str(tmp_path / "f0.json"), str(tmp_path / "f1.json")]
+    for f, path in zip(flows, files):
+        save_flow(f, path)
+    pairs = [mf.MetricFlowPair(f, mf.conj_backward(f, 1.0, ProbMeasure.uniform(2))) for f in flows]
+    c = mf.build_union_correspondence(*flows, [(0, 0), (1, 1)])
+    with pytest.raises(mf.InternalInvariantError, match="min-max transport LP failed at t_idx=0"):
+        mf.f_distance_within(c, *pairs)
+    rc, out, err = run_cli(capsys, "distance", *files)
+    assert rc == 1 and out == ""
+    assert err.startswith("check failed: min-max transport LP failed") and "Infeasible" in err
 
 
 def _count_solves(monkeypatch, fail_at=None):

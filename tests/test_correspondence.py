@@ -559,6 +559,35 @@ def test_f_distance_of_a_partially_stored_flow_on_times_avoiding_its_gaps():
         mf.f_distance_within(every, tp_pair(gapped, anchor), tp_pair(f2, anchor))
 
 
+def _count_products(flow) -> list:
+    """Store ``flow``'s adjacent kernels as an ndarray subclass that counts
+    the matrix-matrix products composed from them; returns the counter."""
+    count = [0]
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            count[0] += np.ndim(other) == 2
+            return super().__matmul__(other)
+
+    flow._kernels = {pair: k.view(Counting) for pair, k in flow._kernels.items()}
+    return count
+
+
+def test_f_distance_reads_each_kernel_column_in_one_walk():
+    """A distance on P = 40 Markov times composes at most P² kernel products
+    per flow: one walk per column for the fingerprint and one for the cost
+    matrices (a walk per pair would take about P³/3)."""
+    n_times = 40
+    grid = TimeGrid.uniform(0.0, 1.0, n_times - 1)
+    f1, f2 = (mf.two_point_flow(C_STAR, d, grid) for d in (1.0, 1.2))
+    p1, p2 = tp_pair(f1, ProbMeasure.uniform(2)), tp_pair(f2, ProbMeasure.uniform(2))
+    counts = [_count_products(f) for f in (f1, f2)]
+    c = mf.build_union_correspondence(f1, f2, [(0, 0), (1, 1)])
+    assert mf.f_distance_within(c, p1, p2).value > 0.0
+    for count in counts:
+        assert 0 < count[0] <= n_times**2
+
+
 def test_f_distance_json_payload(tp_corr):
     c, f1, f2 = tp_corr
     p1, p2 = tp_pair(f1, ProbMeasure.uniform(2)), tp_pair(f2, ProbMeasure.uniform(2))

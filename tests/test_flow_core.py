@@ -853,8 +853,24 @@ def test_column_is_the_kernel_walk_bit_for_bit():
                 assert np.array_equal(flow.kernel(s_idx, t_idx), expect)
                 if not missing:
                     assert flow.column(t_idx)[s_idx] is flow.kernel(s_idx, t_idx)
+        # a requested subset, in any order, with s == t giving the identity
+        subset = [t_idx, *range(t_idx - 1, -1, -3)]
+        for f in (markov, flow):
+            avoid = [s_idx for s_idx in subset if s_idx not in missing or f is markov]
+            got = f.column(t_idx, avoid)
+            assert len(got) == len(avoid)
+            assert np.array_equal(got[0], np.eye(markov.slices[t_idx].n))
+            for s_idx, k in zip(avoid[1:], got[1:]):
+                assert np.array_equal(k, _left_to_right(adj, s_idx, t_idx))
+        asked = [s_idx for s_idx in subset if s_idx in missing]
+        if asked:
+            with pytest.raises(InputError, match=re.escape(f"pair {(min(asked), t_idx)}")):
+                flow.column(t_idx, subset)
     with pytest.raises(InputError):
         markov.column(markov.grid.n)
+    for bad in ([-1], [4], [0, 5]):
+        with pytest.raises(InputError, match=r"column\(3\)"):
+            markov.column(3, bad)
 
 
 def test_long_markov_flow_runs_in_bounded_memory():
