@@ -644,11 +644,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "distance" and not (2 <= len(args.files) <= 3):
-        parser.error("distance takes two or three flow files")
+    args = build_parser().parse_args(argv)
     try:
+        if args.command == "distance" and not (2 <= len(args.files) <= 3):
+            raise InputError("distance takes two or three flow files")
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
             raise InputError(f"cannot write {args.out}: its directory does not exist")
         return args.func(args)

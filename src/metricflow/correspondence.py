@@ -524,9 +524,9 @@ def _cost_matrices(
     solved ahead in block-diagonal LPs (:func:`_prefetch_w1`) in the order
     of the times and entries; callers pass them in a canonical order, so
     both orientations of a flow distance lay out the same blocks. Each
-    entry is still one ``w1_distance`` call, which certifies its own value
-    (a block LP is not trusted on its own); the benchmark's tracer counts
-    these calls.
+    entry is certified with a single call's tolerances, as array operations
+    over the batch, and read by one ``w1_distance`` call, which the
+    benchmark's tracer counts.
     """
     for t_idx in idxs:
         c.ambient_at(t_idx).validate((pair1.flow.slices[t_idx], pair2.flow.slices[t_idx]))

@@ -9,10 +9,11 @@ potential) rather than trusted blindly.
 The LP is reduced before it is solved. It runs over the supports of the two
 measures only, and for W1 over their excess mass only: by
 Kantorovich-Rubinstein duality W1 depends on mu - nu alone, so the mass the
-measures share stays in place. One function reduces a batch of problems and
-solves their LPs in block-diagonal LPs; inside a :func:`solve_once` scope
-each distinct LP is solved once, and a batch of W1 problems reduced ahead
-hands each W1 call its own reduced and solved problem.
+measures share stays in place. A batch of problems is reduced, its LPs are
+solved in block-diagonal LPs, and each W1 result is certified with a single
+call's tolerances, as array operations over the batch; inside a
+:func:`solve_once` scope each distinct LP is solved once, and a batch of W1
+problems computed ahead hands each W1 call its finished result.
 
 Core objects
 ------------
@@ -53,6 +54,7 @@ import contextvars
 import functools
 import math
 import threading
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -398,9 +400,8 @@ class Coupling:
                 f"marginal sizes ({mu1.n}, {mu2.n}) do not match the "
                 f"{self.matrix.shape} coupling"
             )
-        r1 = float(np.abs(self.marginal_first() - mu1.weights).max())
-        r2 = float(np.abs(self.marginal_second() - mu2.weights).max())
-        return max(r1, r2) <= EXACT_TOL, max(r1, r2)
+        res = float(_marginal_residuals(self.matrix[None], mu1.weights[None], mu2.weights[None])[0])
+        return res <= EXACT_TOL, res
 
     @staticmethod
     def diagonal(mu: ProbMeasure) -> "Coupling":
@@ -429,18 +430,30 @@ class TransportCertificate:
         object.__setattr__(self, "dual_potential", _readonly(self.dual_potential))
 
     def validate(self, space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure) -> None:
-        f = self.dual_potential
-        scale = max(1.0, space.diameter)
-        lip = np.abs(f[:, None] - f[None, :]) - space.dist
-        worst = float(lip.max(initial=0.0))
-        if worst > EXACT_TOL * scale:
-            raise CertificateError(f"dual potential not 1-Lipschitz (excess {worst:.3e})")
-        dual = float(f @ (mu1.weights - mu2.weights))
-        gap = self.primal_value - dual
-        if abs(gap - self.gap) > 1e-9 * max(1.0, abs(self.primal_value)):
-            raise CertificateError("stored gap inconsistent with potential")
-        if self.gap < 0.0 or self.gap > GAP_REL_TOL * max(1.0, self.primal_value):
-            raise CertificateError(f"duality gap {self.gap:.3e} outside certified range")
+        _validate(self.dual_potential[None], space.dist[None], np.array([self.primal_value]),
+                  np.array([self.gap]), mu1.weights[None], mu2.weights[None])
+
+
+def _marginal_residuals(q: np.ndarray, w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Each coupling of ``q`` (K, n1, n2)'s largest residual against ``w1``, ``w2``."""
+    return np.maximum(np.abs(q.sum(axis=2) - w1).max(axis=1), np.abs(q.sum(axis=1) - w2).max(axis=1))
+
+
+def _refuse(bad: np.ndarray, values: np.ndarray, message: str, error=CertificateError) -> None:
+    """Raise ``error(message)``, formatted with the value of the first bad entry, if any."""
+    if bad.any():
+        raise error(message.format(float(values[bad.argmax()])))
+
+
+def _validate(f, dist, value, gap, w1, w2) -> None:
+    """:meth:`TransportCertificate.validate` over stacks of K certificates."""
+    lip = (np.abs(f[:, :, None] - f[:, None, :]) - dist).max(axis=(1, 2), initial=0.0)
+    scale = np.maximum(1.0, dist.max(axis=(1, 2), initial=0.0))
+    _refuse(lip > EXACT_TOL * scale, lip, "dual potential not 1-Lipschitz (excess {:.3e})")
+    drift = np.abs(value - (f * (w1 - w2)).sum(axis=1) - gap)
+    _refuse(drift > 1e-9 * np.maximum(1.0, np.abs(value)), gap, "stored gap inconsistent with potential")
+    in_range = (gap >= 0.0) & (gap <= GAP_REL_TOL * np.maximum(1.0, value))
+    _refuse(~in_range, gap, "duality gap {:.3e} outside certified range")
 
 
 class W1Result(NamedTuple):
@@ -500,6 +513,12 @@ class LPSolution(NamedTuple):
     message: str
 
 
+@functools.lru_cache(maxsize=64)
+def _column_bounds(n: int) -> tuple:
+    """The bounds 0 <= x < inf of n columns, as lists; HiGHS copies them."""
+    return [0.0] * n, [math.inf] * n
+
+
 def linprog(c, indptr, indices, data, lhs, rhs) -> LPSolution:
     """Solve ``min c @ x  s.t.  lhs <= A x <= rhs,  x >= 0`` with HiGHS.
 
@@ -525,14 +544,14 @@ def linprog(c, indptr, indices, data, lhs, rhs) -> LPSolution:
     lp.num_col_ = lp.a_matrix_.num_col_ = c.size
     lp.num_row_ = lp.a_matrix_.num_row_ = len(rhs)
     lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = indptr
-    lp.a_matrix_.index_ = indices
-    lp.a_matrix_.value_ = data
-    lp.col_cost_ = c
-    lp.col_lower_ = np.zeros(c.size)
-    lp.col_upper_ = np.full(c.size, np.inf)
-    lp.row_lower_ = lhs
-    lp.row_upper_ = rhs
+    # the setters copy a list into HiGHS faster than an array
+    lp.a_matrix_.start_ = indptr.tolist()
+    lp.a_matrix_.index_ = indices.tolist()
+    lp.a_matrix_.value_ = data.tolist()
+    lp.col_cost_ = c.tolist()
+    lp.col_lower_, lp.col_upper_ = _column_bounds(c.size)
+    lp.row_lower_ = lhs.tolist()
+    lp.row_upper_ = rhs.tolist()
 
     highs.passModel(lp)
     highs.run()
@@ -680,14 +699,13 @@ _HANDED: contextvars.ContextVar = contextvars.ContextVar("metricflow_handed_w1",
 def solve_once():
     """Solve each distinct transport LP once within this scope.
 
-    Inside it, :func:`w1_distance` and :func:`wp_distance` reuse the plan
-    and duals of a reduced LP (see ``_reduce``) already solved with the
-    same cost, source and target bytes, by an earlier call or ahead by
-    ``_prefetch_w1``, which also hands each W1 call it reduced ahead that
-    call's reduction; every call still builds and certifies its own
-    result. A nested entry joins the outer scope, and the solved LPs are
-    dropped when the outermost scope exits, normally or by an exception.
-    Usable as ``with solve_once():`` or as a decorator.
+    Inside it, :func:`w1_distance` and :func:`wp_distance` reuse a reduced
+    LP (see ``_plans``) solved with the same cost, source and target bytes
+    by an earlier call, or ahead by ``_prefetch_w1``, which also hands each
+    W1 call its result, certified as array operations over the batch. A
+    nested entry joins the outer scope; the LPs and results are dropped when
+    the outermost scope exits. Usable as ``with solve_once():`` or as a
+    decorator.
     """
     if _SOLVED.get() is not None:
         yield
@@ -746,90 +764,152 @@ def _solve(lps: Sequence) -> list:
     return [memo[key] for key in keys]
 
 
-def _reduce(problems: Sequence) -> list:
-    """Orient and reduce each transport problem ``(space, mu1, mu2, cost,
-    excess)`` of ``problems``, and solve all their reduced LPs in one
-    ``_solve`` call, so in block-diagonal LPs.
+# K problems of one size n at ``where`` in _plans's list: costs, weights as
+# given (mu1, mu2) and oriented (a, b; ``swapped`` if a is mu2), flags ``equal``,
+# ``balanced``, plans of (a, b) at cost ``value``, LP column duals ``beta`` (-inf
+# off its columns). K·n² <= _STACK_ELEMENTS unless K = 1: 512 KB stacks stay cached.
+_Plans = namedtuple("_Plans", "where cost mu1 mu2 swapped a b equal balanced plan beta value")
+_STACK_ELEMENTS = 1 << 16
 
-    The pair is oriented canonically (the weight vector whose bytes sort
-    first is the source ``a``), so swapping the measures gives the same
-    plan. With ``excess`` the shared mass ``stay = min(a, b)`` stays on the
-    diagonal, which is optimal when ``cost`` satisfies the triangle
-    inequality (W1 on a metric); otherwise ``stay`` is zero. The LP then
-    moves the rest, ``a - stay`` to ``b - stay``, over the supports
-    ``rows`` and ``cols`` of those two vectors only, each divided by its
-    mass, ``sa`` or ``sb`` (excess entries can sit near HiGHS's 1e-10
-    feasibility tolerance).
 
-    Returns per problem ``None`` for bit-equal weights, else ``[swapped, a,
-    b, stay, rows, cols, sa, sb, solved]``, with ``solved`` the LP's plan
-    and column duals, or ``None`` when the excess lies on one side only (a
-    mass imbalance below ProbMeasure's 1e-12 sum tolerance) and no LP runs.
+def _pieces(x: np.ndarray, sizes: np.ndarray) -> list:
+    """``x`` cut into consecutive pieces of the given sizes, as views (np.split is slower)."""
+    ends = np.cumsum(sizes).tolist()
+    return [x[end - size : end] for end, size in zip(ends, sizes.tolist())]
+
+
+def _plans(pairs: Sequence, p: float = 1.0):
+    """Optimal plans of the transport problems ``(space, mu1, mu2)`` of
+    ``pairs`` under the cost ``space.dist ** p``, as ``_Plans`` stacks made
+    one at a time. The weights whose bytes sort first are the source ``a``,
+    so swapping the measures gives the same plan. For p = 1 the shared mass
+    ``stay = min(a, b)`` stays on the diagonal, which is optimal when the
+    cost satisfies the triangle inequality (W1 on a metric); otherwise
+    ``stay`` is zero. An LP moves the rest over the supports ``rows`` and
+    ``cols`` of ``a - stay`` and ``b - stay``, each divided by its mass
+    ``sa`` or ``sb`` (excess entries can sit near HiGHS's 1e-10 feasibility
+    tolerance); one ``_solve`` call solves all LPs in the order of
+    ``pairs``. Bit-equal weights, and an excess on one side only (a mass
+    imbalance below ProbMeasure's 1e-12 sum tolerance), need no LP. The
+    plan is ``diag(stay)`` plus the LP's plan times the mean excess mass,
+    in one scatter (``rows`` and ``cols`` are disjoint), clamped at zero
+    and refitted by ``_fit_marginals`` where it misses ``(a, b)`` by more
+    than 1e-13. Masses more than 1e-13 apart have no such coupling, so both
+    sides are fitted to their mean mass; the one-sided plan is then
+    ``diag((a + b)/2)``.
     """
-    reduced, todo, lps = [], [], []
-    for space, mu1, mu2, cost, excess in problems:
+    by_size: dict = {}
+    for i, (space, mu1, mu2) in enumerate(pairs):
         _check_measure_space(space, mu1, "mu1")
         _check_measure_space(space, mu2, "mu2")
-        if np.array_equal(mu1.weights, mu2.weights):
-            reduced.append(None)
-            continue
-        swapped = mu1.weights.tobytes() > mu2.weights.tobytes()
-        a, b = (mu2.weights, mu1.weights) if swapped else (mu1.weights, mu2.weights)
-        stay = np.minimum(a, b) if excess else np.zeros(a.size)
+        by_size.setdefault(space.n, []).append(i)
+    chunks, groups, lps = [], [], {}
+    for n, idx in by_size.items():
+        step = max(1, _STACK_ELEMENTS // (n * n))
+        chunks += [idx[k : k + step] for k in range(0, len(idx), step)]
+    for where in chunks:
+        cost = np.stack([pairs[i][0].dist for i in where]) ** p
+        mu1, mu2 = (np.stack([pairs[i][j].weights for i in where]) for j in (1, 2))
+        swapped = np.array([pairs[i][1].weights.tobytes() > pairs[i][2].weights.tobytes()
+                            for i in where])
+        a, b = np.where(swapped[:, None], mu2, mu1), np.where(swapped[:, None], mu1, mu2)
+        equal = (mu1 == mu2).all(axis=1)
+        stay = np.minimum(a, b) if p == 1.0 else np.zeros_like(a)
         da, db = a - stay, b - stay
-        rows, cols = np.flatnonzero(da), np.flatnonzero(db)
-        src, dst = da[rows], db[cols]
-        sa, sb = float(src.sum()), float(dst.sum())
-        reduced.append([swapped, a, b, stay, rows, cols, sa, sb, None])
-        if rows.size and cols.size:
-            todo.append(reduced[-1])
-            lps.append((cost[np.ix_(rows, cols)], src / sa, dst / sb))
-    for entry, solved in zip(todo, _solve(lps)):
-        entry[-1] = solved
-    return reduced
+        rows, cols = da != 0.0, db != 0.0
+        # the masses sum each compacted excess as one array does, bit for bit
+        sa, sb = (np.array([float(v.sum()) for v in _pieces(d[s], s.sum(axis=1))])
+                  for d, s in ((da, rows), (db, cols)))
+        lp = rows.any(axis=1) & cols.any(axis=1) & ~equal
+        rows, cols = rows & lp[:, None], cols & lp[:, None]
+        m, q = rows.sum(axis=1), cols.sum(axis=1)
+        src, dst = _pieces(da[rows] / np.repeat(sa, m), m), _pieces(db[cols] / np.repeat(sb, q), q)
+        sub = _pieces(cost[rows[:, :, None] & cols[:, None, :]], m * q)
+        lps.update((where[k], (sub[k].reshape(m[k], q[k]), src[k], dst[k])) for k in np.flatnonzero(lp))
+        groups.append((where, mu1, mu2, swapped, a, b, equal, stay, rows, cols, sa, sb, lp))
+    order = sorted(lps)
+    solved = dict(zip(order, _solve([lps[i] for i in order])))
+    for where, mu1, mu2, swapped, a, b, equal, stay, rows, cols, sa, sb, lp in groups:
+        K, n = a.shape
+        cost = np.stack([pairs[i][0].dist for i in where]) ** p
+        block = rows[:, :, None] & cols[:, None, :]
+        balanced = np.abs(sa - sb) <= 1e-13  # the masses differ as their excesses do
+        plan = np.zeros((K, n, n))
+        plan[:, np.arange(n), np.arange(n)] = np.where((lp | balanced)[:, None], stay, 0.5 * (a + b))
+        got = [(np.empty(0), np.empty(0))] + [solved[where[k]] for k in np.flatnonzero(lp)]
+        scale = np.repeat(0.5 * (sa + sb), block.sum(axis=(1, 2)))
+        plan[block] += scale * np.concatenate([x.ravel() for x, _ in got])
+        beta = np.where(lp[:, None], -np.inf, np.zeros((K, n)))
+        beta[cols] = np.concatenate([duals for _, duals in got])
+        plan[plan < 0.0] = 0.0
+        ma, mb = a.sum(axis=1), b.sum(axis=1)
+        ta, tb = (x * np.where(balanced, 1.0, 0.5 * (ma + mb) / mx)[:, None]
+                  for x, mx in ((a, ma), (b, mb)))
+        for k in np.flatnonzero(lp & ~(_marginal_residuals(plan, ta, tb) <= 1e-13)):
+            plan[k] = _fit_marginals(plan[k], ta[k], tb[k])
+        value = np.where(equal, 0.0, (plan * cost).reshape(K, -1).sum(axis=1))
+        yield _Plans(where, cost, mu1, mu2, swapped, a, b, equal, balanced, plan, beta, value)
 
 
-def _plan(reduced) -> tuple:
-    """``(plan, beta, balanced)`` of a reduction of ``_reduce``: the LP's
-    plan scaled back by the mean excess mass, added to ``diag(stay)`` and
-    refitted to ``(a, b)`` (just ``diag(stay)`` with no LP), its column
-    duals (``-inf`` off its columns; zero with no LP), and whether the
-    masses agree within 1e-13.
+def _certified(cls, **fields):
+    """A ``cls`` holding ``fields``, made without the constructor's checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
-    Masses that differ by more than 1e-13 (ProbMeasure admits sums 1e-12
-    off 1) have no coupling within the refit's tolerance, so each side is
-    fitted to their mean mass instead: the LP's plan is refitted to ``a``
-    and ``b`` rescaled to it, and the one-sided plan is ``diag((a + b)/2)``.
+
+def _w1_results(pairs: Sequence) -> list:
+    """The :class:`W1Result` of ``w1_distance(*pair)`` for each pair of
+    ``pairs``, each ``_Plans`` stack passing the checks of :class:`Coupling`
+    (unit mass, failed by a non-finite plan), :meth:`Coupling.check_marginals`
+    and :meth:`TransportCertificate.validate`, with their tolerances, as
+    array operations. The potential is the c-transform of the LP's column
+    duals over its columns (-inf elsewhere): a min of 1-Lipschitz functions
+    (triangle inequality) whose dual value dominates the reduced LP's dual
+    optimum, as ``a - b`` is the difference of the two excesses.
     """
-    _, a, b, stay, rows, cols, sa, sb, solved = reduced
-    balanced = abs(sa - sb) <= 1e-13  # the masses differ as their excesses do
-    if solved is None:
-        return np.diag(stay if balanced else 0.5 * (a + b)), np.zeros(a.size), balanced
-    plan = np.diag(stay)
-    plan[np.ix_(rows, cols)] += (0.5 * (sa + sb)) * solved[0]
-    beta = np.full(a.size, -np.inf)
-    beta[cols] = solved[1]
-    if balanced:
-        return _fit_marginals(plan, a, b), beta, True
-    ma, mb = float(a.sum()), float(b.sum())
-    mean = 0.5 * (ma + mb)
-    return _fit_marginals(plan, a * (mean / ma), b * (mean / mb)), beta, False
+    results = [None] * len(pairs)
+    for g in _plans(pairs):
+        f = (g.cost - g.beta[:, None, :]).min(axis=2)
+        f[g.equal] = 0.0
+        for k in np.flatnonzero(~g.balanced):
+            # masses that differ make f @ (a - b) depend on f's free constant:
+            # centre f on a + b, so the imbalance adds nothing to first order
+            w = g.a[k] + g.b[k]
+            f[k] -= float(f[k] @ w) / float(w.sum())
+        gap = g.value - np.array([float(fk @ dk) for fk, dk in zip(f, g.a - g.b)])
+        gap[(gap < 0.0) & (gap >= -EXACT_TOL)] = 0.0
+        _refuse(gap < 0.0, gap, "negative duality gap {:.3e}")
+        f[g.swapped] *= -1.0
+        total = g.plan.sum(axis=(1, 2))
+        _refuse(~(np.abs(total - 1.0) <= EXACT_TOL), total,
+                f"coupling mass must be 1 within {EXACT_TOL:.0e}; got {{!r}}", InputError)
+        _validate(f, g.cost, g.value, gap, g.mu1, g.mu2)
+        oriented = np.where(g.swapped[:, None, None], g.plan.transpose(0, 2, 1), g.plan)
+        res = _marginal_residuals(oriented, g.mu1, g.mu2)
+        _refuse(~(res <= EXACT_TOL), res, "coupling marginals off by {:.3e}")
+        g.plan.setflags(write=False)
+        f.setflags(write=False)
+        for k, i in enumerate(g.where):
+            q, value = g.plan[k].T if g.swapped[k] else g.plan[k], float(g.value[k])
+            cert = _certified(TransportCertificate, primal_value=value, dual_potential=f[k],
+                              gap=float(gap[k]))
+            results[i] = W1Result(value, _certified(Coupling, matrix=q), cert)
+    return results
 
 
 def _prefetch_w1(pairs: Sequence) -> None:
-    """Reduce and solve ahead, in the current :func:`solve_once` scope, the
-    problem of ``w1_distance(space, mu1, mu2)`` for each ``(space, mu1,
-    mu2)`` of ``pairs``: ``_reduce`` solves their LPs together, and each
-    reduction is handed to the one ``w1_distance`` call with those three
-    objects, which still certifies its result. Any other call (a pair asked
-    twice, or equal measures in other objects) reduces its pair again and
-    finds its LP in the scope's memo.
+    """Compute ahead, in the current :func:`solve_once` scope, the result of
+    ``w1_distance(space, mu1, mu2)`` for each ``(space, mu1, mu2)`` of
+    ``pairs`` as one ``_w1_results`` batch, and hand each to the one call
+    with those three objects. Any other call (a pair asked twice, or equal
+    measures in other objects) computes its result again, as a batch of
+    one, and finds its LP in the scope's memo.
     """
     handed = _HANDED.get()
     if handed is None:
         raise InternalInvariantError("_prefetch_w1 needs an open solve_once() scope")
-    reduced = _reduce([(space, mu1, mu2, space.dist, True) for space, mu1, mu2 in pairs])
-    handed.update(zip(map(tuple, pairs), reduced))
+    handed.update(zip(map(tuple, pairs), _w1_results(pairs)))
 
 
 def w1_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure) -> W1Result:
@@ -841,12 +921,12 @@ def w1_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure) ->
 
     Symmetry is exact: the argument pair is canonically oriented internally
     (byte order of the weight vectors), so swapping the measures returns
-    bit-identical values. Bit-equal measures short-circuit to value 0 with
-    the diagonal coupling.
+    bit-identical values. Bit-equal measures give value 0 with the
+    diagonal coupling.
 
     Only the excess mass moves: the mass the two measures share stays in
     place, and the LP runs between the supports of the excesses (see
-    ``_reduce``). That is optimal when ``space.dist`` satisfies the
+    ``_plans``). That is optimal when ``space.dist`` satisfies the
     triangle inequality, which :class:`FiniteMetricSpace` does not check.
     On a space that breaks it the result is either the value of the full
     transport LP, certified as always, or a :class:`CertificateError`
@@ -854,41 +934,7 @@ def w1_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure) ->
     potential closes its gap).
     """
     handed, key = _HANDED.get() or {}, (space, mu1, mu2)
-    [reduced] = [handed.pop(key)] if key in handed else _reduce([(*key, space.dist, True)])
-    if reduced is None:
-        cert = TransportCertificate(0.0, np.zeros(space.n), 0.0)
-        return W1Result(0.0, Coupling.diagonal(mu1), cert)
-    swapped, a, b = reduced[:3]
-    plan, beta, balanced = _plan(reduced)
-    value = float(np.sum(plan * space.dist))
-
-    # Kantorovich potential by c-transform of the column duals over the LP's
-    # columns (beta = -inf elsewhere): f is a min of 1-Lipschitz functions
-    # of the first index (triangle inequality), hence 1-Lipschitz, and as
-    # a - b is the difference of the two excesses, its dual value dominates
-    # the reduced LP's dual optimum.
-    f = (space.dist - beta[None, :]).min(axis=1)
-    if not balanced:
-        # with masses that differ, f @ (a - b) depends on f's free constant:
-        # centre f on a + b, so the imbalance adds nothing to first order
-        f = f - float(f @ (a + b)) / float((a + b).sum())
-    dual = float(f @ (a - b))
-    gap = value - dual
-    if -EXACT_TOL <= gap < 0.0:
-        gap = 0.0
-    if gap < 0.0:
-        raise CertificateError(f"negative duality gap {gap:.3e}")
-    if swapped:
-        f = -f
-        coupling = Coupling(plan.T)
-    else:
-        coupling = Coupling(plan)
-    cert = TransportCertificate(value, f, gap)
-    cert.validate(space, mu1, mu2)
-    ok, res = coupling.check_marginals(mu1, mu2)
-    if not ok:
-        raise CertificateError(f"coupling marginals off by {res:.3e}")
-    return W1Result(value, coupling, cert)
+    return handed.pop(key) if key in handed else _w1_results([key])[0]
 
 
 def wp_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure, p: float) -> float:
@@ -904,12 +950,7 @@ def wp_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure, p:
         raise InputError(f"p must be a finite real, got {p!r}")
     if p < 1.0:
         raise InputError(f"wp_distance requires p >= 1, got {p}")
-    cost = space.dist if p == 1.0 else space.dist**p
-    [reduced] = _reduce([(space, mu1, mu2, cost, p == 1.0)])
-    if reduced is None:
-        return 0.0
-    plan = _plan(reduced)[0]
-    total = float(np.sum(plan * cost))
+    total = float(next(_plans([(space, mu1, mu2)], p)).value[0])
     return total if p == 1.0 else total ** (1.0 / p)
 
 

@@ -176,16 +176,35 @@ def test_generate_two_point_explicit_C(tmp_path, capsys):
     ["verify", "{flow}", "--json", "{missing}"],
     ["distance", "{flow}", "{flow}", "--out", "{missing}"],
     ["report", "{flow}", "--quantity", "var-curve", "--csv", "{missing}"],
+    ["distance", "{flow}", "{flow}", "{flow}", "{flow}"],
+    ["verify", "{list_doc}"],
+    ["report", "{bad_key_doc}", "--quantity", "var-curve", "--csv", "{out}"],
+    ["report", "{flow}", "--quantity", "var-curve", "--basepoint", "first", "--csv", "{out}"],
+    ["report", "{flow}", "--quantity", "var-curve", "--basepoint", "2", "--csv", "{out}"],
+    ["distance", "{flow}", "{flow}", "--J", "0,later"],
+    ["distance", "{flow}", "{flow}", "--relation", "{missing}"],
+    ["report", "{flow}", "--quantity", "b-function", "--eps-grid", "2:3:0.5", "--csv", "{out}"],
+    ["report", "{flow}", "--quantity", "dW1-curve", "--x1", "2", "--csv", "{out}"],
 ], ids=["eps-step-0", "eps-step-nan", "eps-start-nan", "eps-stop-inf", "eps-1e12-samples",
         "gaussian-L-inf", "seeds-negative", "seed-negative", "H-nan", "H-not-a-number",
         "static-rate-negative", "static-rate-0", "static-rate-nan", "static-edge-inf",
         "two-point-C-not-a-number", "generate-out-missing-dir", "verify-json-missing-dir",
-        "distance-out-missing-dir", "report-csv-missing-dir"])
+        "distance-out-missing-dir", "report-csv-missing-dir", "distance-four-files",
+        "document-not-an-object", "kernel-pair-key-not-integers", "basepoint-not-an-index",
+        "basepoint-out-of-range", "J-not-times", "relation-unreadable", "eps-grid-selects-none",
+        "x1-out-of-range"])
 def test_bad_arguments_exit_2(tp4, tmp_path, capsys, argv):
-    """A bad parameter, or an output path in a missing directory, exits 2
-    with ``error: `` before any work: nothing on stdout, nothing written."""
+    """A bad parameter or document, or an output path in a missing
+    directory, exits 2 with ``error: `` before any work: nothing on stdout,
+    nothing written."""
     missing = tmp_path / "missing" / "out"
-    argv = [a.format(flow=tp4, out=tmp_path / "out", missing=missing) for a in argv]
+    list_doc, bad_key_doc = tmp_path / "list.json", tmp_path / "bad-key.json"
+    list_doc.write_text("[]")
+    doc = json.loads(Path(tp4).read_text())
+    doc["kernels"] = {"mode": "full", "pairs": {"0:a": [[1.0, 0.0], [0.0, 1.0]]}}
+    bad_key_doc.write_text(json.dumps(doc))
+    argv = [a.format(flow=tp4, out=tmp_path / "out", missing=missing, list_doc=list_doc,
+                     bad_key_doc=bad_key_doc) for a in argv]
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2 and err.startswith("error: ") and "Traceback" not in err and out == ""
     assert not (tmp_path / "out").exists() and not missing.parent.exists()

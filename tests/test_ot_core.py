@@ -6,6 +6,7 @@ import concurrent.futures
 import math
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -731,6 +732,322 @@ def test_failed_block_leaves_its_lps_to_single_solves(monkeypatch):
         assert res.value == one.value
         assert np.array_equal(res.coupling.matrix, one.coupling.matrix)
         assert np.array_equal(res.certificate.dual_potential, one.certificate.dual_potential)
+
+
+def _corner_pairs(rng) -> list:
+    """``_mixed_w1_pairs`` plus the batch's corner cases, each pair in both
+    orientations: sums 1e-12 apart (unbalanced masses), an excess on one
+    side only, and bit-equal weights in two objects."""
+    pairs = _mixed_w1_pairs(rng)
+    for n in (3, 6):
+        space = random_space(rng, n)
+        a, b = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        a[a.argmax()] -= 5e-13
+        b[b.argmax()] += 5e-13
+        one_sided = a.copy()
+        one_sided[0] += 1e-13
+        mu = ProbMeasure(a)
+        pairs += [(space, mu, ProbMeasure(b)), (space, mu, ProbMeasure(one_sided)),
+                  (space, mu, ProbMeasure(a))]
+    return pairs + [(space, nu, mu) for space, mu, nu in pairs]
+
+
+def _reference_w1(space, mu1, mu2) -> tuple:
+    """``(value, coupling, potential, gap)`` of W1 computed one pair at a
+    time, with no stacks, as each call did before W1 was certified in
+    batches; its LP comes from the ``solve_once`` scope's memo."""
+    a, b = mu1.weights, mu2.weights
+    if np.array_equal(a, b):
+        return 0.0, np.diag(a), np.zeros(a.size), 0.0
+    swapped = a.tobytes() > b.tobytes()
+    if swapped:
+        a, b = b, a
+    stay = np.minimum(a, b)
+    rows, cols = np.flatnonzero(a - stay), np.flatnonzero(b - stay)
+    src, dst = (a - stay)[rows], (b - stay)[cols]
+    sa, sb = float(src.sum()), float(dst.sum())
+    balanced = abs(sa - sb) <= 1e-13
+    if rows.size and cols.size:
+        [(x, duals)] = ot_core._solve([(space.dist[np.ix_(rows, cols)], src / sa, dst / sb)])
+        plan = np.diag(stay)
+        plan[np.ix_(rows, cols)] += (0.5 * (sa + sb)) * x
+        beta = np.full(a.size, -np.inf)
+        beta[cols] = duals
+        ma, mb = float(a.sum()), float(b.sum())
+        mean = 0.5 * (ma + mb)
+        fit = (a, b) if balanced else (a * (mean / ma), b * (mean / mb))
+        plan = ot_core._fit_marginals(plan, *fit)
+    else:
+        plan, beta = np.diag(stay if balanced else 0.5 * (a + b)), np.zeros(a.size)
+    value = float(np.sum(plan * space.dist))
+    f = (space.dist - beta[None, :]).min(axis=1)
+    if not balanced:
+        f = f - float(f @ (a + b)) / float((a + b).sum())
+    gap = value - float(f @ (a - b))
+    if -1e-12 <= gap < 0.0:
+        gap = 0.0
+    return value, plan.T if swapped else plan, -f if swapped else f, gap
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_batch_equals_batch_of_one_bit_for_bit(seed):
+    """A prefetched W1, the same W1 computed alone as a batch of one
+    (another object with the same weights), and the one-pair reference
+    computation agree bit for bit in value, coupling, potential and gap,
+    all from the same LP solutions in the scope's memo; swapping the
+    measures transposes the coupling and negates the potential; and W_p at
+    p = 1 is the same value."""
+    pairs = _corner_pairs(np.random.default_rng(seed))
+    with mf.solve_once():
+        ot_core._prefetch_w1(pairs)
+        batched = [mf.w1_distance(*pair) for pair in pairs]
+        alone = [mf.w1_distance(space, ProbMeasure(mu.weights), nu) for space, mu, nu in pairs]
+        reference = [_reference_w1(*pair) for pair in pairs]
+        wp = [mf.wp_distance(*pair, 1) for pair in pairs]
+    for res, one, (value, coupling, potential, gap), w in zip(batched, alone, reference, wp):
+        for r in (res, one):
+            assert r.value == value == w and r.certificate.gap == gap
+            assert np.array_equal(r.coupling.matrix, coupling)
+            assert np.array_equal(r.certificate.dual_potential, potential)
+    half = len(pairs) // 2
+    for res, swapped in zip(batched[:half], batched[half:]):
+        assert res.value == swapped.value
+        assert np.array_equal(res.coupling.matrix, swapped.coupling.matrix.T)
+        assert np.array_equal(res.certificate.dual_potential, -swapped.certificate.dual_potential)
+
+
+def test_small_stacks_certify_as_one_stack_per_size(monkeypatch):
+    """Stacks cut to a few entries (``_STACK_ELEMENTS``) certify every W1
+    bit for bit as one stack per space size does, from the same LPs, asked
+    for in one ``_solve`` call in the same order."""
+    pairs = _corner_pairs(np.random.default_rng(83))
+    asked, real = [], ot_core._solve
+    monkeypatch.setattr(ot_core, "_solve",
+                        lambda lps: asked.append([ot_core._lp_key(*lp) for lp in lps]) or real(lps))
+    whole = ot_core._w1_results(pairs)
+    monkeypatch.setattr(ot_core, "_STACK_ELEMENTS", 30)
+    cut = ot_core._w1_results(pairs)
+    assert len(asked) == 2 and asked[0] == asked[1]
+    for res, one in zip(whole, cut):
+        assert res.value == one.value and res.certificate.gap == one.certificate.gap
+        assert np.array_equal(res.coupling.matrix, one.coupling.matrix)
+        assert np.array_equal(res.certificate.dual_potential, one.certificate.dual_potential)
+
+
+def _valid_batch(rng, entry, n=3) -> list:
+    """Eight W1 problems on random n-point spaces, with ``entry`` fifth."""
+    pairs = []
+    for _ in range(8):
+        pairs.append((random_space(rng, n), random_measure(rng, n), random_measure(rng, n)))
+    pairs.insert(4, entry)
+    return pairs
+
+
+def _non_metric(dist, mu, nu):
+    return (FiniteMetricSpace((0, 1, 2), np.array(dist, dtype=float)),
+            ProbMeasure(np.array(mu, dtype=float)), ProbMeasure(np.array(nu, dtype=float)))
+
+
+def _corrupt_largest_lp(monkeypatch, corrupt):
+    """Make ``_solve`` hand back ``corrupt(cost, a, b, plan)`` as the plan
+    of the largest LP it is asked for."""
+    real = ot_core._solve
+
+    def solve(lps):
+        solved = real(lps)
+        k = max(range(len(lps)), key=lambda i: lps[i][0].size)
+        solved[k] = (corrupt(*lps[k], solved[k][0]), solved[k][1])
+        return solved
+
+    monkeypatch.setattr(ot_core, "_solve", solve)
+
+
+def _corrupt_plans(monkeypatch, position, corrupt):
+    """Make ``_plans`` hand on its stacks after ``corrupt(stack, k)`` for the
+    problem at ``position``, entry k of its stack."""
+    real = ot_core._plans
+
+    def plans(pairs, p=1.0):
+        for g in real(pairs, p):
+            if position in g.where:
+                corrupt(g, g.where.index(position))
+            yield g
+
+    monkeypatch.setattr(ot_core, "_plans", plans)
+
+
+def _flip_orientation(monkeypatch, position):
+    """The opposite orientation for the problem at ``position``, reported
+    after its plan and its gap's dual are fixed."""
+
+    def flip(g, k):
+        g.swapped[k] = not g.swapped[k]
+
+    _corrupt_plans(monkeypatch, position, flip)
+
+
+def _negative_gap(rng, monkeypatch):
+    # d(1, 2) = 5 > d(1, 0) + d(0, 2): the c-transform's dual exceeds the cost
+    return _valid_batch(rng, _non_metric([[0, 1, 1], [1, 0, 5], [1, 5, 0]], [0, 0, 1], [.5, .5, 0]))
+
+
+def _lipschitz(rng, monkeypatch):
+    # d(0, 2) = 10 > d(0, 1) + d(1, 2): the potential varies by 9 across d(1, 2) = 1
+    return _valid_batch(rng, _non_metric([[0, 1, 10], [1, 0, 1], [10, 1, 0]], [.5, .5, 0], [0, .5, .5]))
+
+
+def _gap_consistency(rng, monkeypatch):
+    _flip_orientation(monkeypatch, 4)
+    return _valid_batch(rng, (random_space(rng, 3), ProbMeasure.delta(0, 3), ProbMeasure.uniform(3)))
+
+
+def _gap_range(rng, monkeypatch):
+    # the costliest coupling instead of the cheapest
+    _corrupt_largest_lp(monkeypatch, lambda cost, a, b, plan: _transport_lp(-cost, a, b)[0])
+    mu, nu = np.zeros(6), np.zeros(6)
+    mu[:3], nu[3:] = rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(3))
+    return _valid_batch(rng, (random_space(rng, 6), ProbMeasure(mu), ProbMeasure(nu)), n=6)
+
+
+def _marginals(rng, monkeypatch):
+    # W1 about 1e-10: the flipped potential's dual stays within the 1e-9
+    # consistency budget, and only the coupling's marginals show the flip
+    _flip_orientation(monkeypatch, 4)
+    mu = random_measure(rng, 3)
+    near = mu.weights.copy()
+    near[0] += 1e-10
+    near[1] -= 1e-10
+    return _valid_batch(rng, (random_space(rng, 3), mu, ProbMeasure(near)))
+
+
+def _nan_plan(cost, a, b, plan):
+    plan = plan.copy()
+    plan[0, 0] = np.nan
+    return plan
+
+
+def _unit_mass(rng, monkeypatch):
+    def scale(g, k):
+        g.plan[k] *= 1.0 + 1e-9
+
+    _corrupt_plans(monkeypatch, 4, scale)
+    return _valid_batch(rng, (random_space(rng, 3), ProbMeasure.delta(0, 3), ProbMeasure.uniform(3)))
+
+
+def _refit(rng, monkeypatch):
+    _corrupt_largest_lp(monkeypatch, _nan_plan)
+    return _valid_batch(rng, (random_space(rng, 3), ProbMeasure.delta(0, 3), ProbMeasure.uniform(3)))
+
+
+_MARK = 0.8125  # a distance no random space has
+
+
+def _linprog_check(rng, monkeypatch):
+    """A batch with one entry whose LP costs ``_MARK``, solved on a HiGHS
+    instance that returns x = -1 for every column of that cost: in the
+    block LP and in the entry's own LP after it."""
+    core, highs = ot_core._highs()
+
+    class Corrupted:
+        def __getattr__(self, name):
+            return getattr(highs, name)
+
+        def passModel(self, lp):
+            self.cost = np.array(lp.col_cost_)
+            return highs.passModel(lp)
+
+        def getSolution(self):
+            solution = highs.getSolution()
+            x = np.array(solution.col_value)
+            x[self.cost == _MARK] = -1.0
+            return types.SimpleNamespace(col_value=x, row_value=solution.row_value,
+                                         row_dual=solution.row_dual)
+
+    monkeypatch.setattr(ot_core, "_highs", lambda: (core, Corrupted()))
+    mu, nu = ProbMeasure.delta(0, 2), ProbMeasure.delta(1, 2)
+    return _valid_batch(rng, (two_point_space(_MARK), mu, nu))
+
+
+@pytest.mark.parametrize("fault, error, message", [
+    (_negative_gap, CertificateError, "negative duality gap"),
+    (_unit_mass, InputError, r"coupling mass must be 1 within 1e-12; got 1\.0000000"),
+    (_lipschitz, CertificateError, "dual potential not 1-Lipschitz"),
+    (_gap_consistency, CertificateError, "stored gap inconsistent with potential"),
+    (_gap_range, CertificateError, "duality gap .* outside certified range"),
+    (_marginals, CertificateError, "coupling marginals off by"),
+    (_refit, CertificateError, "could not refit coupling marginals"),
+    (_linprog_check, CertificateError, "transport LP failed: solution violates its constraints"),
+], ids=["negative-gap", "unit-mass", "lipschitz", "gap-consistency", "gap-range", "marginals",
+        "refit", "linprog-check"])
+def test_every_w1_refusal_fires_inside_a_batch(monkeypatch, fault, error, message):
+    """Each check of the W1 certificate refuses a batch of nine in which one
+    entry is faulty: a space that breaks the triangle inequality, a plan
+    scaled or an orientation flipped after the plan is built, a suboptimal
+    or NaN plan from the LP, or a HiGHS solution that violates its bounds."""
+    pairs = fault(np.random.default_rng(97), monkeypatch)
+    with pytest.raises(error, match=message), mf.solve_once():
+        ot_core._prefetch_w1(pairs)
+
+
+def test_w1_refusal_in_a_flow_distance_exits_1(tmp_path, monkeypatch, capsys):
+    """A W1 of a flow distance's cost matrix that fails its certificate
+    makes ``distance`` report the failed check and exit 1."""
+    from metricflow.cli import main
+
+    paths = []
+    for rate in (0.8, 1.3):
+        paths.append(str(tmp_path / f"static-{rate}.json"))
+        assert main(["generate", "static", "--m", "4", "--steps", "2", "--rate", str(rate),
+                     "--out", paths[-1]]) == 0
+    capsys.readouterr()
+    _corrupt_largest_lp(monkeypatch, _nan_plan)
+    assert main(["distance", *paths, "--e-mode", "empty"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("check failed: could not refit coupling marginals")
+
+
+def test_w1_batches_certify_without_per_entry_work(tmp_path, monkeypatch):
+    """The 2-file distance on 4-point, 5-time cycle walks makes 165 W1
+    calls, but ot_core refits, builds a ``Coupling`` through its
+    constructor or calls ``np.ix_`` at most once per prefetched batch: the
+    entries are certified as array operations. Certifying each W1 call on
+    its own ran each of these once per entry."""
+    from metricflow import correspondence
+    from metricflow.cli import main
+
+    paths = []
+    for rate in (0.8, 1.3):
+        paths.append(str(tmp_path / f"static-{rate}.json"))
+        assert main(["generate", "static", "--m", "4", "--steps", "4", "--rate", str(rate),
+                     "--out", paths[-1]]) == 0
+    counts = dict.fromkeys(("w1", "batches", "fit", "coupling", "ix_"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    post_init = Coupling.__post_init__
+
+    def coupling_post_init(self):
+        # frame 1 is the dataclass __init__, frame 2 the constructor's caller
+        if sys._getframe(2).f_globals["__name__"] == ot_core.__name__:
+            counts["coupling"] += 1
+        post_init(self)
+
+    numpy = types.ModuleType("numpy")
+    numpy.__dict__.update(np.__dict__)
+    numpy.ix_ = counted("ix_", np.ix_)
+    monkeypatch.setattr(ot_core, "np", numpy)
+    monkeypatch.setattr(ot_core, "_fit_marginals", counted("fit", ot_core._fit_marginals))
+    monkeypatch.setattr(Coupling, "__post_init__", coupling_post_init)
+    monkeypatch.setattr(correspondence, "w1_distance", counted("w1", mf.w1_distance))
+    monkeypatch.setattr(correspondence, "_prefetch_w1", counted("batches", ot_core._prefetch_w1))
+    assert main(["distance", *paths, "--e-mode", "empty", "--out", str(tmp_path / "d.json")]) == 0
+    assert counts["w1"] == 165 and 1 <= counts["batches"] <= 2
+    assert max(counts["fit"], counts["coupling"], counts["ix_"]) <= counts["batches"]
 
 
 def test_flow_distance_solves_its_w1_lps_in_blocks(tmp_path, monkeypatch):
