@@ -36,8 +36,9 @@ The comparison story, bottom to top:
   for all s <= t in the participating times outside E. For fixed E and t
   the optimal q_t solves a min-max transport LP (auxiliary variable r_t
   bounding every s-integral); E is then the empty set, an exhaustive search
-  (small grids), or a greedy heuristic (flagged). All reported values are
-  certified a posteriori from the couplings themselves.
+  (small grids), or a greedy heuristic (flagged). The report's couplings
+  and integrals are built once, for the chosen E, from the LPs the search
+  solved.
 
 * ``f_triangle_check`` — the triangle inequality for three pairs inside a
   combined correspondence, plus an explicit certificate for the outer pair
@@ -462,9 +463,10 @@ class FDistanceReport:
     ``value`` = max(sqrt(measure E), max_t r_t); ``r_by_time`` maps each
     participating non-exceptional grid index t to its certified coupling
     value r_t; ``per_pair_integrals`` maps (s_idx, t_idx) to the integral
-    of the s-cost against q_t. Invariants certified before return:
-    measure(E) <= value², every integral <= value + 1e-9, J disjoint from E,
-    and the s = t specialization W1(pushed top measures) <= value + 1e-9.
+    of the s-cost against q_t. E avoids J, measure(E) <= value² and every
+    integral <= r_t <= value hold by construction. Certified before return:
+    the s = t specialization W1(pushed top measures) <= value + 1e-9, from
+    W1 solves independent of the min-max LPs.
     """
 
     value: float
@@ -589,9 +591,13 @@ def f_distance_within(
 
     * ``"empty"``      — E = {} (always a valid upper bound);
     * ``"exhaustive"`` — all E of measure <= measure(I'')/2 (at most 12
-      participating times), pruned by sqrt(measure);
+      participating times), in increasing measure until sqrt(measure)
+      reaches the best value;
     * ``"greedy"``     — drop the worst time while it helps; flagged
       ``greedy`` since it may miss the optimum.
+
+    A candidate E costs its r_t only; the couplings (in the caller's
+    orientation) and per-pair integrals are built once, for the chosen E.
 
     Both orientations produce bit-identical values: the computation runs in
     a fingerprint-canonical order and swaps back afterwards. The fingerprint
@@ -643,13 +649,12 @@ def f_distance_within(
     solves: dict = {}
 
     def solve_time(t_idx: int, s_list: Sequence[int]) -> tuple:
-        """Min-max LP at one time: the coupling of the two basepoint
-        measures minimizing the largest s-integral. Returns ``(r_t,
-        coupling, integrals dict)`` with r_t re-certified from the
-        marginal-repaired coupling over all of ``s_list``. A cost row that
-        another row bounds entrywise is implied (q >= 0) and dropped, of equal
-        rows all but the first: HiGHS called LPs with such rows infeasible.
-        Each distinct LP is solved once; the E-search asks for many repeats."""
+        """Min-max LP at one time: the marginal-repaired coupling of the two
+        basepoint measures minimizing the largest s-integral over
+        ``s_list``, and its integrals keyed by s. A cost row that another
+        row bounds entrywise is implied (q >= 0) and dropped, of equal rows
+        all but the first: HiGHS called LPs with such rows infeasible. Each
+        distinct LP is solved once; the E-search asks for many repeats."""
         rows = np.array([costs[s, t_idx].ravel() for s in s_list])
         ge = (rows[None, :, :] >= rows[:, None, :]).all(axis=2)  # ge[i, j]: row j >= row i
         implied = (ge & (~ge.T | np.tri(len(rows), k=-1, dtype=bool))).any(axis=1)
@@ -677,92 +682,66 @@ def f_distance_within(
                 raise InternalInvariantError(f"min-max transport LP failed at t_idx={t_idx}: {res.message}")
             solves[key] = _fit_marginals(res.x[:nq].reshape(n1, n2), mu1.weights, mu2.weights)
         plan = solves[key]
-        integrals = {s: float(np.sum(costs[s, t_idx] * plan)) for s in s_list}
-        return max(integrals.values()), Coupling(matrix=plan), integrals
-
-    measure_total = c.grid.measure(idxs)
+        return plan, {s: float(np.sum(costs[s, t_idx] * plan)) for s in s_list}
 
     def evaluate(E: frozenset) -> tuple:
+        """``(value, measure(E), {t: r_t})`` over the times outside E; r_t is
+        the largest s-integral of the plan at t."""
         active = [t for t in idxs if t not in E]
         e_measure = c.grid.measure(E)
-        r_by_time, couplings, integrals = {}, {}, {}
-        worst = 0.0
-        for t in active:
-            s_list = [s for s in active if s <= t]
-            r_t, q, ints = solve_time(t, s_list)
-            r_by_time[t] = r_t
-            couplings[t] = q
-            for s, v in ints.items():
-                integrals[(s, t)] = v
-            worst = max(worst, r_t)
-        return max(math.sqrt(e_measure), worst), e_measure, r_by_time, couplings, integrals
+        r_by_time = {t: max(solve_time(t, active[: pos + 1])[1].values()) for pos, t in enumerate(active)}
+        return max([math.sqrt(e_measure), *r_by_time.values()]), e_measure, r_by_time
 
-    flags: list = []
-    if e_mode == "empty":
+    half = 0.5 * c.grid.measure(idxs) + EXACT_TOL
+    if e_mode == "greedy":
         best_E = frozenset()
         best = evaluate(best_E)
-    elif e_mode == "exhaustive":
-        free = [t for t in idxs if t not in J_idx]
-        candidates = []
-        for size in range(len(free) + 1):
-            for combo in itertools.combinations(free, size):
-                m = c.grid.measure(combo)
-                if m <= 0.5 * measure_total + EXACT_TOL:
-                    candidates.append((m, combo))
-        candidates.sort(key=lambda c_: (c_[0], c_[1]))
-        best, best_E = None, None
-        for m, combo in candidates:
-            if best is not None and math.sqrt(m) >= best[0]:
-                continue
+        while droppable := [t for t in idxs if t not in best_E and t not in J_idx]:
+            worst_t = max(droppable, key=best[2].__getitem__)
+            if best[1] > 0.0 and best[2][worst_t] <= math.sqrt(best[1]):
+                break  # the sqrt(measure E) term already dominates the value
+            E_next = best_E | {worst_t}
+            if c.grid.measure(E_next) > half:
+                break
+            cand = evaluate(E_next)
+            if not cand[0] < best[0] - 1e-15:
+                break
+            best, best_E = cand, E_next
+    else:
+        # "empty" tries E = {} alone; candidates come in increasing measure,
+        # so once sqrt(measure) reaches the best value no later E can win
+        free = [t for t in idxs if t not in J_idx] if e_mode == "exhaustive" else []
+        best = None
+        for m, combo in sorted(
+            (c.grid.measure(combo), combo)
+            for size in range(len(free) + 1)
+            for combo in itertools.combinations(free, size)
+        ):
+            if m > half or (best is not None and math.sqrt(m) >= best[0]):
+                break
             cand = evaluate(frozenset(combo))
             if best is None or cand[0] < best[0]:
                 best, best_E = cand, frozenset(combo)
-    else:
-        flags.append("greedy")
-        best_E = frozenset()
-        best = evaluate(best_E)
-        while True:
-            droppable = [t for t in idxs if t not in best_E and t not in J_idx]
-            if not droppable:
-                break
-            r_map = best[2]
-            worst_t = max(droppable, key=lambda t: r_map.get(t, 0.0))
-            if best[1] > 0.0 and r_map.get(worst_t, 0.0) <= math.sqrt(best[1]):
-                break  # the sqrt(measure E) term already dominates the value
-            E_next = best_E | {worst_t}
-            m_next = c.grid.measure(E_next)
-            if m_next > 0.5 * measure_total + EXACT_TOL:
-                break
-            cand = evaluate(E_next)
-            if cand[0] < best[0] - 1e-15:
-                best, best_E = cand, E_next
-            else:
-                break
 
-    value, e_measure, r_by_time, couplings, integrals = best
-    if swapped:
-        couplings = {t: Coupling(matrix=np.ascontiguousarray(q.matrix.T)) for t, q in couplings.items()}
+    # the report, for the chosen E only: E avoids J, measure(E) <= value²
+    # and every integral <= r_t <= value hold by construction
+    value, e_measure, r_by_time = best
+    active = list(r_by_time)
+    integrals, couplings = {}, {}
+    for pos, t in enumerate(active):
+        plan, ints = solve_time(t, active[: pos + 1])
+        integrals.update(((s, t), v) for s, v in ints.items())
+        couplings[t] = Coupling(matrix=np.ascontiguousarray(plan.T) if swapped else plan)
 
-    # certify the report invariants
-    if set(best_E) & set(J_idx):
-        raise InternalInvariantError("exceptional set intersects the protected times J")
-    if e_measure > value * value + 1e-12:
-        raise CertificateError(
-            f"exceptional measure {e_measure:.6g} exceeds value² = {value * value:.6g}"
-        )
-    for (s, t), v in integrals.items():
-        if v > value + 1e-9:
-            raise CertificateError(
-                f"integral at (s,t)=({s},{t}) is {v:.12g} > value {value:.12g} + 1e-9"
-            )
+    # the s = t specialization, from W1 solves independent of the min-max LPs
     tops = []
-    for t in r_by_time:
+    for t in active:
         glued = c.ambient_at(t)
         tops.append(
             (glued.ambient, glued.push(0, pair1.mu.measure_at(t)), glued.push(1, pair2.mu.measure_at(t)))
         )
     _prefetch_w1(tops)
-    for t, entry in zip(r_by_time, tops):
+    for t, entry in zip(active, tops):
         top = w1_distance(*entry).value
         if top > value + 1e-9:
             raise CertificateError(
@@ -775,9 +754,9 @@ def f_distance_within(
         E_measure=float(e_measure),
         r_by_time={int(t): float(r) for t, r in r_by_time.items()},
         per_pair_integrals={(int(s), int(t)): float(v) for (s, t), v in integrals.items()},
-        couplings={int(t): q for t, q in couplings.items()},
+        couplings=couplings,
         mode=e_mode,
-        flags=tuple(flags),
+        flags=("greedy",) if e_mode == "greedy" else (),
         J_indices=J_idx,
         swapped=swapped,
     )
