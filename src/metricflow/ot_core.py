@@ -419,7 +419,10 @@ class TransportCertificate:
     ``primal_value``  cost of the returned coupling,
     ``dual_potential`` a 1-Lipschitz potential f with
                        dual = sum f d(mu1 - mu2) <= primal (weak duality),
-    ``gap``            primal - dual, in [0, 1e-8·max(1, primal)].
+    ``gap``            primal - dual, in [0, 1e-8·max(1, largest cost)].
+
+    Both tolerances scale with max(1, largest cost) of the space, so a
+    certificate survives rescaling the metric.
     """
 
     primal_value: float
@@ -452,7 +455,7 @@ def _validate(f, dist, value, gap, w1, w2) -> None:
     _refuse(lip > EXACT_TOL * scale, lip, "dual potential not 1-Lipschitz (excess {:.3e})")
     drift = np.abs(value - (f * (w1 - w2)).sum(axis=1) - gap)
     _refuse(drift > 1e-9 * np.maximum(1.0, np.abs(value)), gap, "stored gap inconsistent with potential")
-    in_range = (gap >= 0.0) & (gap <= GAP_REL_TOL * np.maximum(1.0, value))
+    in_range = (gap >= 0.0) & (gap <= GAP_REL_TOL * scale)
     _refuse(~in_range, gap, "duality gap {:.3e} outside certified range")
 
 
@@ -878,7 +881,7 @@ def _w1_results(pairs: Sequence) -> list:
             w = g.a[k] + g.b[k]
             f[k] -= float(f[k] @ w) / float(w.sum())
         gap = g.value - np.array([float(fk @ dk) for fk, dk in zip(f, g.a - g.b)])
-        gap[(gap < 0.0) & (gap >= -EXACT_TOL)] = 0.0
+        gap[(gap < 0.0) & (gap >= -EXACT_TOL * np.maximum(1.0, g.cost.max(axis=(1, 2))))] = 0.0
         _refuse(gap < 0.0, gap, "negative duality gap {:.3e}")
         f[g.swapped] *= -1.0
         total = g.plan.sum(axis=(1, 2))
@@ -917,7 +920,10 @@ def w1_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure) ->
 
     Returns ``(value, coupling, certificate)``. The coupling attains the
     value; the certificate carries a 1-Lipschitz potential whose dual value
-    matches the primal up to a gap in [0, 1e-8·max(1, value)].
+    matches the primal up to a gap in [0, 1e-8·max(1, largest distance)]. A
+    negative gap down to -1e-12·max(1, largest distance) is float noise and
+    is certified as 0; every threshold scales with the space, so rescaling
+    the metric by λ scales the value by λ and keeps it certified.
 
     Symmetry is exact: the argument pair is canonically oriented internally
     (byte order of the weight vectors), so swapping the measures returns
