@@ -654,7 +654,9 @@ def f_distance_within(
         ``s_list``, and its integrals keyed by s. A cost row that another
         row bounds entrywise is implied (q >= 0) and dropped, of equal rows
         all but the first: HiGHS called LPs with such rows infeasible. Each
-        distinct LP is solved once; the E-search asks for many repeats."""
+        distinct LP is solved once; the E-search asks for many repeats. The
+        integrals, and so r_t, are certified from the plan with the
+        unscaled costs."""
         rows = np.array([costs[s, t_idx].ravel() for s in s_list])
         ge = (rows[None, :, :] >= rows[:, None, :]).all(axis=2)  # ge[i, j]: row j >= row i
         implied = (ge & (~ge.T | np.tri(len(rows), k=-1, dtype=bool))).any(axis=1)
@@ -665,8 +667,12 @@ def f_distance_within(
             nq = n1 * n2
             m = len(key[1])
             # variables (q, r): rows -inf <= <c_s, q> - r <= 0, then the
-            # marginals of q; the r column holds -1 in each of the m cost rows
-            indptr, indices, data = _coupling_columns(n1, n2, rows[~implied])
+            # marginals of q; the r column holds -1 in each of the m cost rows.
+            # The cost rows are divided by the power of two at or below their
+            # largest entry (exact), so HiGHS sees the same LP at every scale
+            kept = rows[~implied]
+            kept = np.ldexp(kept, 1 - math.frexp(float(kept.max()))[1])
+            indptr, indices, data = _coupling_columns(n1, n2, kept)
             b_eq = np.concatenate([mu1.weights, mu2.weights])
             cvec = np.zeros(nq + 1)
             cvec[nq] = 1.0
