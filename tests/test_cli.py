@@ -14,7 +14,7 @@ import pytest
 
 import metricflow as mf
 from metricflow import ProbMeasure, TimeGrid
-from metricflow.cli import main, save_flow
+from metricflow.cli import load_flow, main, save_flow
 
 from conftest import C_STAR, console_argv, two_point_space
 
@@ -569,6 +569,55 @@ def test_spiked_two_point_distances_never_fail_their_lps(tmp_path, capsys, n_tim
             assert rc == 0, (where, e_mode, err)
 
 
+def _rescaled(tmp_path, paths, lam: float) -> list:
+    """Copies of the flow documents ``paths`` under the parabolic rescaling
+    t -> lam² t, d -> lam d."""
+    out = []
+    for path in paths:
+        scaled = str(tmp_path / f"x{lam:g}-{Path(path).name}")
+        save_flow(mf.rescale_shift(load_flow(path), lam), scaled)
+        out.append(scaled)
+    return out
+
+
+def _distance_payload(tmp_path, capsys, files, e_mode) -> dict:
+    out_path = tmp_path / "d.json"
+    rc, _, err = run_cli(capsys, "distance", *files, "--e-mode", e_mode, "--out", str(out_path))
+    assert rc == 0, (files, e_mode, err)
+    return json.loads(out_path.read_text())
+
+
+@pytest.mark.parametrize("where", [(1, 2), (1, 4), (2, 4)])
+def test_rescaled_spiked_distance_scales_by_lambda(tmp_path, capsys, where):
+    """Rescaling both flows parabolically by lam scales the flow distance
+    by lam. Every run exits 0 with value / lam the unscaled value within
+    1e-12 relative and the same E: at lam = 300 and 1000 the W1 gap checks
+    and a value² check once refused these pairs, and at lam = 3 HiGHS once
+    gave up on a min-max LP."""
+    for seed in range(4):
+        files = _spiked_pair(tmp_path, 6, where, seed)
+        for e_mode in ("empty", "exhaustive"):
+            ref = _distance_payload(tmp_path, capsys, files, e_mode)
+            for lam in (3.0, 300.0, 1000.0):
+                got = _distance_payload(tmp_path, capsys, _rescaled(tmp_path, files, lam), e_mode)
+                assert got["value"] / lam == pytest.approx(ref["value"], rel=1e-12, abs=0.0)
+                assert got["E"]["indices"] == ref["E"]["indices"]
+
+
+def test_rescaled_triangle_scales_by_lambda(tmp_path, capsys):
+    """Three static 3-cycle walks rescaled by 10⁴: the triangle's W1 duality
+    gaps scale with the costs, and each distance scales by 10⁴."""
+    files = []
+    for i, rate in enumerate((0.7, 1.1, 1.6)):
+        files.append(str(tmp_path / f"c{i}.json"))
+        save_flow(mf.static_cycle_flow(3, rate, 1.0, TimeGrid((0.0, 0.4, 1.0))), files[-1])
+    ref = _distance_payload(tmp_path, capsys, files, "empty")
+    got = _distance_payload(tmp_path, capsys, _rescaled(tmp_path, files, 1e4), "empty")
+    assert got["holds"] and got["certificate_ok"]
+    for key in ("d12", "d23", "d13"):
+        assert got[key]["value"] / 1e4 == pytest.approx(ref[key]["value"], rel=1e-12, abs=0.0)
+
+
 def test_failed_minmax_lp_exits_1(tmp_path, capsys, monkeypatch):
     """A min-max LP that returns no solution raises InternalInvariantError,
     and ``distance`` reports the failed check and exits 1."""
@@ -586,6 +635,35 @@ def test_failed_minmax_lp_exits_1(tmp_path, capsys, monkeypatch):
     rc, out, err = run_cli(capsys, "distance", *files)
     assert rc == 1 and out == ""
     assert err.startswith("check failed: min-max transport LP failed") and "Infeasible" in err
+
+
+def test_inflated_top_measure_w1_exits_1(tmp_path, capsys, monkeypatch):
+    """The pushed top-measure W1 at each reported time is solved apart from
+    the min-max LPs: one inflated top value fails that certificate with a
+    CertificateError, and ``distance`` exits 1."""
+    grid = TimeGrid.uniform(0.0, 1.0, 2)
+    flows = [mf.two_point_flow(C_STAR, d, grid) for d in (1.0, 1.3)]
+    files = [str(tmp_path / "f0.json"), str(tmp_path / "f1.json")]
+    for f, path in zip(flows, files):
+        save_flow(f, path)
+    w1 = mf.correspondence.w1_distance
+    calls = []
+
+    def inflated(*args):
+        """The 3 x 4 cost entries come first, then the 3 top measures:
+        the last top value grows by 1."""
+        calls.append(1)
+        res = w1(*args)
+        return res._replace(value=res.value + 1.0) if len(calls) % 15 == 0 else res
+
+    monkeypatch.setattr(mf.correspondence, "w1_distance", inflated)
+    pairs = [mf.MetricFlowPair(f, mf.conj_backward(f, 1.0, ProbMeasure.uniform(2))) for f in flows]
+    c = mf.build_union_correspondence(*flows, [(0, 0), (1, 1)])
+    with pytest.raises(mf.CertificateError, match="pushed top-measure W1 at t_idx=2"):
+        mf.f_distance_within(c, *pairs)
+    rc, out, err = run_cli(capsys, "distance", *files)
+    assert rc == 1 and out == "" and len(calls) == 30
+    assert err.startswith("check failed: pushed top-measure W1 at t_idx=2")
 
 
 def _count_solves(monkeypatch, fail_at=None):

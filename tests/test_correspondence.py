@@ -473,6 +473,59 @@ def test_f_distance_greedy_is_flagged_and_weaker(spiked_corr):
     assert grd.value >= exh.value  # greedy may miss the best cut (here it does)
 
 
+def _spiked_three_times(spike: tuple):
+    """Three-time two-point flows 0.5 apart, flow2's slices at ``spike``
+    blown up to distance 4, in their union correspondence."""
+    grid = TimeGrid((0.0, 0.5, 1.0))
+    f1 = mf.two_point_flow(C_STAR, 1.0, grid)
+    kern = np.array([[0.9, 0.1], [0.1, 0.9]])
+    slices = tuple(two_point_space(4.0 if i in spike else 1.0) for i in range(3))
+    f2 = MetricFlow(grid, slices, adjacent_kernels=(kern, kern))
+    anchor = ProbMeasure.uniform(2)
+    return mf.build_union_correspondence(f1, f2, [(0, 0), (1, 1)]), tp_pair(f1, anchor), tp_pair(f2, anchor)
+
+
+@pytest.mark.parametrize("spike, J, measured, E", [
+    # no droppable time left once t = 2 is dropped: J protects the others
+    ((2,), (0, 1), [(), (2,), (2,)], (2,)),
+    # sqrt(measure {2}) = 0.5 already dominates r_1 = 0.4
+    ((2,), (), [(), (2,), (2,)], (2,)),
+    # dropping t = 1 as well would take 0.75 of the measure 1
+    ((1,), (), [(), (2,), (2,), (1, 2)], (2,)),
+    # dropping t = 1 of the unspiked pair costs sqrt(0.5) > r = 0.4
+    ((), (), [(), (1,), (1,)], ()),
+])
+def test_f_distance_greedy_stops(monkeypatch, spike, J, measured, E):
+    """Each of the greedy search's four stops ends it where it should: the
+    measured sets (after the total) are the start, then for each step the
+    next set's measure and, unless that exceeds half, its evaluation."""
+    c, p1, p2 = _spiked_three_times(spike)
+    calls = []
+    measure = TimeGrid.measure
+    monkeypatch.setattr(TimeGrid, "measure",
+                        lambda self, idx: calls.append(tuple(sorted(idx))) or measure(self, idx))
+    rep = mf.f_distance_within(c, p1, p2, J=J, e_mode="greedy")
+    assert calls == [(0, 1, 2)] + measured
+    assert rep.E_indices == E and rep.flags == ("greedy",)
+
+
+def test_f_distance_builds_one_coupling_per_reported_time(spiked_corr, monkeypatch):
+    """The exhaustive search evaluates every candidate E by its r_t alone;
+    only the chosen E's couplings are built, one per reported time."""
+    c, p1, p2 = spiked_corr
+    made = []
+
+    class Counted(correspondence.Coupling):
+        def __post_init__(self):
+            made.append(1)
+            super().__post_init__()
+
+    monkeypatch.setattr(correspondence, "Coupling", Counted)
+    rep = mf.f_distance_within(c, p1, p2, e_mode="exhaustive")
+    assert rep.E_indices == (1,)
+    assert len(made) == len(rep.couplings) == len(rep.r_by_time) == 2
+
+
 def test_f_distance_protected_times(spiked_corr):
     c, p1, p2 = spiked_corr
     prot = mf.f_distance_within(c, p1, p2, e_mode="exhaustive", J=(1,))

@@ -570,6 +570,10 @@ def test_pstar_membership():
     )
     # the center belongs to its own neighborhood
     assert mf.pstar_contains(slow, center=(0.7, 0), A=0.25, T_minus=0.5, T_plus=0.2, point=(0.7, 0))
+    # a point outside the time window [0.2, 0.9] is outside, however large A
+    for t in (0.1, 1.0):
+        assert not mf.pstar_contains(fast, center=(0.7, 0), A=3.0, T_minus=0.5, T_plus=0.2,
+                                     point=(t, 0))
 
 
 def test_support_at_final_time_is_whole_slice(two_point_flow_fx):
@@ -736,6 +740,15 @@ def test_mass_lower_bound_reports_offgrid_window(two_point_flow_fx):
     )
     assert not rep.preconditions_ok
     assert any(name == "t + tau r^2 on grid" and not ok for name, ok, _ in rep.preconditions)
+
+
+def test_mass_lower_bound_reports_t_off_grid(two_point_flow_fx):
+    mu = mf.conj_backward(two_point_flow_fx, 1.0, ProbMeasure.uniform(2))
+    rep = mf.mass_distribution_lower_bound_check(
+        two_point_flow_fx, mu, t=0.55, tau=0.05, r=1.0, V=1.0, H=50.0
+    )
+    assert not rep.ok and rep.entries == ()
+    assert rep.preconditions[0] == ("t on grid", False, 0.55)
 
 
 def test_mass_lower_bound_empty_range(two_point_flow_fx):

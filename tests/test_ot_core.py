@@ -1192,6 +1192,16 @@ def test_in_class_M_examples():
     assert mf.in_class_M(single, ProbMeasure(np.ones(1)), 1.0, 0.0, BFunction.constant(1.0)).ok
 
 
+def test_in_class_M_records_b_failures():
+    """At eps = 0.5 and r = 1 each point's ball holds only itself, mass
+    0.5 < b = 0.9, so all the mass (1 > eps) lies where the ball falls
+    short: a recorded b-failure, with the variance within its bound."""
+    rep = mf.in_class_M(two_point_space(), ProbMeasure.uniform(2), r=1.0, V=1.0,
+                        b=BFunction(eps_grid=(0.5,), values=(0.9,)))
+    assert not rep.ok and rep.var_value <= rep.var_bound
+    assert rep.b_failures == ((0.5, 0.9, 1.0),)
+
+
 def test_in_class_M_restricts_to_support():
     space = euclidean_space(np.array([0.0, 1.0, 2.0]))
     mu = ProbMeasure(np.array([0.5, 0.0, 0.5]))
