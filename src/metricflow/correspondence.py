@@ -740,12 +740,8 @@ def f_distance_within(
         couplings[t] = Coupling(matrix=np.ascontiguousarray(plan.T) if swapped else plan)
 
     # the s = t specialization, from W1 solves independent of the min-max LPs
-    tops = []
-    for t in active:
-        glued = c.ambient_at(t)
-        tops.append(
-            (glued.ambient, glued.push(0, pair1.mu.measure_at(t)), glued.push(1, pair2.mu.measure_at(t)))
-        )
+    tops = [(g.ambient, g.push(0, pair1.mu.measure_at(t)), g.push(1, pair2.mu.measure_at(t)))
+            for t, g in zip(active, map(c.ambient_at, active))]
     _prefetch_w1(tops)
     for t, entry in zip(active, tops):
         top = w1_distance(*entry).value

@@ -419,10 +419,8 @@ class TransportCertificate:
     ``primal_value``  cost of the returned coupling,
     ``dual_potential`` a 1-Lipschitz potential f with
                        dual = sum f d(mu1 - mu2) <= primal (weak duality),
-    ``gap``            primal - dual, in [0, 1e-8·max(1, largest cost)].
-
-    Both tolerances scale with max(1, largest cost) of the space, so a
-    certificate survives rescaling the metric.
+    ``gap``            primal - dual, in [0, 1e-8·max(1, largest cost)];
+                       like the Lipschitz slack, it scales with the space.
     """
 
     primal_value: float
@@ -920,10 +918,9 @@ def w1_distance(space: FiniteMetricSpace, mu1: ProbMeasure, mu2: ProbMeasure) ->
 
     Returns ``(value, coupling, certificate)``. The coupling attains the
     value; the certificate carries a 1-Lipschitz potential whose dual value
-    matches the primal up to a gap in [0, 1e-8·max(1, largest distance)]. A
-    negative gap down to -1e-12·max(1, largest distance) is float noise and
-    is certified as 0; every threshold scales with the space, so rescaling
-    the metric by λ scales the value by λ and keeps it certified.
+    matches the primal up to a gap in [0, 1e-8·max(1, largest distance)]; a
+    gap down to -1e-12·max(1, largest distance) is float noise, certified as
+    0. So rescaling the metric by λ scales the value by λ, still certified.
 
     Symmetry is exact: the argument pair is canonically oriented internally
     (byte order of the weight vectors), so swapping the measures returns

@@ -735,20 +735,12 @@ def test_mass_lower_bound_two_point_fine_grid():
 
 def test_mass_lower_bound_reports_offgrid_window(two_point_flow_fx):
     mu = mf.conj_backward(two_point_flow_fx, 1.0, ProbMeasure.uniform(2))
-    rep = mf.mass_distribution_lower_bound_check(
-        two_point_flow_fx, mu, t=0.9, tau=0.05, r=1.0, V=1.0, H=50.0
-    )
-    assert not rep.preconditions_ok
-    assert any(name == "t + tau r^2 on grid" and not ok for name, ok, _ in rep.preconditions)
-
-
-def test_mass_lower_bound_reports_t_off_grid(two_point_flow_fx):
-    mu = mf.conj_backward(two_point_flow_fx, 1.0, ProbMeasure.uniform(2))
-    rep = mf.mass_distribution_lower_bound_check(
-        two_point_flow_fx, mu, t=0.55, tau=0.05, r=1.0, V=1.0, H=50.0
-    )
-    assert not rep.ok and rep.entries == ()
-    assert rep.preconditions[0] == ("t on grid", False, 0.55)
+    for t, off in ((0.9, "t + tau r^2 on grid"), (0.55, "t on grid")):
+        rep = mf.mass_distribution_lower_bound_check(
+            two_point_flow_fx, mu, t=t, tau=0.05, r=1.0, V=1.0, H=50.0
+        )
+        assert not rep.preconditions_ok and not rep.ok and rep.entries == ()
+        assert [name for name, ok, _ in rep.preconditions if not ok] == [off]
 
 
 def test_mass_lower_bound_empty_range(two_point_flow_fx):

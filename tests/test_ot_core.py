@@ -1190,16 +1190,11 @@ def test_in_class_M_examples():
     assert not bad.ok
     single = euclidean_space(np.array([0.0]))
     assert mf.in_class_M(single, ProbMeasure(np.ones(1)), 1.0, 0.0, BFunction.constant(1.0)).ok
-
-
-def test_in_class_M_records_b_failures():
-    """At eps = 0.5 and r = 1 each point's ball holds only itself, mass
-    0.5 < b = 0.9, so all the mass (1 > eps) lies where the ball falls
-    short: a recorded b-failure, with the variance within its bound."""
-    rep = mf.in_class_M(two_point_space(), ProbMeasure.uniform(2), r=1.0, V=1.0,
-                        b=BFunction(eps_grid=(0.5,), values=(0.9,)))
-    assert not rep.ok and rep.var_value <= rep.var_bound
-    assert rep.b_failures == ((0.5, 0.9, 1.0),)
+    # at eps = 0.5 each ball holds only its centre, mass 0.5 < b = 0.9, so
+    # all the mass (1 > eps) sits where the ball falls short: a b-failure
+    short = mf.in_class_M(space, mu, r=1.0, V=1.0, b=BFunction(eps_grid=(0.5,), values=(0.9,)))
+    assert not short.ok and short.var_value <= short.var_bound
+    assert short.b_failures == ((0.5, 0.9, 1.0),)
 
 
 def test_in_class_M_restricts_to_support():
