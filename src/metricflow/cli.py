@@ -458,8 +458,6 @@ def cmd_distance(args) -> int:
         print(f"|E| = {len(rep.E_indices)} times, measure {rep.E_measure!r}")
         if worst is not None:
             print(f"worst pair (s,t) = {worst[0]} with integral {worst[1]!r}")
-        if rep.flags:
-            print(f"flags: {', '.join(rep.flags)}")
         if args.out:
             _write_json(args.out, rep.to_json_dict(include_couplings=args.include_couplings))
         return 0
@@ -618,7 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("files", nargs="+", metavar="FLOW.json")
     d.add_argument("--relation", default=None, help="JSON file with matched point pairs")
     d.add_argument("--J", default=None, help="comma-separated protected times")
-    d.add_argument("--e-mode", dest="e_mode", choices=["empty", "exhaustive", "greedy"], default="empty")
+    d.add_argument("--e-mode", dest="e_mode", default="empty",
+                   help="exceptional-set search: empty (default) or exhaustive")
     d.add_argument("--basepoint", default="uniform", help="'uniform' or a top-slice point index")
     d.add_argument("--out", default=None, help="write the JSON report here")
     d.add_argument("--include-couplings", action="store_true")

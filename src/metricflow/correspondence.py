@@ -35,10 +35,10 @@ The comparison story, bottom to top:
 
   for all s <= t in the participating times outside E. For fixed E and t
   the optimal q_t solves a min-max transport LP (auxiliary variable r_t
-  bounding every s-integral); E is then the empty set, an exhaustive search
-  (small grids), or a greedy heuristic (flagged). The report's couplings
-  and integrals are built once, for the chosen E, from the LPs the search
-  solved.
+  bounding every s-integral); E is then the empty set or the optimum of a
+  time-ordered branch and bound over the participating times. The
+  report's couplings and integrals are built once, for the chosen E, from
+  the LPs the search solved.
 
 * ``f_triangle_check`` — the triangle inequality for three pairs inside a
   combined correspondence, plus an explicit certificate for the outer pair
@@ -337,12 +337,13 @@ def combine_correspondences(c12: Correspondence, c23: Correspondence) -> Corresp
     Per common time, the new ambient is the disjoint union of the two old
     ambients with cross-distance the infimum over routes through the shared
     middle slice:  d(z12, z23) = min_x ( d12(z12, phi2(x)) + d23(phi2(x), z23) ).
-    The two copies of each middle point end up at distance zero (the
-    pseudometric keeps them distinct); the canonical middle embedding is the
-    one through the first ambient. All five embedding families remain
-    isometric, which is audited: the gluing helper checks the two outer
-    ambients' blocks, the three flow embeddings are restrictions of those
-    blocks, and the two middle copies are checked to sit at distance zero.
+    The two copies of a middle point i end up at distance at most
+    d12(phi2(i), phi2(i)) + d23(phi2(i), phi2(i)) (the route x = i), two
+    diagonal entries the gluing helper audits, so zero for a metric middle
+    slice (the pseudometric keeps the copies distinct); the canonical middle
+    embedding is the one through the first ambient. The gluing helper
+    checks the axioms and the two outer ambients' blocks, and the three
+    flow embeddings are restrictions of those blocks.
     """
     common = sorted(set(c12.time_indices) & set(c23.time_indices))
     if not common:
@@ -367,22 +368,14 @@ def combine_correspondences(c12: Correspondence, c23: Correspondence) -> Corresp
         ambient = _glue(
             g12.ambient, g23.ambient, cross, "LR", f"combine_correspondences at t_idx={t_idx}"
         ).ambient
-        na = g12.ambient.n
         glued = GluedSpace(
             ambient=ambient,
             embeddings=(
                 tuple(int(i) for i in g12.embeddings[0]),
                 tuple(int(i) for i in mid_a),
-                tuple(int(na + i) for i in g23.embeddings[1]),
+                tuple(int(g12.ambient.n + i) for i in g23.embeddings[1]),
             ),
         )
-        # the two middle copies must sit at ambient distance zero
-        two_copies = ambient.dist[mid_a, na + mid_b]
-        if float(np.abs(two_copies).max()) > EXACT_TOL:
-            raise InternalInvariantError(
-                "combined ambient separates the two middle copies "
-                f"(worst {float(np.abs(two_copies).max()):.3e})"
-            )
         ambients.append(glued)
     return Correspondence(c12.grid, tuple(common), tuple(ambients))
 
@@ -476,7 +469,6 @@ class FDistanceReport:
     per_pair_integrals: dict
     couplings: dict
     mode: str
-    flags: tuple
     J_indices: tuple
     swapped: bool
 
@@ -492,7 +484,6 @@ class FDistanceReport:
                 f"{int(s)}:{int(t)}": float(v) for (s, t), v in self.per_pair_integrals.items()
             },
             "mode": self.mode,
-            "flags": list(self.flags),
             "J_indices": [int(i) for i in self.J_indices],
         }
         if include_couplings:
@@ -565,6 +556,44 @@ def _resolve_J(grid: TimeGrid, idxs: tuple, J) -> tuple:
 
 # Largest number of W1 solves one flow distance may need (about 20 s).
 _W1_BUDGET = 20_000
+# Largest number of nodes one exceptional-set search may visit (about 3 s
+# at 99 two-point times, the most the W1 budget admits, on a 2-vCPU Xeon).
+_NODE_BUDGET = 20_000
+
+
+def _least_exceptional_set(idxs: tuple, free: list, half: float, measure, r_at) -> tuple:
+    """The least ``(value, measure(E), E)``, with E's r_t by time, over the
+    sets E of ``free`` times with ``measure(E) <= half``: value is
+    max(sqrt(measure(E)), r_t of the other times of ``idxs``), r_t being
+    ``r_at(t, active)`` with the times up to t outside E active.
+
+    Depth first over ``idxs`` in increasing order, each time active or in E.
+    An active t's r_t is then final, so a node's (value, measure(E)) never
+    decreases along a path and a node above the best leaf is cut: the result
+    is the enumeration's. Past ``_NODE_BUDGET`` nodes it raises InputError."""
+    best = None
+    nodes = 0
+
+    def visit(pos: int, E: tuple, e_measure: float, active: list, r_by_time: dict, value: float):
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > _NODE_BUDGET:
+            raise InputError(f"exceptional-set search over {len(idxs)} times passed {_NODE_BUDGET} nodes: "
+                             "use --e-mode empty, protect times with --J, or use fewer times")
+        if best is not None and (value, e_measure) > best[:2]:
+            return
+        if pos == len(idxs):
+            if best is None or (value, e_measure, E) < best[:3]:
+                best = (value, e_measure, E, r_by_time)
+            return
+        t = idxs[pos]
+        r_t = r_at(t, active + [t])
+        visit(pos + 1, E, e_measure, active + [t], {**r_by_time, t: r_t}, max(value, r_t))
+        if t in free and (m := measure(E + (t,))) <= half:
+            visit(pos + 1, E + (t,), m, active, r_by_time, max(value, math.sqrt(m)))
+
+    visit(0, (), 0.0, [], {}, 0.0)
+    return best
 
 
 @solve_once()
@@ -590,14 +619,12 @@ def f_distance_within(
     controlled by ``e_mode``:
 
     * ``"empty"``      — E = {} (always a valid upper bound);
-    * ``"exhaustive"`` — all E of measure <= measure(I'')/2 (at most 12
-      participating times), in increasing measure until sqrt(measure)
-      reaches the best value;
-    * ``"greedy"``     — drop the worst time while it helps; flagged
-      ``greedy`` since it may miss the optimum.
+    * ``"exhaustive"`` — the least value over every E of measure
+      <= measure(I'')/2, then the least measure, then the least E, by the
+      branch and bound of :func:`_least_exceptional_set`.
 
-    A candidate E costs its r_t only; the couplings (in the caller's
-    orientation) and per-pair integrals are built once, for the chosen E.
+    The couplings (in the caller's orientation) and per-pair integrals are
+    built once, for the chosen E.
 
     Both orientations produce bit-identical values: the computation runs in
     a fingerprint-canonical order and swaps back afterwards. The fingerprint
@@ -607,11 +634,11 @@ def f_distance_within(
     The W1 solves it needs, one per cost-matrix entry (x1, x2) at each
     participating pair s < t plus one per participating time, are counted
     first: above 20 000 it raises :class:`InputError` before any LP runs,
-    as do an unknown ``e_mode`` and an exhaustive search over more than 12
-    times. Each distinct transport LP is solved once (:func:`solve_once`),
-    all the cost matrices' LPs ahead, in block-diagonal LPs
-    (:func:`_cost_matrices`); each min-max LP drops the cost rows that
-    another row bounds entrywise.
+    as does an unknown ``e_mode``, and so does a search past
+    ``_NODE_BUDGET`` nodes. Each distinct transport LP is solved once
+    (:func:`solve_once`), all the cost matrices' LPs ahead, in
+    block-diagonal LPs (:func:`_cost_matrices`); each min-max LP drops the
+    cost rows that another row bounds entrywise.
     """
     if c.n_flows != 2:
         raise InputError("f_distance_within expects a two-flow correspondence (use pair_view)")
@@ -634,10 +661,8 @@ def f_distance_within(
             f"flow distance needs {w1_count} W1 solves ({len(idxs)} participating times), "
             f"over the budget of {_W1_BUDGET}: use fewer times or fewer points per slice"
         )
-    if e_mode not in ("empty", "exhaustive", "greedy"):
-        raise InputError(f"unknown e_mode {e_mode!r} (use empty, exhaustive, or greedy)")
-    if e_mode == "exhaustive" and len(idxs) > 12:
-        raise InputError(f"exhaustive E-search limited to 12 participating times, got {len(idxs)}")
+    if e_mode not in ("empty", "exhaustive"):
+        raise InputError(f"unknown e_mode {e_mode!r} (use empty or exhaustive)")
 
     emb1 = {t: c.ambient_at(t).embeddings[0] for t in idxs}
     emb2 = {t: c.ambient_at(t).embeddings[1] for t in idxs}
@@ -654,9 +679,9 @@ def f_distance_within(
         ``s_list``, and its integrals keyed by s. A cost row that another
         row bounds entrywise is implied (q >= 0) and dropped, of equal rows
         all but the first: HiGHS called LPs with such rows infeasible. Each
-        distinct LP is solved once; the E-search asks for many repeats. The
-        integrals, and so r_t, are certified from the plan with the
-        unscaled costs."""
+        distinct LP is solved once, with its integrals at every s <= t; the
+        E-search asks for many repeats. The integrals, and so r_t, are
+        certified from the plan with the unscaled costs."""
         rows = np.array([costs[s, t_idx].ravel() for s in s_list])
         ge = (rows[None, :, :] >= rows[:, None, :]).all(axis=2)  # ge[i, j]: row j >= row i
         implied = (ge & (~ge.T | np.tri(len(rows), k=-1, dtype=bool))).any(axis=1)
@@ -686,52 +711,19 @@ def f_distance_within(
             )
             if res.x is None:
                 raise InternalInvariantError(f"min-max transport LP failed at t_idx={t_idx}: {res.message}")
-            solves[key] = _fit_marginals(res.x[:nq].reshape(n1, n2), mu1.weights, mu2.weights)
-        plan = solves[key]
-        return plan, {s: float(np.sum(costs[s, t_idx] * plan)) for s in s_list}
+            plan = _fit_marginals(res.x[:nq].reshape(n1, n2), mu1.weights, mu2.weights)
+            solves[key] = plan, {s: float(np.sum(costs[s, t_idx] * plan)) for s in idxs if s <= t_idx}
+        plan, ints = solves[key]
+        return plan, {s: ints[s] for s in s_list}
 
-    def evaluate(E: frozenset) -> tuple:
-        """``(value, measure(E), {t: r_t})`` over the times outside E; r_t is
-        the largest s-integral of the plan at t."""
-        active = [t for t in idxs if t not in E]
-        e_measure = c.grid.measure(E)
-        r_by_time = {t: max(solve_time(t, active[: pos + 1])[1].values()) for pos, t in enumerate(active)}
-        return max([math.sqrt(e_measure), *r_by_time.values()]), e_measure, r_by_time
-
-    half = 0.5 * c.grid.measure(idxs) + EXACT_TOL
-    if e_mode == "greedy":
-        best_E = frozenset()
-        best = evaluate(best_E)
-        while droppable := [t for t in idxs if t not in best_E and t not in J_idx]:
-            worst_t = max(droppable, key=best[2].__getitem__)
-            if best[1] > 0.0 and best[2][worst_t] <= math.sqrt(best[1]):
-                break  # the sqrt(measure E) term already dominates the value
-            E_next = best_E | {worst_t}
-            if c.grid.measure(E_next) > half:
-                break
-            cand = evaluate(E_next)
-            if not cand[0] < best[0] - 1e-15:
-                break
-            best, best_E = cand, E_next
-    else:
-        # "empty" tries E = {} alone; candidates come in increasing measure,
-        # so once sqrt(measure) reaches the best value no later E can win
-        free = [t for t in idxs if t not in J_idx] if e_mode == "exhaustive" else []
-        best = None
-        for m, combo in sorted(
-            (c.grid.measure(combo), combo)
-            for size in range(len(free) + 1)
-            for combo in itertools.combinations(free, size)
-        ):
-            if m > half or (best is not None and math.sqrt(m) >= best[0]):
-                break
-            cand = evaluate(frozenset(combo))
-            if best is None or cand[0] < best[0]:
-                best, best_E = cand, frozenset(combo)
+    free = [] if e_mode == "empty" else [t for t in idxs if t not in J_idx]
+    value, e_measure, best_E, r_by_time = _least_exceptional_set(
+        idxs, free, 0.5 * c.grid.measure(idxs) + EXACT_TOL, c.grid.measure,
+        lambda t, active: max(solve_time(t, active)[1].values()),
+    )
 
     # the report, for the chosen E only: E avoids J, measure(E) <= value²
     # and every integral <= r_t <= value hold by construction
-    value, e_measure, r_by_time = best
     active = list(r_by_time)
     integrals, couplings = {}, {}
     for pos, t in enumerate(active):
@@ -752,13 +744,12 @@ def f_distance_within(
 
     return FDistanceReport(
         value=float(value),
-        E_indices=tuple(sorted(best_E)),
+        E_indices=best_E,
         E_measure=float(e_measure),
         r_by_time={int(t): float(r) for t, r in r_by_time.items()},
         per_pair_integrals={(int(s), int(t)): float(v) for (s, t), v in integrals.items()},
         couplings=couplings,
         mode=e_mode,
-        flags=("greedy",) if e_mode == "greedy" else (),
         J_indices=J_idx,
         swapped=swapped,
     )

@@ -1,6 +1,7 @@
 """Gluings, correspondences, Gromov-W1 upper bounds, and the flow distance
 with its exceptional-set search and triangle certificate."""
 
+import itertools
 import math
 
 import numpy as np
@@ -342,7 +343,7 @@ def test_f_distance_frozen_value_uniform(tp_corr):
     rep = mf.f_distance_within(c, p1, p2)
     assert rep.value == pytest.approx(0.050025906092710626, abs=1e-12)
     assert rep.value >= c.extras["eps_by_time"][0]  # crossing costs at least eps
-    assert rep.E_indices == () and rep.mode == "empty" and rep.flags == ()
+    assert rep.E_indices == () and rep.mode == "empty"
     # every certified integral respects the value
     assert all(v <= rep.value + 1e-9 for v in rep.per_pair_integrals.values())
     assert rep.E_measure <= rep.value**2
@@ -465,14 +466,6 @@ def test_f_distance_minmax_lps_solved_once_and_match_linprog(tp_corr, monkeypatc
         assert np.all(data != 0.0)
 
 
-def test_f_distance_greedy_is_flagged_and_weaker(spiked_corr):
-    c, p1, p2 = spiked_corr
-    grd = mf.f_distance_within(c, p1, p2, e_mode="greedy")
-    assert "greedy" in grd.flags
-    exh = mf.f_distance_within(c, p1, p2, e_mode="exhaustive")
-    assert grd.value >= exh.value  # greedy may miss the best cut (here it does)
-
-
 def _spiked_three_times(spike: tuple):
     """Three-time two-point flows 0.5 apart, flow2's slices at ``spike``
     blown up to distance 4, in their union correspondence."""
@@ -486,27 +479,111 @@ def _spiked_three_times(spike: tuple):
 
 
 @pytest.mark.parametrize("spike, J, measured, E", [
-    # no droppable time left once t = 2 is dropped: J protects the others
-    ((2,), (0, 1), [(), (2,), (2,)], (2,)),
-    # sqrt(measure {2}) = 0.5 already dominates r_1 = 0.4
-    ((2,), (), [(), (2,), (2,)], (2,)),
-    # dropping t = 1 as well would take 0.75 of the measure 1
-    ((1,), (), [(), (2,), (2,), (1, 2)], (2,)),
-    # dropping t = 1 of the unspiked pair costs sqrt(0.5) > r = 0.4
-    ((), (), [(), (1,), (1,)], ()),
+    # J protects t = 0 and 1: only t = 2 may join E
+    ((2,), (0, 1), [(2,)], (2,)),
+    # E = {0} ties the best (value 0.5, measure 0.25), so its branch goes on
+    # to measure {0, 2} and {0, 1}; E = {1} is cut at once
+    ((2,), (), [(2,), (1,), (0,), (0, 2), (0, 1)], (2,)),
+    # {1, 2} and {0, 1} would take 0.75 of the measure 1, over half
+    ((1,), (), [(2,), (1,), (1, 2), (0,), (0, 1)], (1,)),
+    # sqrt(measure) of any one time is above r = 0.4: each E-branch is cut
+    ((), (), [(2,), (1,), (0,)], ()),
 ])
-def test_f_distance_greedy_stops(monkeypatch, spike, J, measured, E):
-    """Each of the greedy search's four stops ends it where it should: the
-    measured sets (after the total) are the start, then for each step the
-    next set's measure and, unless that exceeds half, its evaluation."""
+def test_f_distance_search_branches(monkeypatch, spike, J, measured, E):
+    """The search measures E ∪ {t} only for a free time t whose node is
+    reached, depth first over increasing times with the active branch
+    first. The measured sets (after the total) and the chosen E are
+    pinned."""
     c, p1, p2 = _spiked_three_times(spike)
     calls = []
     measure = TimeGrid.measure
     monkeypatch.setattr(TimeGrid, "measure",
                         lambda self, idx: calls.append(tuple(sorted(idx))) or measure(self, idx))
-    rep = mf.f_distance_within(c, p1, p2, J=J, e_mode="greedy")
+    rep = mf.f_distance_within(c, p1, p2, J=J, e_mode="exhaustive")
     assert calls == [(0, 1, 2)] + measured
-    assert rep.E_indices == E and rep.flags == ("greedy",)
+    assert rep.E_indices == E
+
+
+def _exceptional_set_candidates(idxs, free, half, measure, r_at) -> list:
+    """Every E of ``free`` times within ``half`` of the measure, as
+    (value, measure(E), E, {t: r_t}), r_t asked of ``r_at`` as the search
+    asks it."""
+    out = []
+    for size in range(len(free) + 1):
+        for E in itertools.combinations(free, size):
+            e_measure = measure(E)
+            if e_measure <= half:
+                active = [t for t in idxs if t not in E]
+                r_by_time = {t: r_at(t, active[: pos + 1]) for pos, t in enumerate(active)}
+                out.append((max([math.sqrt(e_measure), *r_by_time.values()]), e_measure, E, r_by_time))
+    return out
+
+
+def test_f_distance_search_matches_brute_force(monkeypatch):
+    """Random static cycle pairs on short uniform grids (where cutting a
+    time is cheap and cells tie in measure) and randomly spiked two-point
+    pairs, with and without a protected time, in both orientations: every
+    search returns, bit for bit, the least (value, measure(E), E) and r_t of
+    enumerating every E on the same r_t oracle (the same min-max LPs)."""
+    search = correspondence._least_exceptional_set
+    chosen = []
+
+    def checked(*args):
+        got = search(*args)
+        assert got == min(_exceptional_set_candidates(*args), key=lambda cand: cand[:3])
+        chosen.append(got[2])
+        return got
+
+    monkeypatch.setattr(correspondence, "_least_exceptional_set", checked)
+    rng = np.random.default_rng(0)
+    kern = np.array([[0.9, 0.1], [0.1, 0.9]])
+    for k in range(8):
+        n_times = 4 + k % 2
+        if k % 2 == 0:
+            grid = TimeGrid.uniform(0.0, 0.1, n_times - 1)
+            f1, f2 = (mf.static_cycle_flow(3, rng.uniform(5, 10), rng.uniform(0.8, 1.25) * scale, grid)
+                      for scale in (1.0, 1.3))
+        else:
+            grid = TimeGrid.uniform(0.0, 1.0, n_times - 1)
+            f1 = mf.two_point_flow(C_STAR, 1.0, grid)
+            spikes = rng.choice(n_times, size=rng.integers(1, 3), replace=False)
+            slices = tuple(two_point_space(rng.choice([2.0, 4.0]) if i in spikes else 1.0)
+                           for i in range(n_times))
+            f2 = MetricFlow(grid, slices, adjacent_kernels=(kern,) * (n_times - 1))
+        n = f1.slices[0].n
+        c = mf.build_union_correspondence(f1, f2, [(i, i) for i in range(n)])
+        p1, p2 = tp_pair(f1, ProbMeasure.uniform(n)), tp_pair(f2, ProbMeasure.uniform(n))
+        for J in ((), (1,)):
+            fwd = mf.f_distance_within(c, p1, p2, J=J, e_mode="exhaustive")
+            bwd = mf.f_distance_within(c.pair_view(1, 0), p2, p1, J=J, e_mode="exhaustive")
+            _assert_mirror_images(fwd, bwd)
+    assert len(chosen) == 32 and len(set(chosen)) >= 6 and () not in chosen
+
+
+def test_exceptional_set_search_breaks_ties_as_enumeration_does():
+    """r_t drawn from three values for each (t, active times), over uniform
+    cells: in at least 5 of 60 instances several sets tie with the best in
+    value and measure, and the search still returns the enumeration's least
+    (value, measure(E), E) and its r_t. The search needs no monotone r_t:
+    each r_t is final once its time is reached."""
+    ties = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n_times = int(rng.integers(5, 8))
+        grid = TimeGrid.uniform(0.0, 1.0, n_times - 1)
+        idxs = tuple(range(n_times))
+        free = [t for t in idxs if rng.random() < 0.8]
+        table = {}
+
+        def r_at(t, active):
+            return table.setdefault((t, tuple(active)), float(rng.choice([0.25, 0.5, 0.75])))
+
+        half = 0.5 * grid.measure(idxs)
+        cands = _exceptional_set_candidates(idxs, free, half, grid.measure, r_at)
+        want = min(cands, key=lambda cand: cand[:3])
+        assert correspondence._least_exceptional_set(idxs, free, half, grid.measure, r_at) == want
+        ties += sum(cand[:2] == want[:2] for cand in cands) > 1
+    assert ties >= 5
 
 
 def test_f_distance_builds_one_coupling_per_reported_time(spiked_corr, monkeypatch):
@@ -550,15 +627,9 @@ def test_f_distance_input_validation(tp_corr, monkeypatch):
     c, f1, f2 = tp_corr
     p1, p2 = tp_pair(f1, ProbMeasure.uniform(2)), tp_pair(f2, ProbMeasure.uniform(2))
     calls = _spy_lps(monkeypatch)
-    with pytest.raises(InputError, match="unknown e_mode"):
-        mf.f_distance_within(c, p1, p2, e_mode="annealed")
-    assert calls == []
-    grid13 = TimeGrid.uniform(0.0, 1.0, 12)
-    g1, g2 = (mf.two_point_flow(C_STAR, d, grid13) for d in (1.0, 1.1))
-    c13 = mf.build_union_correspondence(g1, g2, [(0, 0), (1, 1)])
-    anchor = ProbMeasure.uniform(2)
-    with pytest.raises(InputError, match="limited to 12 participating times, got 13"):
-        mf.f_distance_within(c13, tp_pair(g1, anchor), tp_pair(g2, anchor), e_mode="exhaustive")
+    for mode in ("annealed", "greedy"):
+        with pytest.raises(InputError, match=f"unknown e_mode '{mode}'"):
+            mf.f_distance_within(c, p1, p2, e_mode=mode)
     assert calls == []
     other = mf.two_point_flow(C_STAR, 1.0, TimeGrid.uniform(0.0, 2.0, 4))
     with pytest.raises(InputError, match="grid"):
@@ -647,7 +718,7 @@ def test_f_distance_json_payload(tp_corr):
     rep = mf.f_distance_within(c, p1, p2)
     doc = rep.to_json_dict()
     assert set(doc) == {
-        "value", "E", "r_by_time", "per_pair_integrals", "mode", "flags", "J_indices",
+        "value", "E", "r_by_time", "per_pair_integrals", "mode", "J_indices",
     }
     assert doc["E"] == {"indices": [], "measure": 0.0}
     with_q = rep.to_json_dict(include_couplings=True)
