@@ -556,10 +556,17 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as :class:`InputError` (subparsers share the class)."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="metricflow",
         description="Finite metric flows: generation, verification, distances, reports.",
     )
@@ -643,8 +650,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "distance" and not (2 <= len(args.files) <= 3):
             raise InputError("distance takes two or three flow files")
         if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):

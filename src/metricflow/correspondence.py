@@ -71,6 +71,7 @@ from .ot_core import (
     _coupling_columns,
     _fit_marginals,
     _prefetch_w1,
+    _w1_results,
     check_metric_axioms,
     glue_couplings,
     linprog,
@@ -136,14 +137,18 @@ class GluedSpace:
 
 
 def _glue(
-    a: FiniteMetricSpace, b: FiniteMetricSpace, cross: np.ndarray, tags: str, where: str
+    a: FiniteMetricSpace, b: FiniteMetricSpace, left: np.ndarray, right: np.ndarray,
+    plus: float, tags: str, where: str,
 ) -> GluedSpace:
     """The ambient [[d_a, cross], [crossᵀ, d_b]] with labels prefixed
     ``tags[0]:`` and ``tags[1]:`` and each space embedded as its own block
-    (checked isometric). A cross block that breaks the (pseudo)metric axioms
-    is a bug, not bad input: it raises :class:`InternalInvariantError`
-    naming ``where``."""
+    (a copy, so isometric). The cross block is every gluing's one route
+    rule: cross(x, y) = min_w (left(x, w) + right(w, y)) + plus, the
+    shortest way from x in ``a`` through a link point w to y in ``b``. A
+    cross block that breaks the (pseudo)metric axioms is a bug, not bad
+    input: it raises :class:`InternalInvariantError` naming ``where``."""
     n_a, n_b = a.n, b.n
+    cross = (left[:, :, None] + right[None, :, :]).min(axis=1) + plus
     dist = np.zeros((n_a + n_b, n_a + n_b))
     dist[:n_a, :n_a] = a.dist
     dist[n_a:, n_a:] = b.dist
@@ -156,11 +161,9 @@ def _glue(
         raise InternalInvariantError(
             f"{where}: glued ambient violates metric axioms: {report.worst()}"
         )
-    glued = GluedSpace(
+    return GluedSpace(
         ambient=ambient, embeddings=(tuple(range(n_a)), tuple(range(n_a, n_a + n_b)))
     )
-    glued.validate((a, b))
-    return glued
 
 
 def glue_two_slices(
@@ -199,28 +202,23 @@ def glue_two_slices(
             raise InputError(f"kernel at w={w}: expected {space_s.n} weights")
         kernels[row] = ProbMeasure(vec).weights
 
-    # hypothesis: kernel W1 distances track d_t on W up to delta
-    worst_lo, worst_hi, witness = 0.0, 0.0, None
-    for a in range(len(w_idx)):
-        for b in range(a + 1, len(w_idx)):
-            gap = space_t.dist[w_idx[a], w_idx[b]] - w1_distance(
-                space_s, ProbMeasure(kernels[a]), ProbMeasure(kernels[b])
-            ).value
-            if gap < -1e-9 or gap > delta + 1e-9:
-                off = max(-gap, gap - delta)
-                if witness is None or off > max(worst_lo, worst_hi):
-                    witness = (w_idx[a], w_idx[b], float(gap))
-                worst_lo = max(worst_lo, -gap)
-                worst_hi = max(worst_hi, gap - delta)
-    if witness is not None:
+    # hypothesis: kernel W1 distances track d_t on W up to delta; the worst
+    # failing pair, the first of equals in combinations order, is the witness
+    ab = list(itertools.combinations(range(len(w_idx)), 2))
+    w1s = _w1_results([(space_s, ProbMeasure(kernels[a]), ProbMeasure(kernels[b])) for a, b in ab])
+    gaps = np.array([space_t.dist[w_idx[a], w_idx[b]] - res.value for (a, b), res in zip(ab, w1s)])
+    off = np.maximum(-gaps, gaps - delta)
+    failing = np.flatnonzero((gaps < -1e-9) | (gaps > delta + 1e-9))
+    if failing.size:
+        k = failing[off[failing].argmax()]
         raise InputError(
             "gluing hypothesis fails: d_t - W1(kernels) must lie in "
-            f"[0, delta={delta}], worst witness pair {witness[:2]} with gap {witness[2]:.6g}"
+            f"[0, delta={delta}], worst witness pair {(w_idx[ab[k][0]], w_idx[ab[k][1]])} "
+            f"with gap {gaps[k]:.6g}"
         )
 
     expected = kernels @ space_s.dist.T  # E_{nu_w} d_s(x, ·), shape (|W|, n_s)
-    cross = (expected[:, :, None] + space_t.dist[w_idx][:, None, :]).min(axis=0) + delta
-    return _glue(space_s, space_t, cross, "st", "glue_two_slices")
+    return _glue(space_s, space_t, expected.T, space_t.dist[w_idx], delta, "st", "glue_two_slices")
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +249,7 @@ def _union_glue(
     d1w = space1.dist[np.ix_(w1_, w1_)]
     d2w = space2.dist[np.ix_(w2_, w2_)]
     eps = 0.5 * float(np.abs(d1w - d2w).max())
-    cross = (space1.dist[:, w1_][:, :, None] + space2.dist[w2_][None, :, :]).min(axis=1) + eps
-    return _glue(space1, space2, cross, "12", where), eps
+    return _glue(space1, space2, space1.dist[:, w1_], space2.dist[w2_], eps, "12", where), eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,8 +339,8 @@ def combine_correspondences(c12: Correspondence, c23: Correspondence) -> Corresp
     diagonal entries the gluing helper audits, so zero for a metric middle
     slice (the pseudometric keeps the copies distinct); the canonical middle
     embedding is the one through the first ambient. The gluing helper
-    checks the axioms and the two outer ambients' blocks, and the three
-    flow embeddings are restrictions of those blocks.
+    checks the axioms and copies the two outer ambients as its blocks, so
+    the three flow embeddings, restrictions of those blocks, are isometric.
     """
     common = sorted(set(c12.time_indices) & set(c23.time_indices))
     if not common:
@@ -364,9 +361,9 @@ def combine_correspondences(c12: Correspondence, c23: Correspondence) -> Corresp
         mid_dist_b = db[np.ix_(mid_b, mid_b)]
         if not np.allclose(mid_dist_a, mid_dist_b, rtol=0.0, atol=EXACT_TOL):
             raise InputError(f"middle embeddings carry different metrics at t_idx={t_idx}")
-        cross = (da[:, mid_a][:, :, None] + db[mid_b][None, :, :]).min(axis=1)
         ambient = _glue(
-            g12.ambient, g23.ambient, cross, "LR", f"combine_correspondences at t_idx={t_idx}"
+            g12.ambient, g23.ambient, da[:, mid_a], db[mid_b], 0.0, "LR",
+            f"combine_correspondences at t_idx={t_idx}",
         ).ambient
         glued = GluedSpace(
             ambient=ambient,

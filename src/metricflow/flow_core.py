@@ -45,7 +45,7 @@ from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc, erfcinv, ndtri
+from scipy.special import erfc, ndtri
 
 from .ot_core import (
     EXACT_TOL,
@@ -55,12 +55,11 @@ from .ot_core import (
     ProbMeasure,
     StructuralError,
     _clamp_noise,
-    _prefetch_w1,
     _readonly,
+    _w1_results,
     check_metric_axioms,
     mass_distribution_fn,
     product_space,
-    solve_once,
     variance,
     w1_distance,
 )
@@ -131,12 +130,13 @@ def phi(x):
 def phi_inv(y):
     """Inverse of :func:`phi` on (0, 1). Raises :class:`InputError` at 0 and 1.
 
-    float64 path: for y <= 1/2, x = -2·erfcinv(2y); for y > 1/2 the reflected
-    form x = 2·erfcinv(2(1-y)) is used (1-y is exact there), so each branch
-    works on the well-conditioned small side. The roundtrip phi_inv(phi(x))
-    is accurate to ~1e-10 for |x| up to about 7; beyond that float64 spacing
-    of y near 1 fundamentally limits any implementation, and ``mpmath.mpf``
-    input (arbitrary precision path) should be used instead.
+    float64 path: ``_phi_inv_pair(y, 1 - y)``, so the sweep's rule is the
+    only one; it inverts on the smaller of y and 1 - y (exact for y >= 1/2),
+    so each side works where Phi is well conditioned. The roundtrip
+    phi_inv(phi(x)) is accurate to ~4e-11 for |x| up to about 7; beyond
+    that float64 spacing of y near 1 fundamentally limits any
+    implementation, and ``mpmath.mpf`` input (arbitrary precision path)
+    should be used instead.
     """
     if _is_mp(y):
         import mpmath
@@ -147,9 +147,7 @@ def phi_inv(y):
     arr = np.asarray(y, dtype=float)
     if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise InputError("phi_inv domain is the open interval (0, 1)")
-    low = arr <= 0.5
-    out = np.where(low, -2.0 * erfcinv(2.0 * np.minimum(arr, 0.5)),
-                   2.0 * erfcinv(2.0 * (1.0 - np.maximum(arr, 0.5))))
+    out = _phi_inv_pair(arr, 1.0 - arr)[0]
     return float(out) if np.isscalar(y) or arr.ndim == 0 else out
 
 
@@ -588,7 +586,6 @@ def _worst_decrease(vals) -> float:
     return worst
 
 
-@solve_once()
 def w1_kernel_monotonicity_check(
     flow: MetricFlow,
     mu1: ConjHeatFlowField,
@@ -596,11 +593,10 @@ def w1_kernel_monotonicity_check(
 ) -> CheckRecord:
     """t -> d_W1(mu1_t, mu2_t) must be non-decreasing along two conjugate
     heat flows; report the worst decrease over common time pairs (passes at
-    most 1e-9). The W1 LPs are solved ahead in block-diagonal LPs."""
+    most 1e-9). The W1 values are one batch of block-diagonal LPs."""
     common = _common_times(mu1, mu2)
     pairs = [(flow.slices[i], mu1.measure_at(i), mu2.measure_at(i)) for i in common]
-    _prefetch_w1(pairs)
-    vals = [w1_distance(*pair).value for pair in pairs]
+    vals = [res.value for res in _w1_results(pairs)]
     worst = _worst_decrease(vals)
     return CheckRecord(
         name="w1-monotonicity",
@@ -610,11 +606,10 @@ def w1_kernel_monotonicity_check(
     )
 
 
-@solve_once()
 def kernel_w1_contraction_check(flow: MetricFlow, t: float, s: float) -> CheckRecord:
     """Special case on kernels: d_W1(nu_{x1;s}, nu_{x2;s}) <= d_t(x1, x2) + 1e-9
-    over all unordered pairs (x1, x2) of the slice at t. The W1 LPs are
-    solved ahead in block-diagonal LPs."""
+    over all unordered pairs (x1, x2) of the slice at t. The W1 values are
+    one batch of block-diagonal LPs, in ``itertools.combinations`` order."""
     t_idx, s_idx = flow.grid.index_of(t), flow.grid.index_of(s)
     if s_idx > t_idx:
         raise InputError("need s <= t")
@@ -622,11 +617,10 @@ def kernel_w1_contraction_check(flow: MetricFlow, t: float, s: float) -> CheckRe
     space_s = flow.slices[s_idx]
     d_t = flow.slices[t_idx].dist
     x_pairs = list(itertools.combinations(range(flow.slices[t_idx].n), 2))
-    _prefetch_w1([(space_s, kernels[x1], kernels[x2]) for x1, x2 in x_pairs])
+    results = _w1_results([(space_s, kernels[x1], kernels[x2]) for x1, x2 in x_pairs])
     worst = -math.inf
     rows = []
-    for x1, x2 in x_pairs:
-        val = w1_distance(space_s, kernels[x1], kernels[x2]).value
+    for (x1, x2), val in zip(x_pairs, (res.value for res in results)):
         worst = max(worst, val - d_t[x1, x2])
         rows.append((x1, x2, float(val), float(d_t[x1, x2])))
     return CheckRecord(
@@ -1250,16 +1244,20 @@ def _reproduction_audit(flow: MetricFlow):
     whose three kernels are all stored, with its first witness in
     (t1, t2, t3) order. A Markov flow stores only adjacent pairs, so it has
     no such triple: its longer kernels are compositions and reproduction
-    holds by definition (worst 0.0, no witness)."""
+    holds by definition (worst 0.0, no witness). The residuals of one pair
+    (t1, t2) over all its t3 share one abs and one max."""
     stored = flow.stored()
     worst, witness = 0.0, ()
     for (t1, t2), k12 in stored.items():
-        for t3 in range(t2 + 1, flow.grid.n):
-            k13, k23 = stored.get((t1, t3)), stored.get((t2, t3))
-            if k13 is not None and k23 is not None:
-                res = float(np.abs(k13 - k23 @ k12).max())
-                if res > worst:
-                    worst, witness = res, ((t1, t2, t3),)
+        t3s = [t3 for t3 in range(t2 + 1, flow.grid.n) if (t2, t3) in stored and (t1, t3) in stored]
+        if not t3s:
+            continue
+        blocks = [(stored[t1, t3] - stored[t2, t3] @ k12).ravel() for t3 in t3s]
+        res = np.abs(np.concatenate(blocks))
+        at = int(res.argmax())
+        if res[at] > worst:
+            t3 = t3s[int(np.searchsorted(np.cumsum([b.size for b in blocks]), at, "right"))]
+            worst, witness = float(res[at]), ((t1, t2, t3),)
     return worst, witness
 
 

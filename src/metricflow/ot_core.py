@@ -906,6 +906,12 @@ def _prefetch_w1(pairs: Sequence) -> None:
     with those three objects. Any other call (a pair asked twice, or equal
     measures in other objects) computes its result again, as a batch of
     one, and finds its LP in the scope's memo.
+
+    Only callers whose every value must pass through a ``w1_distance`` call
+    take this hand-off: the flow distance's cost matrices and top-measure
+    certificate (``correspondence``) and the CLI's dW1 curve, the call sites
+    whose ``w1_distance`` calls the benchmark counts. Every other batch
+    reads ``_w1_results`` directly.
     """
     handed = _HANDED.get()
     if handed is None:

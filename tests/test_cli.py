@@ -186,6 +186,9 @@ def test_generate_two_point_explicit_C(tmp_path, capsys):
     ["report", "{flow}", "--quantity", "b-function", "--eps-grid", "2:3:0.5", "--csv", "{out}"],
     ["report", "{flow}", "--quantity", "dW1-curve", "--x1", "2", "--csv", "{out}"],
     ["distance", "{flow}", "{flow}", "--e-mode", "greedy"],
+    ["verify", "{flow}", "--mode", "bogus"],
+    ["report", "{flow}", "--quantity", "bogus", "--csv", "{out}"],
+    ["generate", "two-point", "--steps", "two", "--out", "{out}"],
 ], ids=["eps-step-0", "eps-step-nan", "eps-start-nan", "eps-stop-inf", "eps-1e12-samples",
         "gaussian-L-inf", "seeds-negative", "seed-negative", "H-nan", "H-not-a-number",
         "static-rate-negative", "static-rate-0", "static-rate-nan", "static-edge-inf",
@@ -193,7 +196,8 @@ def test_generate_two_point_explicit_C(tmp_path, capsys):
         "distance-out-missing-dir", "report-csv-missing-dir", "distance-four-files",
         "document-not-an-object", "kernel-pair-key-not-integers", "basepoint-not-an-index",
         "basepoint-out-of-range", "J-not-times", "relation-unreadable", "eps-grid-selects-none",
-        "x1-out-of-range", "e-mode-greedy"])
+        "x1-out-of-range", "e-mode-greedy", "verify-mode-bogus", "report-quantity-bogus",
+        "two-point-steps-not-an-int"])
 def test_bad_arguments_exit_2(tp4, tmp_path, capsys, argv):
     """A bad parameter or document, or an output path in a missing
     directory, exits 2 with ``error: `` before any work: nothing on stdout,
@@ -234,8 +238,8 @@ def test_oversized_generate_exits_2_at_once(tmp_path, capsys, monkeypatch, argv,
 
 def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
     """Every ``main`` call parses with the same parser, and a call that ends
-    in a usage error leaves it working for the next one."""
-    main(["generate", "two-point", "--steps", "2", "--out", str(tmp_path / "a.json")])
+    in a usage error (exit 2, ``error: ``) leaves it working for the next one."""
+    run_cli(capsys, "generate", "two-point", "--steps", "2", "--out", str(tmp_path / "a.json"))
     parsers = []
     parse_args = mf.cli.argparse.ArgumentParser.parse_args
 
@@ -244,13 +248,21 @@ def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
         return parse_args(self, *args, **kwargs)
 
     monkeypatch.setattr(mf.cli.argparse.ArgumentParser, "parse_args", recorded)
-    with pytest.raises(SystemExit) as exc:
-        main(["generate", "two-point", "--steps", "two"])
-    assert exc.value.code == 2
+    rc, out, err = run_cli(capsys, "generate", "two-point", "--steps", "two")
+    assert rc == 2 and out == "" and "usage:" not in err
+    assert err.startswith("error: metricflow generate two-point: argument --steps: invalid int")
     rc, out, _ = run_cli(capsys, "generate", "two-point", "--steps", "3",
                          "--out", str(tmp_path / "b.json"))
     assert rc == 0 and "4 times" in out
     assert len(parsers) == 2 and parsers[0] is parsers[1] is mf.cli.build_parser()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["generate", "static", "-h"]])
+def test_help_exits_0(capsys, argv):
+    """Help is not a usage error: it prints the usage block and exits 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: metricflow")
 
 
 @pytest.mark.parametrize("layout", ["markov", "pairs", "partial-pairs"])

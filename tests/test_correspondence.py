@@ -21,7 +21,7 @@ from metricflow import (
 )
 from metricflow import correspondence
 
-from conftest import C_STAR, two_point_space
+from conftest import C_STAR, random_space, two_point_space
 
 
 def tp_pair(flow, anchor):
@@ -101,7 +101,7 @@ def test_glue_audit_rejects_a_broken_cross_block():
         mf.InternalInvariantError,
         match=r"audit probe: glued ambient violates metric axioms: triangle violated at \(",
     ):
-        correspondence._glue(seg, seg, np.zeros((2, 2)), "st", "audit probe")
+        correspondence._glue(seg, seg, np.zeros((2, 1)), np.zeros((1, 2)), 0.0, "st", "audit probe")
 
 
 def test_glue_two_slices_rejects_bad_hypothesis():
@@ -116,6 +116,39 @@ def test_glue_two_slices_rejects_bad_hypothesis():
         mf.glue_two_slices(space_s, two_point_space(0.8), link, delta=-0.1)
     with pytest.raises(InputError):
         mf.glue_two_slices(space_s, two_point_space(0.8), {}, delta=0.3)
+
+
+def test_glue_two_slices_names_the_first_worst_failing_pair():
+    """Random links with several failing pairs, exact ties among them (bit-equal
+    kernels at distance L): the refusal names the pair and gap that a plain
+    loop over the pairs finds, the first of the worst, as plain ints."""
+    rng = np.random.default_rng(11)
+    for trial in range(40):
+        space_s = random_space(rng, 4)
+        n_t, L = 7, float(rng.uniform(0.5, 2.0))
+        space_t = FiniteMetricSpace(tuple(f"y{i}" for i in range(n_t)), L * (1.0 - np.eye(n_t)))
+        pool = [rng.dirichlet(np.ones(4)) for _ in range(3)]
+        w_idx = sorted(int(w) for w in rng.choice(n_t, size=int(rng.integers(3, 7)), replace=False))
+        link = {w: pool[int(rng.integers(3))] for w in w_idx}
+        delta = float(rng.uniform(0.0, 0.6 * L))
+        pairs = list(itertools.combinations(range(len(w_idx)), 2))
+        vals = correspondence._w1_results(
+            [(space_s, ProbMeasure(link[w_idx[a]]), ProbMeasure(link[w_idx[b]])) for a, b in pairs]
+        )
+        worst, witness = 0.0, None
+        for (a, b), res in zip(pairs, vals):
+            gap = space_t.dist[w_idx[a], w_idx[b]] - res.value
+            off = max(-gap, gap - delta)
+            if (gap < -1e-9 or gap > delta + 1e-9) and (witness is None or off > worst):
+                worst, witness = off, (w_idx[a], w_idx[b], gap)
+        if witness is None:
+            mf.glue_two_slices(space_s, space_t, link, delta)
+            continue
+        with pytest.raises(InputError) as exc:
+            mf.glue_two_slices(space_s, space_t, link, delta)
+        assert str(exc.value).endswith(
+            f"worst witness pair ({witness[0]}, {witness[1]}) with gap {witness[2]:.6g}"
+        )
 
 
 # ---------------------------------------------------------------------------

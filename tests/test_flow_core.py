@@ -2,6 +2,7 @@
 concentration constants and centers, monotonicity checks, and the
 mass-distribution lower bound."""
 
+import itertools
 import math
 import os
 import re
@@ -14,6 +15,7 @@ from functools import reduce
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import erfcinv
 
 import metricflow as mf
 from metricflow import (
@@ -27,7 +29,7 @@ from metricflow import (
     phi,
     phi_inv,
 )
-from metricflow import flow_core
+from metricflow import flow_core, ot_core
 
 from conftest import C_STAR, euclidean_space, random_space
 
@@ -101,6 +103,17 @@ def test_phi_inv_roundtrip():
         phi_inv(0.0)
     with pytest.raises(InputError):
         phi_inv(1.0)
+    # pinned bit for bit to -2·erfcinv(2y) (y <= 1/2) and its reflection
+    # 2·erfcinv(2(1-y)), on a seeded sample with 1/2 and the sweep's u grid
+    y = np.concatenate([np.random.default_rng(7).random(10_000), [0.5, 1e-300, 1.0 - 2.0**-53],
+                        np.arange(1e-3, 1.0, 1e-3)])
+    formula = np.where(y <= 0.5, -2.0 * erfcinv(2.0 * np.minimum(y, 0.5)),
+                       2.0 * erfcinv(2.0 * (1.0 - np.maximum(y, 0.5))))
+    assert np.array_equal(phi_inv(y).view(np.int64), formula.view(np.int64))
+    for v, want in zip(y[-1200:], formula[-1200:]):
+        for arg in (float(v), np.float64(v), np.array(v)):
+            got = phi_inv(arg)
+            assert type(got) is float and np.float64(got).view(np.int64) == want.view(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +536,21 @@ def test_kernel_contraction_suite(fixture, request):
     flow = request.getfixturevalue(fixture)
     t, s = flow.grid.times[-1], flow.grid.times[0]
     assert mf.kernel_w1_contraction_check(flow, t, s).passed
+
+
+def test_kernel_contraction_reads_one_w1_batch(product_fx):
+    """The check's W1 values are those of one batch over its pairs, in
+    combinations order; a one-point slice has no pairs."""
+    flow = product_fx
+    kernels = [ProbMeasure(row) for row in flow.kernel(1, 3)]
+    pairs = list(itertools.combinations(range(flow.slices[3].n), 2))
+    batch = ot_core._w1_results([(flow.slices[1], kernels[a], kernels[b]) for a, b in pairs])
+    rec = mf.kernel_w1_contraction_check(flow, flow.grid.times[3], flow.grid.times[1])
+    assert [row[:3] for row in rec.details] == [(a, b, res.value) for (a, b), res in zip(pairs, batch)]
+    point = FiniteMetricSpace(("p",), np.zeros((1, 1)))
+    single = MetricFlow(TimeGrid((0.0, 1.0)), (point, point), adjacent_kernels=(np.ones((1, 1)),))
+    rec = mf.kernel_w1_contraction_check(single, 1.0, 0.0)
+    assert rec.passed and rec.details == ()
 
 
 @pytest.mark.parametrize("fixture", ["two_point_flow_fx", "static_cycle_fx", "product_fx"])

@@ -249,13 +249,32 @@ def test_static_flow_kernels_depend_only_on_lag():
 
 
 def test_static_flow_rejects_semigroup_violation():
+    """``static_flow`` refuses exactly what ``verify``'s reproduction audit
+    refuses: a kernel that breaks a grid triple, named by that triple, and
+    not a lag sum no grid triple realises."""
     space = FiniteMetricSpace(labels=("a", "b"), dist=np.array([[0.0, 1.0], [1.0, 0.0]]))
     p1 = np.array([[0.8, 0.2], [0.2, 0.8]])
     bad2 = np.array([[0.5, 0.5], [0.5, 0.5]])  # not p1 @ p1
-    with pytest.raises(InputError, match="semigroup"):
+    with pytest.raises(InputError, match=r"semigroup .* grid triple \(0, 1, 2\)"):
         mf.static_flow(space, {1.0: p1, 2.0: bad2}, TimeGrid((0.0, 1.0, 2.0)))
     with pytest.raises(InputError, match="no kernel"):
         mf.static_flow(space, {1.0: p1}, TimeGrid((0.0, 1.0, 2.0)))
+    # the tolerance is verify's 1e-10
+    nudge = np.array([[1e-9, -1e-9], [0.0, 0.0]])
+    with pytest.raises(InputError, match="fails by 1.000e-09"):
+        mf.static_flow(space, {1.0: p1, 2.0: p1 @ p1 + nudge}, TimeGrid((0.0, 1.0, 2.0)))
+    mf.static_flow(space, {1.0: p1, 2.0: p1 @ p1 + nudge / 100}, TimeGrid((0.0, 1.0, 2.0)))
+    # on (0, 1, 3) the one triple asks P(3) = P(2) P(1); P(2) = P(1)^2 is
+    # never asked, as no grid triple has lags 1 and 1
+    grid = TimeGrid((0.0, 1.0, 3.0))
+    flow = mf.static_flow(space, {1.0: p1, 2.0: bad2, 3.0: bad2 @ p1}, grid)
+    assert flow.metadata["semigroup_residual"] == 0.0
+    assert mf.verify_flow_axioms(flow, mode="skip").ok
+    # the residual is the one verify reports, also where it is not zero
+    flow = mf.static_cycle_flow(5, 3.0, 1.0, TimeGrid((0.0, 0.1, 0.35, 0.4, 1.0)))
+    residual = flow.metadata["semigroup_residual"]
+    assert 0.0 < residual <= 1e-10
+    assert residual == mf.verify_flow_axioms(flow, mode="skip").record("reproduction").worst
 
 
 def test_static_cycle_contracts_w1(static_cycle_fx):

@@ -3,6 +3,7 @@ name it does not use."""
 
 import ast
 import importlib
+import shlex
 from pathlib import Path
 
 import pytest
@@ -71,3 +72,17 @@ def test_no_cover_pragmas_only_where_unreachable_by_construction():
     )
     fallback = "cli.py: else:  # pragma: no cover - argparse restricts choices"
     assert marked == [fallback, fallback, 'cli.py: if __name__ == "__main__":  # pragma: no cover']
+
+
+def test_ci_installs_what_pyproject_requires():
+    """The CI workflow's pip line names pyproject's runtime and test
+    requirements with the same specifiers, in the same order."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    wanted = project["dependencies"] + project["optional-dependencies"]["test"]
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    lines = [line.split("pip install", 1)[1] for line in workflow.splitlines() if "pip install" in line]
+    assert len(lines) == 1
+    assert shlex.split(lines[0]) == wanted
