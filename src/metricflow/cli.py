@@ -241,7 +241,7 @@ def _default_relation(flow1: MetricFlow, flow2: MetricFlow) -> dict:
     return rel
 
 
-def _load_relation(path: str, flow1: MetricFlow) -> dict | list:
+def _load_relation(path: str) -> dict | list:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -308,12 +308,12 @@ def _write_csv(path: str, header: list, rows: list) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_entries(entries: int, flags: str) -> None:
-    """Refuse, before anything is built, a generated flow whose kernels
-    would store more than ``_MAX_ENTRIES`` floats."""
+def _check_entries(entries: int, flags: str, what: str = "kernel entries") -> None:
+    """Refuse, before anything is built, a generated flow that would store
+    more than ``_MAX_ENTRIES`` floats (``what`` names the arrays counted)."""
     if entries > _MAX_ENTRIES:
         raise InputError(
-            f"the flow would store {entries:,} kernel entries, over the limit of "
+            f"the flow would store {entries:,} {what}, over the limit of "
             f"{_MAX_ENTRIES:,}: shrink {flags}"
         )
 
@@ -336,6 +336,13 @@ def cmd_generate(args) -> int:
     elif kind == "product":
         f1 = load_flow(args.files[0])
         f2 = load_flow(args.files[1])
+        sizes = [a.n * b.n for a, b in zip(f1.slices, f2.slices)]
+        squares = sum(x * x for x in sizes)  # the product's slices
+        if f1.is_markov and f2.is_markov:  # one kernel per adjacent pair
+            kernels = sum(x * y for x, y in zip(sizes, sizes[1:]))
+        else:  # one kernel per pair s < t: sum of sizes[s] * sizes[t]
+            kernels = (sum(sizes) ** 2 - squares) // 2
+        _check_entries(squares + kernels, "the input flows", what="slice and kernel entries")
         flow = cartesian_product_flow(f1, f2)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown generator kind {kind!r}")
@@ -444,7 +451,7 @@ def cmd_distance(args) -> int:
     relations = []
     for i, j in needed:
         if args.relation:
-            relations.append(_load_relation(args.relation, flows[i]))
+            relations.append(_load_relation(args.relation))
         else:
             relations.append(_default_relation(flows[i], flows[j]))
     J = _parse_times_list(args.J) if args.J else ()
@@ -477,9 +484,9 @@ def cmd_distance(args) -> int:
     )
     if args.out:
         payload = {
-            "d12": tri.d12.to_json_dict(),
-            "d23": tri.d23.to_json_dict(),
-            "d13": tri.d13.to_json_dict(),
+            "d12": tri.d12.to_json_dict(include_couplings=args.include_couplings),
+            "d23": tri.d23.to_json_dict(include_couplings=args.include_couplings),
+            "d13": tri.d13.to_json_dict(include_couplings=args.include_couplings),
             "holds": tri.holds,
             "certificate_value": tri.certificate_value,
             "certificate_ok": tri.certificate_ok,

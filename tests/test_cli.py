@@ -236,6 +236,41 @@ def test_oversized_generate_exits_2_at_once(tmp_path, capsys, monkeypatch, argv,
     assert not (tmp_path / "g.json").exists()
 
 
+def test_oversized_product_exits_2_before_it_is_built(tmp_path, capsys, monkeypatch):
+    """The product of two 33-point, 2-time static flows would hold three
+    1089 x 1089 matrices (two slices, one kernel): it is refused with exit 2
+    before any product slice or kernel is built."""
+    st = make_doc(tmp_path, "st.json", "generate", "static", "--m", "33", "--steps", "1")
+
+    def not_built(*args):
+        raise AssertionError("product built for an oversized flow")
+
+    monkeypatch.setattr(mf.cli, "cartesian_product_flow", not_built)
+    rc, out, err = run_cli(capsys, "generate", "product", st, st, "--out", str(tmp_path / "p.json"))
+    assert rc == 2 and err.startswith("error: ") and "Traceback" not in out + err
+    assert "3,557,763 slice and kernel entries" in err and "the input flows" in err
+    assert not (tmp_path / "p.json").exists()
+
+
+@pytest.mark.parametrize("second", [
+    ["two-point", "--steps", "3"], ["static", "--m", "3", "--steps", "3"],
+], ids=["markov", "pair-stored"])
+def test_product_limit_counts_what_the_product_stores(tmp_path, capsys, monkeypatch, second):
+    """The count checked against the limit is the number of floats in the
+    product's slices and stored kernels, for Markov and pair-stored products."""
+    tp = make_doc(tmp_path, "tp.json", "generate", "two-point", "--steps", "3")
+    other = make_doc(tmp_path, "other.json", "generate", *second)
+    flow = mf.cartesian_product_flow(load_flow(tp), load_flow(other))
+    assert flow.is_markov == (second[0] == "two-point")
+    stored = sum(s.n ** 2 for s in flow.slices) + sum(k.size for k in flow.stored().values())
+    monkeypatch.setattr(mf.cli, "_MAX_ENTRIES", stored - 1)
+    rc, _, err = run_cli(capsys, "generate", "product", tp, other, "--out", str(tmp_path / "p.json"))
+    assert rc == 2 and f"would store {stored:,} slice and kernel entries" in err
+    monkeypatch.setattr(mf.cli, "_MAX_ENTRIES", stored)
+    rc, _, _ = run_cli(capsys, "generate", "product", tp, other, "--out", str(tmp_path / "p.json"))
+    assert rc == 0
+
+
 def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
     """Every ``main`` call parses with the same parser, and a call that ends
     in a usage error (exit 2, ``error: ``) leaves it working for the next one."""
@@ -509,6 +544,26 @@ def test_distance_three_files_triangle(tmp_path, capsys):
     assert rc == 0
     assert "triangle d(1,3) <= d(1,2) + d(2,3): holds" in out
     assert "admissible" in out
+
+
+@pytest.mark.parametrize("n_files", [2, 3])
+def test_distance_include_couplings(tmp_path, capsys, n_files):
+    """``--include-couplings`` adds each distance's couplings to ``--out``,
+    for two files and for each of the three distances of a triangle."""
+    files = [
+        make_doc(tmp_path, f"f{i}.json", "generate", "two-point", "--steps", "4", "--D", str(d))
+        for i, d in enumerate((1.0, 1.1, 1.2)[:n_files])
+    ]
+    reports = {}
+    for flag in ([], ["--include-couplings"]):
+        out_path = tmp_path / f"dist{len(flag)}.json"
+        rc, _, _ = run_cli(capsys, "distance", *files, "--out", str(out_path), *flag)
+        payload = json.loads(out_path.read_text())
+        assert rc == 0
+        reports[bool(flag)] = [payload] if n_files == 2 else [payload[k] for k in ("d12", "d23", "d13")]
+    for plain, full in zip(reports[False], reports[True]):
+        assert "couplings" not in plain
+        assert full.pop("couplings") and full == plain
 
 
 def test_inadmissible_triangle_certificate_exits_1(tmp_path, capsys, monkeypatch):

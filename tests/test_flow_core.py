@@ -489,6 +489,15 @@ def test_h_centers_require_admissible_H(two_point_flow_fx):
     assert centers.size > 0
 
 
+def test_h_centers_empty_set_raises(two_point_flow_fx, monkeypatch):
+    """With the concentration constant faked to 0, H = 0 passes the
+    admissibility check, but on a mixing flow every point has positive
+    Var(delta_z, nu) at s < t: the empty center set raises."""
+    monkeypatch.setattr(mf.flow_core, "h_concentration_constant", lambda flow: (0.0, None))
+    with pytest.raises(mf.InternalInvariantError, match="no H-center found"):
+        mf.h_centers(two_point_flow_fx, 0, t=1.0, s=0.0, H=0.0)
+
+
 def test_h_center_within_cell_on_lattice(gaussian_fx):
     flow, sidecar = gaussian_fx
     coords = sidecar.coords[:, 0]

@@ -63,6 +63,63 @@ def test_zero_offdiagonal_needs_relaxed_positivity():
     assert mf.check_metric_axioms(space, require_positive=False).ok
 
 
+def _all_axiom_violations(d: np.ndarray, require_positive: bool) -> list:
+    """Every violation, listed the plain way: symmetry and positivity over
+    i < j, the diagonal, then the triangle over (i, k) with the first j
+    attaining min_j d[i,j] + d[j,k], each in row-major order."""
+    n, tol = d.shape[0], 1e-12
+    found = [("symmetry", (i, j), abs(d[i, j] - d[j, i]))
+             for i in range(n) for j in range(i + 1, n) if abs(d[i, j] - d[j, i]) > tol]
+    found += [("diagonal", (i,), abs(d[i, i])) for i in range(n) if abs(d[i, i]) > tol]
+    if require_positive:
+        found += [("positivity", (i, j), -d[i, j])
+                  for i in range(n) for j in range(i + 1, n) if d[i, j] <= 0.0]
+    tri_tol = tol * max(1.0, float(d.max()))
+    for i in range(n):
+        through = d[i][:, None] + d  # [j, k] -> d[i,j] + d[j,k]
+        best, arg = through.min(axis=0), through.argmin(axis=0)
+        found += [("triangle", (i, int(arg[k]), k), d[i, k] - best[k])
+                  for k in range(n) if d[i, k] > best[k] + tri_tol]
+    return found
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_metric_axioms_report_the_first_worst_violation_per_axiom(seed):
+    """On random integer-valued spaces (many ties, every axiom broken, more
+    than 256 violations), the audit holds, per failed axiom in the order
+    symmetry, diagonal, positivity, triangle, the first largest violation
+    of the full list. n = 130 spans two row chunks of the triangle check."""
+    rng = np.random.default_rng(seed)
+    for n in (1, 2, 5, 17, 130):
+        d = rng.integers(0, 4, (n, n)).astype(float)
+        if seed % 2:
+            d = np.maximum(d, d.T)  # symmetric: only some axioms fail
+        for require_positive in (True, False):
+            found = _all_axiom_violations(d, require_positive)
+            expected = []
+            for kind in ("symmetry", "diagonal", "positivity", "triangle"):
+                of_kind = [v for v in found if v[0] == kind]
+                if of_kind:
+                    expected.append(max(of_kind, key=lambda v: v[2]))
+            rep = mf.check_metric_axioms(FiniteMetricSpace(tuple(range(n)), d),
+                                         require_positive=require_positive)
+            assert [(v.kind, v.indices, v.magnitude) for v in rep.violations] == expected
+            assert rep.ok == (found == [])
+            if n == 130:
+                assert len(found) > 256
+
+
+def test_metric_axioms_worst_triangle_past_256_violations():
+    """2 546 triangle violations: the worst is found wherever it lies."""
+    u = np.random.default_rng(1).uniform(size=(60, 60))
+    d = u + u.T
+    np.fill_diagonal(d, 0.0)
+    worst = mf.check_metric_axioms(FiniteMetricSpace(tuple(range(60)), d)).worst()
+    assert (worst.kind, worst.indices) == ("triangle", (45, 52, 58))
+    assert worst.magnitude == pytest.approx(1.5196, abs=1e-4)
+    assert len(_all_axiom_violations(d, True)) == 2546
+
+
 def test_subspace_and_scaling():
     space = euclidean_space(np.array([0.0, 1.0, 3.0]))
     sub = space.subspace([0, 2])
@@ -1227,6 +1284,15 @@ def _embed(fa, space):
     for idx, mass in zip(fa.subset_indices, fa.measure.weights):
         w[idx] += mass
     return ProbMeasure(w)
+
+
+def test_finite_approximation_bound_above_alpha_r_raises(monkeypatch):
+    """A certified W1 above alpha r contradicts the lemma: it raises."""
+    space = euclidean_space(0.1 * np.arange(10))
+    monkeypatch.setattr(ot_core, "w1_distance", lambda *args: types.SimpleNamespace(value=0.6))
+    with pytest.raises(mf.InternalInvariantError, match="exceeds guaranteed 0.5"):
+        mf.finite_approximation(space, ProbMeasure.uniform(10), r=1.0, alpha=0.5, V=1.0,
+                                b=BFunction.constant(0.05))
 
 
 def test_finite_approximation_trivial_cases():
