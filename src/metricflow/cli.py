@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -109,16 +110,24 @@ def save_flow(flow: MetricFlow, path: str) -> None:
     _write_json(path, flow_to_document(flow))
 
 
+def _read_json(path: str, what: str = ""):
+    """The parsed JSON file at ``path``; ``what`` prefixes the path in error
+    messages. An unreadable file raises :class:`InputError` ``cannot read``;
+    malformed JSON, bytes that are not UTF-8, an integer past Python's digit
+    limit and nesting too deep to parse raise it as ``not valid JSON``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise InputError(f"cannot read {what}{path}: {e}") from None
+    except (ValueError, RecursionError) as e:  # JSONDecodeError is a ValueError
+        raise InputError(f"{what}{path}: not valid JSON ({e})") from None
+
+
 def load_document(path: str) -> dict:
     """Read and schema-check a flow document. Raises :class:`InputError` for
     anything that is not a well-formed version-1 document."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise InputError(f"{path}: not valid JSON ({e})") from None
+    doc = _read_json(path)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be an object")
     if doc.get("format_version") != FORMAT_VERSION:
@@ -233,7 +242,7 @@ def _default_relation(flow1: MetricFlow, flow2: MetricFlow) -> dict:
     for t_idx in range(flow1.grid.n):
         l1, l2 = flow1.slices[t_idx].labels, flow2.slices[t_idx].labels
         lookup = {lab: j for j, lab in enumerate(l2)}
-        if sorted(map(str, l1)) != sorted(map(str, l2)):
+        if set(l1) != set(l2):
             raise InputError(
                 f"slices at index {t_idx} carry different label sets; pass --relation"
             )
@@ -242,11 +251,7 @@ def _default_relation(flow1: MetricFlow, flow2: MetricFlow) -> dict:
 
 
 def _load_relation(path: str) -> dict | list:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise InputError(f"cannot read relation file {path}: {e}") from None
+    doc = _read_json(path, "relation file ")
     if isinstance(doc, dict) and isinstance(doc.get("per_time"), dict):
         rel = {}
         for key, pairs in doc["per_time"].items():
@@ -356,6 +361,20 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+_JSON_TYPES = {"bool": bool, "int": int, "float": float, "str": str}
+
+
+def _fields_json(record, omit: set) -> dict:
+    """A dataclass record as a JSON object: its fields less ``omit``, in
+    declaration order, each cast to its declared type (so numpy scalars
+    become JSON numbers and booleans)."""
+    return {
+        f.name: _JSON_TYPES[f.type](getattr(record, f.name))
+        for f in dataclasses.fields(record)
+        if f.name not in omit
+    }
+
+
 def cmd_verify(args) -> int:
     doc = load_document(args.flow)  # schema problems exit 2
     try:
@@ -403,28 +422,8 @@ def cmd_verify(args) -> int:
 
     if args.out:
         payload = {
-            "records": [
-                {
-                    "name": r.name,
-                    "passed": bool(r.passed),
-                    "worst": float(r.worst),
-                    "gating": r.gating,
-                }
-                for r in report.records
-            ],
-            "axiom6": [
-                {
-                    "s_idx": e.s_idx,
-                    "t_idx": e.t_idx,
-                    "verdict": e.verdict,
-                    "passed": bool(e.passed),
-                    "worst_ratio": float(e.worst_ratio),
-                    "worst_excess": float(e.worst_excess),
-                    "n_cases": int(e.n_cases),
-                    "gating": e.gating,
-                }
-                for e in report.axiom6
-            ],
+            "records": [_fields_json(r, {"details"}) for r in report.records],
+            "axiom6": [_fields_json(e, {"saturated", "duplicates"}) for e in report.axiom6],
             "h_concentration_constant": float(h_value),
             "mode": mode,
             "approximate": bool(approximate),
@@ -447,13 +446,10 @@ def _pair_from(flow: MetricFlow, basepoint: str) -> MetricFlowPair:
 
 def cmd_distance(args) -> int:
     flows = [load_flow(p) for p in args.files]
-    needed = [(0, 1)] if len(flows) == 2 else [(0, 1), (1, 2)]
-    relations = []
-    for i, j in needed:
-        if args.relation:
-            relations.append(_load_relation(args.relation))
-        else:
-            relations.append(_default_relation(flows[i], flows[j]))
+    if args.relation:
+        relations = [_load_relation(args.relation)] * (len(flows) - 1)
+    else:
+        relations = [_default_relation(a, b) for a, b in zip(flows, flows[1:])]
     J = _parse_times_list(args.J) if args.J else ()
     pairs = [_pair_from(f, args.basepoint) for f in flows]
 

@@ -404,41 +404,40 @@ def gw1_upper_bound(
     """Upper bound on the Gromov-W1 distance between two metric measure
     spaces: W1 between the pushforwards into a union gluing.
 
-    With an explicit ``relation`` the single corresponding gluing is used.
-    Without one, all bijective relations are searched exhaustively (requires
-    equal sizes <= 6); the result is exactly zero for isometric inputs with
-    matched measures. Either way the value only certifies "Gromov-W1 <=
-    value" — no tightness is claimed.
+    One loop glues, solves and keeps the least value over its candidate
+    relations. With an explicit ``relation`` that is the only candidate.
+    Without one, every bijective relation is a candidate (requires equal
+    sizes <= 6), less those whose half-distortion eps already reaches the
+    best value found: every coupling moves all mass across, at cost >= eps.
+    The exhaustive result is exactly zero for isometric inputs with matched
+    measures. Either way the value only certifies "Gromov-W1 <= value" — no
+    tightness is claimed.
     """
     if mu1.n != space1.n or mu2.n != space2.n:
         raise InputError("measures and spaces have mismatched sizes")
-    if relation is not None:
-        glued, _ = _union_glue(space1, space2, relation, where="gw1_upper_bound")
-        value = w1_distance(glued.ambient, glued.push(0, mu1), glued.push(1, mu2)).value
-        return GWBound(
-            value=value,
-            relation=tuple((int(a), int(b)) for a, b in relation),
-            glued=glued,
-            exhaustive=False,
+    exhaustive = relation is None
+    if exhaustive:
+        n = space1.n
+        if space2.n != n:
+            raise InputError("exhaustive mode needs equal point counts (pass a relation otherwise)")
+        if n > 6:
+            raise InputError(f"exhaustive mode is limited to 6 points, got {n}")
+        d1, d2 = space1.dist, space2.dist
+        candidates = (
+            (0.5 * float(np.abs(d1 - d2[np.ix_(p, p)]).max()), tuple(enumerate(map(int, p))))
+            for p in map(np.array, itertools.permutations(range(n)))
         )
-    n = space1.n
-    if space2.n != n:
-        raise InputError("exhaustive mode needs equal point counts (pass a relation otherwise)")
-    if n > 6:
-        raise InputError(f"exhaustive mode is limited to 6 points, got {n}")
+    else:
+        candidates = [(0.0, tuple((int(a), int(b)) for a, b in relation))]
     best = None
-    d1, d2 = space1.dist, space2.dist
-    for perm in itertools.permutations(range(n)):
-        p = np.array(perm)
-        eps = 0.5 * float(np.abs(d1 - d2[np.ix_(p, p)]).max())
-        if best is not None and eps >= best[0]:
-            continue  # every coupling moves all mass across, at cost >= eps
-        pairs = tuple((i, int(p[i])) for i in range(n))
+    for eps, pairs in candidates:
+        if best is not None and eps >= best.value:
+            continue
         glued, _ = _union_glue(space1, space2, pairs, where="gw1_upper_bound")
         value = w1_distance(glued.ambient, glued.push(0, mu1), glued.push(1, mu2)).value
-        if best is None or value < best[0]:
-            best = (value, pairs, glued)
-    return GWBound(value=best[0], relation=best[1], glued=best[2], exhaustive=True)
+        if best is None or value < best.value:
+            best = GWBound(value=value, relation=pairs, glued=glued, exhaustive=exhaustive)
+    return best
 
 
 # ---------------------------------------------------------------------------

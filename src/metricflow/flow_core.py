@@ -509,6 +509,15 @@ def h_concentration_constant(flow: MetricFlow):
     return max(best, 0.0), witness
 
 
+def _time_pair(flow: MetricFlow, t: float, s: float) -> tuple:
+    """The grid indices (t_idx, s_idx) of two times, t resolved first;
+    raises :class:`InputError` if either is off the grid or s > t."""
+    t_idx, s_idx = flow.grid.index_of(t), flow.grid.index_of(s)
+    if s_idx > t_idx:
+        raise InputError("need s <= t")
+    return t_idx, s_idx
+
+
 def h_centers(flow: MetricFlow, x_idx: int, t: float, s: float, H: float) -> np.ndarray:
     """All points z of the slice at s with Var(delta_z, nu_{x;s}) <= H (t-s).
 
@@ -518,9 +527,7 @@ def h_centers(flow: MetricFlow, x_idx: int, t: float, s: float, H: float) -> np.
     guard keeps the knife-edge case H = constant robust in floats; an empty
     result nevertheless raises :class:`InternalInvariantError`.
     """
-    t_idx, s_idx = flow.grid.index_of(t), flow.grid.index_of(s)
-    if s_idx > t_idx:
-        raise InputError("need s <= t")
+    t_idx, s_idx = _time_pair(flow, t, s)
     h_min, _ = h_concentration_constant(flow)
     if H < h_min:
         raise InputError(f"H={H} below the flow's concentration constant {h_min}")
@@ -547,7 +554,7 @@ def hcenter_mass_bound_check(
     """Chebyshev mass bound at the H-centers: for every center z and A > 1,
     nu_{x;s}(B(z, sqrt(A H (t-s)))) >= 1 - 1/A with B an *open* ball, up to
     a shortfall of 1e-12."""
-    t_idx, s_idx = flow.grid.index_of(t), flow.grid.index_of(s)
+    t_idx, s_idx = _time_pair(flow, t, s)
     centers = h_centers(flow, x_idx, t, s, H)
     nu = flow.kernel(s_idx, t_idx)[int(x_idx)]
     d = flow.slices[s_idx].dist
@@ -572,8 +579,10 @@ def hcenter_mass_bound_check(
 # ---------------------------------------------------------------------------
 
 
-def _worst_decrease(vals) -> float:
-    """max(0, max_{a<b} vals[a] - vals[b]) by a running prefix maximum.
+def _non_decreasing(name: str, common: list, vals: list) -> CheckRecord:
+    """The record ``name`` for a curve that must not decrease: ``vals`` at
+    the grid indices ``common``; ``worst`` is max(0, max_{a<b} vals[a] -
+    vals[b]), found by a running prefix maximum, and passes at most 1e-9.
 
     Equal bit for bit to the double loop over pairs: rounding x - c is
     monotone in x, so the largest vals[a] gives the largest rounded drop.
@@ -583,7 +592,12 @@ def _worst_decrease(vals) -> float:
     for v in vals[1:]:
         worst = max(worst, top - v)
         top = max(top, v)
-    return worst
+    return CheckRecord(
+        name=name,
+        passed=worst <= 1e-9,
+        worst=worst,
+        details=tuple((int(i), float(v)) for i, v in zip(common, vals)),
+    )
 
 
 def w1_kernel_monotonicity_check(
@@ -596,23 +610,14 @@ def w1_kernel_monotonicity_check(
     most 1e-9). The W1 values are one batch of block-diagonal LPs."""
     common = _common_times(mu1, mu2)
     pairs = [(flow.slices[i], mu1.measure_at(i), mu2.measure_at(i)) for i in common]
-    vals = [res.value for res in _w1_results(pairs)]
-    worst = _worst_decrease(vals)
-    return CheckRecord(
-        name="w1-monotonicity",
-        passed=worst <= 1e-9,
-        worst=worst,
-        details=tuple((int(i), float(v)) for i, v in zip(common, vals)),
-    )
+    return _non_decreasing("w1-monotonicity", common, [res.value for res in _w1_results(pairs)])
 
 
 def kernel_w1_contraction_check(flow: MetricFlow, t: float, s: float) -> CheckRecord:
     """Special case on kernels: d_W1(nu_{x1;s}, nu_{x2;s}) <= d_t(x1, x2) + 1e-9
     over all unordered pairs (x1, x2) of the slice at t. The W1 values are
     one batch of block-diagonal LPs, in ``itertools.combinations`` order."""
-    t_idx, s_idx = flow.grid.index_of(t), flow.grid.index_of(s)
-    if s_idx > t_idx:
-        raise InputError("need s <= t")
+    t_idx, s_idx = _time_pair(flow, t, s)
     kernels = [ProbMeasure(row) for row in flow.kernel(s_idx, t_idx)]
     space_s = flow.slices[s_idx]
     d_t = flow.slices[t_idx].dist
@@ -642,13 +647,7 @@ def var_plus_Ht_monotonicity_check(
         + H * flow.grid.times[i]
         for i in common
     ]
-    worst = _worst_decrease(vals)
-    return CheckRecord(
-        name="var-plus-Ht-monotonicity",
-        passed=worst <= 1e-9,
-        worst=worst,
-        details=tuple((int(i), float(v)) for i, v in zip(common, vals)),
-    )
+    return _non_decreasing("var-plus-Ht-monotonicity", common, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -841,9 +840,7 @@ def intd_diff_bounds_check(
     (the inner argument is clamped at 0 against float cancellation); passes
     when neither side is exceeded by more than 1e-9.
     """
-    s_idx, t_idx = flow.grid.index_of(s), flow.grid.index_of(t)
-    if s_idx > t_idx:
-        raise InputError("need s <= t")
+    t_idx, s_idx = _time_pair(flow, t, s)
     i_s = d_integral(flow, mu, s)
     i_t = d_integral(flow, mu, t)
     var_s = variance(flow.slices[s_idx], mu.measure_at(s_idx))
@@ -904,21 +901,16 @@ def mass_distribution_lower_bound_check(
     geometric samples of [max(2 (tau H)^{1/3}, 1e-6), 1].
     """
     pre = []
-    t_idx = None
-    top_idx = None
-    try:
-        t_idx = flow.grid.index_of(t)
-        pre.append(("t on grid", True, t))
-    except InputError:
-        pre.append(("t on grid", False, t))
-    t_top = t + tau * r * r
-    try:
-        top_idx = flow.grid.index_of(t_top)
-        pre.append(("t + tau r^2 on grid", True, t_top))
-    except InputError:
-        pre.append(("t + tau r^2 on grid", False, t_top))
+    ends = []
+    for label, value in (("t on grid", t), ("t + tau r^2 on grid", t + tau * r * r)):
+        try:
+            ends.append(flow.grid.index_of(value))
+        except InputError:
+            ends.append(None)
+        pre.append((label, ends[-1] is not None, value))
+    t_idx, top_idx = ends
 
-    if t_idx is not None and top_idx is not None:
+    if None not in ends:
         window = [i for i in mu.time_indices if t_idx <= i <= top_idx]
         covered = {t_idx, top_idx} <= set(window)
         pre.append(("mu covers the window", covered, len(window)))
@@ -933,7 +925,7 @@ def mass_distribution_lower_bound_check(
     entries = []
     eps_lo = 2.0 * (tau * H) ** (1.0 / 3.0)
     range_empty = eps_lo > 1.0
-    if not range_empty and t_idx is not None and all(ok for _, ok, _ in pre):
+    if not range_empty and all(ok for _, ok, _ in pre):  # an end off the grid fails one
         slice_t = flow.slices[t_idx]
         mu_t = mu.measure_at(t_idx)
         for eps in np.geomspace(max(eps_lo, 1e-6), 1.0, 9):

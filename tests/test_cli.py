@@ -95,6 +95,36 @@ def test_schema_errors_exit_2(tmp_path, capsys):
     assert rc == 2 and "kernels.mode" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    ("[" * 100_000, "not valid JSON"),
+    (b"\xff\xfe{}", "not valid JSON"),
+    ('{"pairs": [[0, ' + "1" * 5000 + "]]}", None),
+], ids=["nested-100000", "not-utf8", "5000-digit-integer"])
+@pytest.mark.parametrize("role", ["verify", "report", "distance", "relation"])
+def test_unparsable_json_exits_2(tp4, tmp_path, capsys, content, message, role):
+    """Every JSON input goes through one reader: nesting too deep to parse,
+    bytes that are not UTF-8 and an integer past the digit limit exit 2
+    with ``error: ``, whether the file is a flow document or a relation.
+    (Pythons without the digit limit parse the integer; the file then fails
+    the schema check instead, still with exit 2.)"""
+    bad = tmp_path / "bad.json"
+    if isinstance(content, bytes):
+        bad.write_bytes(content)
+    else:
+        bad.write_text(content)
+    argv = {
+        "verify": ["verify", str(bad)],
+        "report": ["report", str(bad), "--quantity", "var-curve", "--csv", str(tmp_path / "o.csv")],
+        "distance": ["distance", tp4, str(bad)],
+        "relation": ["distance", tp4, tp4, "--relation", str(bad)],
+    }[role]
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 2 and err.startswith("error: ") and "Traceback" not in out + err
+    if message is not None:
+        prefix = "relation file " if role == "relation" else ""
+        assert f"error: {prefix}{bad}: {message} (" in err
+
+
 @pytest.mark.parametrize("mutate", [
     lambda d: d.update(times=[[t] for t in d["times"]]),
     lambda d: d.update(times=None),
@@ -341,6 +371,46 @@ def test_verify_json_report(tp4, tmp_path, capsys):
     g = 0.25
     expected_h = 0.5 * (1.0 - math.exp(-C_STAR * g)) / g
     assert payload["h_concentration_constant"] == pytest.approx(expected_h, rel=1e-9)
+
+
+RECORD_KEYS = {"name": str, "passed": bool, "worst": float, "gating": bool}
+AXIOM6_KEYS = {
+    "s_idx": int, "t_idx": int, "verdict": str, "passed": bool, "worst_ratio": float,
+    "worst_excess": float, "n_cases": int, "gating": bool,
+}
+REPORT_KEYS = {
+    "records": list, "axiom6": list, "h_concentration_constant": float, "mode": str,
+    "approximate": bool, "summary": str,
+}
+
+
+@pytest.mark.filterwarnings("ignore:box half-width:UserWarning")
+@pytest.mark.parametrize("mode", [None, "randomized", "skip"])
+@pytest.mark.parametrize("argv", [
+    ["two-point", "--steps", "6"],
+    ["static", "--m", "5", "--rate", "2", "--steps", "4"],
+    ["gaussian", "--L", "2", "--h", "0.5"],
+], ids=["two-point", "static", "gaussian"])
+def test_verify_json_format(tmp_path, capsys, argv, mode):
+    """``verify --json`` writes its keys in this order, each value of this
+    JSON type; an axiom (6) entry appears whenever the battery runs. Float
+    values are not pinned: they move in the last bits across scipy builds."""
+    path = make_doc(tmp_path, "f.json", "generate", *argv)
+    out_json = tmp_path / "report.json"
+    run_cli(capsys, "verify", path, *(["--mode", mode] if mode else []), "--json", str(out_json))
+    payload = json.loads(out_json.read_text())
+
+    def check(obj, keys):
+        assert list(obj) == list(keys)
+        assert all(type(obj[k]) is t for k, t in keys.items()), obj
+
+    check(payload, REPORT_KEYS)
+    assert payload["records"]
+    for rec in payload["records"]:
+        check(rec, RECORD_KEYS)
+    assert bool(payload["axiom6"]) == (payload["mode"] != "skip")
+    for entry in payload["axiom6"]:
+        check(entry, AXIOM6_KEYS)
 
 
 def test_verify_content_corruption_exits_1(tp4, tmp_path, capsys):
@@ -882,6 +952,28 @@ def test_distance_relation_file_and_label_mismatch(tmp_path, capsys):
         badrel.write_text(json.dumps(payload))
         rc, _, err = run_cli(capsys, "distance", a, b, "--relation", str(badrel))
         assert rc == 2 and message in err
+
+
+@pytest.mark.parametrize("labels2, rc_want", [(("1", "2"), 2), ((1.0, 2.0), 0)],
+                         ids=["int-vs-str", "int-vs-float"])
+def test_default_relation_matches_labels_by_equality(tmp_path, capsys, labels2, rc_want):
+    """Labels match as Python values, as ``FiniteMetricSpace`` keeps them
+    unique: 1 and "1" differ (exit 2, not a KeyError traceback), 1 and 1.0
+    are the same point."""
+    grid = TimeGrid((0.0, 0.5, 1.0))
+    flow = mf.two_point_flow(C_STAR, 1.0, grid)
+    paths = []
+    for name, labels in (("a.json", (1, 2)), ("b.json", labels2)):
+        slices = tuple(mf.FiniteMetricSpace(labels=labels, dist=s.dist) for s in flow.slices)
+        save_flow(mf.MetricFlow(grid, slices, adjacent_kernels=list(flow.stored().values())),
+                  str(tmp_path / name))
+        paths.append(str(tmp_path / name))
+    rc, out, err = run_cli(capsys, "distance", *paths)
+    assert rc == rc_want and "Traceback" not in out + err
+    if rc_want == 2:
+        assert err.startswith("error: ") and "different label sets" in err
+    else:
+        assert "value r = 0.0" in out
 
 
 def test_distance_e_mode_and_protected_times(tmp_path, capsys):

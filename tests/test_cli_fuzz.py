@@ -1,5 +1,6 @@
 """Exit-code contract under malformed input: mutated documents run through
-``verify``, ``report`` and ``distance`` must exit 0, 1 or 2, never raise."""
+``verify``, ``report`` and ``distance``, and mutated relation files through
+``distance --relation``, must exit 0, 1 or 2, never raise."""
 
 import contextlib
 import copy
@@ -87,3 +88,58 @@ def test_mutated_documents_keep_the_exit_code_contract(base_docs, data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             rc = main(argv)
         assert rc in (0, 1, 2), argv
+
+
+# valid relations for two 2-point, 3-time flows: one for every time, and one per time
+RELATIONS = (
+    {"pairs": [[0, 0], [1, 1]]},
+    {"per_time": {"0": [[0, 1], [1, 0]], "1": [[0, 0], [1, 1]], "2": [[0, 1], [1, 0]]}},
+)
+HUGE_INTS = st.sampled_from([2**63, -(2**63) - 1, 10**18, 10**400, -(10**400)])
+NON_INTEGER_KEYS = st.sampled_from(["x", "", "1.5", "1e0", "0x1", "-1", " 2 ", "99", "pairs"])
+
+
+@st.composite
+def mutated_relation(draw):
+    """A valid relation with one to three mutations: a value swapped for an
+    odd one, a huge integer or a bool, a value nested one level deeper, or
+    an object key renamed to one that is not a grid index. The document sits
+    in a one-element box, so the top level can be swapped or nested too."""
+    box = [copy.deepcopy(draw(st.sampled_from(RELATIONS)))]
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["odd", "huge", "bool", "nest", "rekey"]))
+        nodes = [node for _, node in _containers(box) if op != "rekey" or isinstance(node, dict)]
+        nodes.reverse()  # the innermost first: derandomized draws favour the first
+        if not nodes:  # no object left to rekey
+            continue
+        node = draw(st.sampled_from(nodes))
+        keys = list(node.keys()) if isinstance(node, dict) else list(range(len(node)))
+        if not keys:
+            continue
+        key = draw(st.sampled_from(keys))
+        if op == "odd":
+            node[key] = draw(ODD_VALUES)
+        elif op == "huge":
+            node[key] = draw(HUGE_INTS)
+        elif op == "bool":
+            node[key] = draw(st.booleans())
+        elif op == "nest":
+            node[key] = draw(st.sampled_from([[node[key]], {"pairs": node[key]}]))
+        else:
+            node[draw(NON_INTEGER_KEYS)] = node.pop(key)
+    return box[0]
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(relation=mutated_relation())
+def test_mutated_relation_files_keep_the_exit_code_contract(base_docs, relation):
+    work, docs = base_docs
+    flow_path = docs["two-point"][0]
+    bad = work / "relation.json"
+    bad.write_text(json.dumps(relation))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(["distance", flow_path, flow_path, "--relation", str(bad)])
+    assert rc in (0, 1, 2), relation

@@ -520,6 +520,23 @@ def test_hcenter_mass_bound(two_point_flow_fx, gaussian_fx):
         mf.hcenter_mass_bound_check(two_point_flow_fx, 0, t=1.0, s=0.0, H=H, A_values=(0.5,))
 
 
+@pytest.mark.parametrize("check", [
+    lambda flow, t, s: mf.h_centers(flow, 0, t=t, s=s, H=1e3),
+    lambda flow, t, s: mf.hcenter_mass_bound_check(flow, 0, t=t, s=s, H=1e3),
+    lambda flow, t, s: mf.kernel_w1_contraction_check(flow, t, s),
+    lambda flow, t, s: mf.intd_diff_bounds_check(
+        flow, mf.conj_backward(flow, 1.0, ProbMeasure.uniform(2)), 1e3, s=s, t=t),
+], ids=["h_centers", "hcenter_mass_bound_check", "kernel_w1_contraction_check",
+        "intd_diff_bounds_check"])
+def test_checks_share_one_time_pair_rule(two_point_flow_fx, check):
+    """Every check on a time pair resolves t, then s, on the grid and
+    refuses s > t: an off-grid pair names t."""
+    with pytest.raises(InputError, match="need s <= t"):
+        check(two_point_flow_fx, 0.5, 1.0)
+    with pytest.raises(InputError, match=r"time 0\.77 is not on the grid"):
+        check(two_point_flow_fx, 0.77, 0.33)
+
+
 # ---------------------------------------------------------------------------
 # monotonicity checks
 # ---------------------------------------------------------------------------
@@ -1200,7 +1217,8 @@ def test_worst_decrease_matches_pair_loop():
         for a in range(len(vals)):
             for b in range(a + 1, len(vals)):
                 loop = max(loop, vals[a] - vals[b])
-        assert flow_core._worst_decrease(vals) == loop
+        rec = flow_core._non_decreasing("curve", range(len(vals)), vals)
+        assert rec.worst == loop and rec.passed == (loop <= 1e-9)
 
 
 def test_time_grid_matches():

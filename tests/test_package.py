@@ -3,6 +3,7 @@ name it does not use."""
 
 import ast
 import importlib
+import re
 import shlex
 from pathlib import Path
 
@@ -86,3 +87,11 @@ def test_ci_installs_what_pyproject_requires():
     lines = [line.split("pip install", 1)[1] for line in workflow.splitlines() if "pip install" in line]
     assert len(lines) == 1
     assert shlex.split(lines[0]) == wanted
+
+
+def test_ci_job_has_a_timeout():
+    """The Tier-1 job stops after 15 minutes, so a hung solve cannot hold a
+    runner for GitHub's 6-hour default."""
+    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
+    job = re.search(r"^  tests:\n((?:    .*\n|\s*\n)*)", workflow.read_text(), re.M)
+    assert job and re.search(r"^    timeout-minutes: 15$", job.group(1), re.M)
