@@ -176,6 +176,11 @@ def _phi_inv_pair(u: np.ndarray, v: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+def _up(x):
+    """The next float above x (elementwise): rounds a computed bound up."""
+    return np.nextafter(x, np.inf)
+
+
 def _time_tol(t: float) -> float:
     """How far a time value may sit from the grid time it means."""
     return EXACT_TOL * max(1.0, abs(t))
@@ -489,24 +494,74 @@ def h_concentration_constant(flow: MetricFlow):
     """Smallest H >= 0 with Var(nu_{x1;s}, nu_{x2;s}) <= d_t(x1,x2)^2 + H (t-s)
     over all grid pairs s < t and point pairs; returns (H, witness) with the
     attaining (s_idx, t_idx, x1, x2). Clamped at 0 (s = t pairs are identities
-    and carry no information). Single-time flows return (0.0, None)."""
+    and carry no information). Single-time flows return (0.0, None).
+
+    Pairs are visited in (t, s) order, and a pair's largest ratio
+    fl(fl(fl(K D2_s) K^T) - D2_t) / fl(t - s) replaces the best only when it
+    is strictly larger, so of tied pairs the first is the witness. A pair
+    whose ratio is capped below the best over earlier columns is skipped,
+    which leaves (H, witness) bit-identical to visiting every pair. The cap:
+    kernel entries are >= 0 and each stored row sums to within EXACT_TOL of 1
+    in floats, so its exact row sum is at most (1 + EXACT_TOL)(1 + g), where
+    g = n u / (1 - n u), u = 2^-53 and n is the largest slice size, bounds the
+    relative error of any sum of n nonnegative products. Composing m stored
+    kernels (m = t - s on a Markov flow, 1 on a pair-stored one) rounds m - 1
+    products, so a computed kernel's rows sum to at most q^m with
+    q = (1 + EXACT_TOL)(1 + g)^2. The two products of the variance add
+    (1 + g)^2 <= q, so every entry is at most diam^2(X_s) q^(2m+1). A product
+    that underflows adds at most 2^-1075: adding n 2^-1074 to diam^2 covers
+    the variance's, and the ulps between the admitted row sums and
+    1 + EXACT_TOL rounded up cover a composition's. Subtracting D2_t >= 0
+    cannot raise an entry. With each factor rounded up, the computed cap and
+    fl(cap / fl(t - s)) bound every computed ratio of the pair: those are
+    floats below a real bound, and rounding is monotone. Each Markov column
+    is walked only down to the lowest s whose bound reaches the best; a
+    pair-stored column costs dict lookups and is read whole, so a missing
+    pair is refused wherever the cap would skip it.
+    """
     best = 0.0
     witness = None
     times = flow.grid.times
     d2 = [s.dist ** 2 for s in flow.slices]
-    for t_idx in range(flow.grid.n):
-        for s_idx, k in enumerate(flow.column(t_idx)):
+    for t_idx, cap in zip(range(1, flow.grid.n), _h_ratio_caps(flow, d2)):
+        need = list(range(t_idx)) if witness is None else np.flatnonzero(cap >= best).tolist()
+        read = need if flow.is_markov else range(t_idx)
+        column = dict(zip(read, flow.column(t_idx, read)))
+        for s_idx in need:
+            k = column[s_idx]
             var = k @ d2[s_idx] @ k.T
             num = var - d2[t_idx]
             ratio = num / (times[t_idx] - times[s_idx])
-            i, j = np.unravel_index(int(ratio.argmax()), ratio.shape)
+            i, j = divmod(int(ratio.argmax()), ratio.shape[1])
             cand = float(ratio[i, j])
             if witness is None or cand > best:
                 best = cand
-                witness = (s_idx, t_idx, int(i), int(j))
+                witness = (s_idx, t_idx, i, j)
     if witness is None:
         return 0.0, None
     return max(best, 0.0), witness
+
+
+def _h_ratio_caps(flow: MetricFlow, d2: list):
+    """For t = 1, ..., T - 1 in turn, the array over s < t of fl(cap / fl(t - s)),
+    which bounds every ratio of pair (s, t) (derivation in
+    :func:`h_concentration_constant`); ``d2`` holds each slice's squared
+    distances."""
+    n = max(s.n for s in flow.slices)
+    g = _up(n * 2.0 ** -53 / (1.0 - n * 2.0 ** -53))
+    q = _up(_up(_up(1.0 + EXACT_TOL) * _up(1.0 + g)) * _up(1.0 + g))
+    q2 = _up(q * q)
+    grow = [q]  # grow[m] >= q^(2m+1)
+    for _ in range(flow.grid.n - 1 if flow.is_markov else 1):
+        grow.append(_up(grow[-1] * q2))
+    # column t reads the last t entries: m = t - s on a Markov flow, else 1
+    steps = np.array(grow[:0:-1] if flow.is_markov else grow[1:] * flow.grid.n)
+    diam2 = np.array([_up(float(d.max()) + n * math.ulp(0.0)) for d in d2])
+    times = np.asarray(flow.grid.times)
+    for t_idx in range(1, flow.grid.n):
+        with np.errstate(over="ignore"):  # an infinite cap skips nothing
+            bound = diam2[:t_idx] * steps[-t_idx:] / (times[t_idx] - times[:t_idx])
+        yield bound
 
 
 def _time_pair(flow: MetricFlow, t: float, s: float) -> tuple:

@@ -361,6 +361,23 @@ def test_verify_pass(tp4, capsys):
     assert "H-concentration constant" in out
 
 
+@pytest.mark.parametrize(
+    "argv", [["verify", "--mode", "skip"], ["report", "--quantity", "var-curve", "--csv", "o.csv"]]
+)
+def test_missing_kernel_pair_exits_2(tmp_path, capsys, monkeypatch, argv):
+    """A 3-time flow storing only pairs 0:1 and 1:2 exits 2 naming (0, 2),
+    though the long lag to t = 100 puts that pair's H cap below the ratio
+    of (0, 1)."""
+    sp = two_point_space()
+    pairs = {(0, 1): np.full((2, 2), 0.5), (1, 2): np.eye(2)}
+    flow = mf.MetricFlow(TimeGrid((0.0, 1.0, 100.0)), (sp,) * 3, pair_kernels=pairs)
+    save_flow(flow, str(tmp_path / "gap.json"))
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run_cli(capsys, argv[0], "gap.json", *argv[1:])
+    assert rc == 2 and err == "error: no stored kernel for pair (0, 2)\n"
+    assert "Traceback" not in out + err
+
+
 def test_verify_json_report(tp4, tmp_path, capsys):
     report_path = tmp_path / "report.json"
     rc, _, _ = run_cli(capsys, "verify", tp4, "--json", str(report_path))

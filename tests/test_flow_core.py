@@ -11,6 +11,7 @@ import sys
 import time
 import tracemalloc
 from functools import reduce
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -29,7 +30,7 @@ from metricflow import (
     phi,
     phi_inv,
 )
-from metricflow import flow_core, ot_core
+from metricflow import cli, flow_core, ot_core
 
 from conftest import C_STAR, euclidean_space, random_space
 
@@ -447,6 +448,200 @@ def test_h_constant_product_subadditive(static_cycle_fx, product_fx):
     hp = mf.h_concentration_constant(product_fx)[0]
     assert hp <= h1 + h2 + 1e-9
     assert hp >= max(h1, h2) - 1e-9
+
+
+def _pair_ratios(flow):
+    """(s_idx, t_idx, ratio matrix) for every grid pair in (t, s) order, with
+    the arithmetic of ``h_concentration_constant``."""
+    times = flow.grid.times
+    d2 = [s.dist ** 2 for s in flow.slices]
+    for t_idx in range(flow.grid.n):
+        for s_idx, k in enumerate(flow.column(t_idx)):
+            var = k @ d2[s_idx] @ k.T
+            yield s_idx, t_idx, (var - d2[t_idx]) / (times[t_idx] - times[s_idx])
+
+
+def _pair_ratio_max(flow, s_idx, t_idx):
+    return next(r.max() for s, t, r in _pair_ratios(flow) if (s, t) == (s_idx, t_idx))
+
+
+def _h_all_pairs(flow):
+    """The all-pairs search: every grid pair, strict > keeps the first maximum."""
+    best = 0.0
+    witness = None
+    for s_idx, t_idx, ratio in _pair_ratios(flow):
+        i, j = np.unravel_index(int(ratio.argmax()), ratio.shape)
+        cand = float(ratio[i, j])
+        if witness is None or cand > best:
+            best = cand
+            witness = (s_idx, t_idx, int(i), int(j))
+    if witness is None:
+        return 0.0, None
+    return max(best, 0.0), witness
+
+
+# the largest float whose distance from 1 passes the row-sum check
+ROW_SUM_TOP = 1.0 + math.floor(ot_core.EXACT_TOL / 2.0 ** -52) * 2.0 ** -52
+
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+
+
+def _markov_doc_flow(n, n_times, seed):
+    """The benchmark's random Markov flow (``perfbench/inputs.markov_doc``)."""
+    if PERFBENCH not in sys.path:
+        sys.path.insert(0, PERFBENCH)
+    import inputs
+
+    return cli.document_to_flow(inputs.markov_doc(np.random.default_rng(seed), n, n_times))
+
+
+def _line_space(xs) -> FiniteMetricSpace:
+    xs = np.asarray(xs, dtype=float)
+    return FiniteMetricSpace(
+        labels=tuple(f"p{i}" for i in range(xs.size)), dist=np.abs(xs[:, None] - xs[None, :])
+    )
+
+
+def _longest_lag_flow():
+    """Slice diameters growing with t, every stored pair mixing weakly except
+    (0, T - 1), which mixes fully: the maximum sits at the longest lag. Only
+    a pair-stored flow can do this: Var is bilinear, so on a Markov flow a
+    pair's ratio is at most the larger ratio of its two halves, and the exact
+    maximum sits on an adjacent pair."""
+    n_times, weak = 6, 1e-4
+    slices = tuple(_line_space(np.array([0.0, 1.0, 3.0]) * (1.0 + t)) for t in range(n_times))
+    pairs = {(s, t): (1.0 - weak) * np.eye(3) + weak / 3.0 for t in range(n_times) for s in range(t)}
+    pairs[(0, n_times - 1)] = np.full((3, 3), 1.0 / 3.0)
+    return MetricFlow(TimeGrid.uniform(0.0, 1.0, n_times - 1), slices, pair_kernels=pairs)
+
+
+def _growing_flow():
+    """Random Markov steps on slices whose diameters grow with t."""
+    rng = np.random.default_rng(7)
+    n, n_times = 5, 12
+    slices = tuple(euclidean_space(rng.normal(size=(n, 2)) * (1.0 + t)) for t in range(n_times))
+    steps = []
+    for _ in range(n_times - 1):
+        w = rng.random((n, n)) + 0.1
+        steps.append(w / w.sum(axis=1, keepdims=True))
+    return MetricFlow(TimeGrid.uniform(0.0, 1.0, n_times - 1), slices, adjacent_kernels=steps)
+
+
+def _top_row_sum_flow(scale: float, markov: bool):
+    """Two-point slices shrinking 1e8-fold per step, with kernels whose rows
+    sum to the largest value the row check admits: the off-diagonal ratios
+    sit within about 1e-12 of the cap. ``scale`` 1e-160 makes the squared
+    distances underflow."""
+    n_times = 6
+    slices = tuple(_line_space([0.0, scale * 1e-8 ** t]) for t in range(n_times))
+    keep = np.diag([ROW_SUM_TOP, ROW_SUM_TOP])
+    half = np.array([[0.5, ROW_SUM_TOP - 0.5], [ROW_SUM_TOP - 0.5, 0.5]])
+    grid = TimeGrid.uniform(0.0, 1.0, n_times - 1)
+    if markov:
+        return MetricFlow(grid, slices, adjacent_kernels=[keep, half, keep, keep, half])
+    pairs = {(s, t): keep if (s + t) % 3 else half for t in range(n_times) for s in range(t)}
+    return MetricFlow(grid, slices, pair_kernels=pairs)
+
+
+def _subnormal_flow():
+    """Six equidistant points whose squared distance is 3 * 2^-1074: the
+    products of the variance round up in the subnormal range, past the
+    squared diameter, which only the cap's underflow term covers."""
+    d = math.sqrt(3.0 * math.ulp(0.0))
+    sp = FiniteMetricSpace(labels=tuple("abcdef"), dist=d * (1.0 - np.eye(6)))
+    w = np.random.default_rng(0).random((6, 6)) ** 0.3
+    step = w / w.sum(axis=1, keepdims=True)
+    return MetricFlow(TimeGrid((0.0, 1.0, 2.0)), (sp,) * 3, adjacent_kernels=[step, step])
+
+
+def _tied_flow():
+    """Pairs (1, 2) and (2, 3) carry the same kernel, slices and lag, so their
+    ratios tie exactly and are the largest."""
+    small, big = _line_space([0.0, 0.1]), _line_space([0.0, 1.0])
+    mixing = np.array([[0.8, 0.2], [0.2, 0.8]])
+    return MetricFlow(
+        TimeGrid((0.0, 1.0, 2.0, 3.0)), (small, big, big, big), adjacent_kernels=[mixing] * 3
+    )
+
+
+def _h_search_flows(request):
+    sp = euclidean_space(np.array([0.0, 1.0, 2.0]))
+    flows = {
+        "two-point": request.getfixturevalue("two_point_flow_fx"),
+        "static-cycle": request.getfixturevalue("static_cycle_fx"),
+        "gaussian": request.getfixturevalue("gaussian_fx")[0],
+        "product": request.getfixturevalue("product_fx"),
+        "frozen": MetricFlow(TimeGrid((0.0, 0.5, 1.0)), (sp,) * 3, adjacent_kernels=[np.eye(3)] * 2),
+        "single-time": MetricFlow(TimeGrid((0.0,)), (sp,), adjacent_kernels=()),
+        "longest-lag": _longest_lag_flow(),
+        "growing": _growing_flow(),
+        "top-row-sums": _top_row_sum_flow(1.0, markov=True),
+        "top-row-sums-pairs": _top_row_sum_flow(1.0, markov=False),
+        "top-row-sums-underflow": _top_row_sum_flow(1e-160, markov=True),
+        "subnormal": _subnormal_flow(),
+        "tie": _tied_flow(),
+    }
+    for seed in range(3):
+        flows[f"markov-24x60-{seed}"] = _markov_doc_flow(24, 60, seed)
+        flows[f"markov-6x120-{seed}"] = _markov_doc_flow(6, 120, seed)
+    return flows
+
+
+def test_h_search_matches_all_pairs_and_its_caps_hold(request):
+    """The pruned search returns the all-pairs (H, witness) bit for bit, and
+    every computed ratio is at most the cap that lets it skip a pair."""
+    for name, flow in _h_search_flows(request).items():
+        assert mf.h_concentration_constant(flow) == _h_all_pairs(flow), name
+        d2 = [s.dist ** 2 for s in flow.slices]
+        caps = {t_idx: cap for t_idx, cap in enumerate(flow_core._h_ratio_caps(flow, d2), start=1)}
+        for s_idx, t_idx, ratio in _pair_ratios(flow):
+            assert ratio.max() <= caps[t_idx][s_idx], (name, s_idx, t_idx)
+
+
+def test_h_search_fixtures_pin_the_hard_cases():
+    """The adversarial flows do what they are built for: the maximum at the
+    longest lag, caps within 1e-11 of an attained ratio, a ratio above the
+    squared diameter by underflow, and an exact tie."""
+    assert _h_all_pairs(_longest_lag_flow())[1][:2] == (0, 5)
+    flow = _top_row_sum_flow(1.0, markov=True)
+    assert all(abs(k.sum(axis=1) - 1.0).max() <= ot_core.EXACT_TOL for k in flow.stored().values())
+    caps = list(flow_core._h_ratio_caps(flow, [s.dist ** 2 for s in flow.slices]))
+    tight = max(ratio.max() / caps[t_idx - 1][s_idx] for s_idx, t_idx, ratio in _pair_ratios(flow))
+    assert 1.0 - 1e-11 < tight <= 1.0
+    flow = _subnormal_flow()
+    assert flow.slices[0].dist.max() ** 2 == 3.0 * math.ulp(0.0)
+    assert _pair_ratio_max(flow, 0, 1) > 3.0 * math.ulp(0.0)
+    flow = _tied_flow()
+    H, witness = _h_all_pairs(flow)
+    maxima = [(s, t) for s, t, ratio in _pair_ratios(flow) if ratio.max() == H]
+    assert maxima == [(1, 2), (2, 3)] and witness[:2] == (1, 2)
+
+
+def test_h_search_reads_few_pairs_on_the_benchmark_flow():
+    """On the 24-point, 60-time Markov flow the caps skip most pairs: the
+    search reads at most a third of the 1 770 kernels."""
+    flow = _markov_doc_flow(24, 60, 0)
+    read = []
+    column = flow.column
+    flow.column = lambda t_idx, s_idxs: read.extend(s_idxs) or column(t_idx, s_idxs)
+    H = mf.h_concentration_constant(flow)
+    del flow.column
+    assert H == _h_all_pairs(flow)
+    assert 0 < len(read) <= 1770 // 3
+
+
+def test_h_search_refuses_a_missing_pair_the_cap_would_skip():
+    """A pair-stored flow without kernel (0, 2) is refused, naming (0, 2),
+    even though the long lag to t = 100 puts the cap of (0, 2) below the
+    ratio of (0, 1)."""
+    pairs = {(0, 1): np.full((2, 2), 0.5), (1, 2): np.eye(2)}
+    flow = MetricFlow(TimeGrid((0.0, 1.0, 100.0)), (_line_space([0.0, 1.0]),) * 3, pair_kernels=pairs)
+    best = _pair_ratio_max(flow, 0, 1)
+    caps = list(flow_core._h_ratio_caps(flow, [s.dist ** 2 for s in flow.slices]))
+    assert caps[1][0] < best
+    with pytest.raises(InputError, match=r"^no stored kernel for pair \(0, 2\)$"):
+        mf.h_concentration_constant(flow)
 
 
 def test_h_centers_at_equal_times(two_point_flow_fx):
