@@ -51,7 +51,6 @@ LP values are exact at this scale.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -59,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .flow_core import MetricFlow, MetricFlowPair, TimeGrid
+from .flow_core import MetricFlow, MetricFlowPair, TimeGrid, _on_slice
 from .ot_core import (
     EXACT_TOL,
     CertificateError,
@@ -466,7 +465,6 @@ class FDistanceReport:
     couplings: dict
     mode: str
     J_indices: tuple
-    swapped: bool
 
     def to_json_dict(self, *, include_couplings: bool = False) -> dict:
         out = {
@@ -489,19 +487,6 @@ class FDistanceReport:
         return out
 
 
-def _fingerprint(pair: MetricFlowPair, embeddings: Sequence, idxs: Sequence[int]) -> bytes:
-    h = hashlib.sha256()
-    for t_idx in idxs:
-        h.update(np.ascontiguousarray(pair.flow.slices[t_idx].dist).tobytes())
-        h.update(np.ascontiguousarray(pair.mu.measure_at(t_idx).weights).tobytes())
-        h.update(np.asarray(embeddings[t_idx], dtype=np.int64).tobytes())
-    cols = [pair.flow.column(t_idx, idxs[:pos]) for pos, t_idx in enumerate(idxs)]
-    for s_pos in range(len(idxs)):
-        for col in cols[s_pos + 1 :]:
-            h.update(np.ascontiguousarray(col[s_pos]).tobytes())
-    return h.digest()
-
-
 def _cost_matrices(
     c: Correspondence, pair1: MetricFlowPair, pair2: MetricFlowPair, idxs: Sequence[int]
 ) -> dict:
@@ -510,12 +495,11 @@ def _cost_matrices(
     nu^1_{x1;s} and nu^2_{x2;s}; the ambient distance when s = t.
 
     Each ambient is checked isometric first, and the LPs of every entry are
-    solved ahead in block-diagonal LPs (:func:`_prefetch_w1`) in the order
-    of the times and entries; callers pass them in a canonical order, so
-    both orientations of a flow distance lay out the same blocks. Each
-    entry is certified with a single call's tolerances, as array operations
-    over the batch, and read by one ``w1_distance`` call, which the
-    benchmark's tracer counts.
+    solved ahead in block-diagonal LPs (:func:`_prefetch_w1`), which do not
+    depend on the order of the entries: the matrices of the two orientations
+    of a correspondence are transposes, bit for bit. Each entry is certified
+    with a single call's tolerances, as array operations over the batch, and
+    read by one ``w1_distance`` call, which the benchmark's tracer counts.
     """
     for t_idx in idxs:
         c.ambient_at(t_idx).validate((pair1.flow.slices[t_idx], pair2.flow.slices[t_idx]))
@@ -619,13 +603,12 @@ def f_distance_within(
       <= measure(I'')/2, then the least measure, then the least E, by the
       branch and bound of :func:`_least_exceptional_set`.
 
-    The couplings (in the caller's orientation) and per-pair integrals are
-    built once, for the chosen E.
+    The couplings and per-pair integrals are built once, for the chosen E.
 
-    Both orientations produce bit-identical values: the computation runs in
-    a fingerprint-canonical order and swaps back afterwards. The fingerprint
-    and the cost matrices read each participating column in one walk, and
-    ask only for participating pairs.
+    Both orientations give bit-identical reports, couplings transposed: each
+    LP, W1 or min-max, is solved in the orientation whose bytes sort first.
+    The cost matrices read each participating column in one walk, and ask
+    only for participating pairs.
 
     The W1 solves it needs, one per cost-matrix entry (x1, x2) at each
     participating pair s < t plus one per participating time, are counted
@@ -645,10 +628,7 @@ def f_distance_within(
     J_idx = _resolve_J(c.grid, idxs, J)
     for which, pair in enumerate((pair1, pair2), start=1):
         for t_idx in idxs:
-            if t_idx not in pair.mu.time_indices:
-                raise InputError(f"flow pair {which} has no basepoint measure at grid index {t_idx}")
-            if pair.mu.measure_at(t_idx).n != pair.flow.slices[t_idx].n:
-                raise InputError(f"flow pair {which}: basepoint measure size mismatch at grid index {t_idx}")
+            _on_slice(pair.flow, pair.mu, t_idx, f"the basepoint measure of flow pair {which}")
     w1_count = len(idxs) + sum(
         pos * pair1.flow.slices[t].n * pair2.flow.slices[t].n for pos, t in enumerate(idxs)
     )
@@ -660,13 +640,7 @@ def f_distance_within(
     if e_mode not in ("empty", "exhaustive"):
         raise InputError(f"unknown e_mode {e_mode!r} (use empty or exhaustive)")
 
-    emb1 = {t: c.ambient_at(t).embeddings[0] for t in idxs}
-    emb2 = {t: c.ambient_at(t).embeddings[1] for t in idxs}
-    fp1 = _fingerprint(pair1, emb1, idxs)
-    fp2 = _fingerprint(pair2, emb2, idxs)
-    swapped = fp2 < fp1
-    oriented, first, second = (c.pair_view(1, 0), pair2, pair1) if swapped else (c, pair1, pair2)
-    costs = _cost_matrices(oriented, first, second, idxs)
+    costs = _cost_matrices(c, pair1, pair2, idxs)
     solves: dict = {}
 
     def solve_time(t_idx: int, s_list: Sequence[int]) -> tuple:
@@ -675,30 +649,33 @@ def f_distance_within(
         ``s_list``, and its integrals keyed by s. A cost row that another
         row bounds entrywise is implied (q >= 0) and dropped, of equal rows
         all but the first: HiGHS called LPs with such rows infeasible. Each
-        distinct LP is solved once, with its integrals at every s <= t; the
-        E-search asks for many repeats. The integrals, and so r_t, are
-        certified from the plan with the unscaled costs."""
+        distinct LP is solved once (the E-search asks for many repeats), in
+        whichever of (a, b, kept rows) and (b, a, each row transposed) has
+        the bytes that sort first, with its integrals at every s <= t; the
+        plan is returned in the caller's orientation. The integrals, and so
+        r_t, are certified from the plan with the unscaled costs."""
         rows = np.array([costs[s, t_idx].ravel() for s in s_list])
         ge = (rows[None, :, :] >= rows[:, None, :]).all(axis=2)  # ge[i, j]: row j >= row i
         implied = (ge & (~ge.T | np.tri(len(rows), k=-1, dtype=bool))).any(axis=1)
         key = (t_idx, tuple(s for s, drop in zip(s_list, implied) if not drop))
         if key not in solves:
-            mu1, mu2 = first.mu.measure_at(t_idx), second.mu.measure_at(t_idx)
-            n1, n2 = mu1.n, mu2.n
-            nq = n1 * n2
-            m = len(key[1])
+            a, b = pair1.mu.measure_at(t_idx).weights, pair2.mu.measure_at(t_idx).weights
+            n1, n2 = a.size, b.size
+            kept = rows[~implied]
+            mirror = kept.reshape(-1, n1, n2).transpose(0, 2, 1).reshape(len(kept), -1)
+            flip = (b.tobytes(), a.tobytes(), mirror.tobytes()) < (a.tobytes(), b.tobytes(), kept.tobytes())
+            if flip:
+                a, b, kept, n1, n2 = b, a, mirror, n2, n1
+            nq, m = n1 * n2, len(kept)
             # variables (q, r): rows -inf <= <c_s, q> - r <= 0, then the
             # marginals of q; the r column holds -1 in each of the m cost rows.
             # The cost rows are divided by the power of two at or below their
             # largest entry (exact), so HiGHS sees the same LP at every scale
-            kept = rows[~implied]
             kept = np.ldexp(kept, 1 - math.frexp(float(kept.max()))[1])
             indptr, indices, data = _coupling_columns(n1, n2, kept)
-            b_eq = np.concatenate([mu1.weights, mu2.weights])
-            cvec = np.zeros(nq + 1)
-            cvec[nq] = 1.0
+            b_eq = np.concatenate([a, b])
             res = linprog(
-                cvec,
+                np.append(np.zeros(nq), 1.0),
                 np.append(indptr, indptr[-1] + m),
                 np.concatenate([indices, np.arange(m, dtype=np.int32)]),
                 np.concatenate([data, np.full(m, -1.0)]),
@@ -707,8 +684,10 @@ def f_distance_within(
             )
             if res.x is None:
                 raise InternalInvariantError(f"min-max transport LP failed at t_idx={t_idx}: {res.message}")
-            plan = _fit_marginals(res.x[:nq].reshape(n1, n2), mu1.weights, mu2.weights)
-            solves[key] = plan, {s: float(np.sum(costs[s, t_idx] * plan)) for s in idxs if s <= t_idx}
+            plan = _fit_marginals(res.x[:nq].reshape(n1, n2), a, b)
+            turn = (lambda x: np.ascontiguousarray(x.T)) if flip else (lambda x: x)
+            ints = {s: float(np.sum(turn(costs[s, t_idx]) * plan)) for s in idxs if s <= t_idx}
+            solves[key] = turn(plan), ints
         plan, ints = solves[key]
         return plan, {s: ints[s] for s in s_list}
 
@@ -725,7 +704,7 @@ def f_distance_within(
     for pos, t in enumerate(active):
         plan, ints = solve_time(t, active[: pos + 1])
         integrals.update(((s, t), v) for s, v in ints.items())
-        couplings[t] = Coupling(matrix=np.ascontiguousarray(plan.T) if swapped else plan)
+        couplings[t] = Coupling(matrix=plan)
 
     # the s = t specialization, from W1 solves independent of the min-max LPs
     tops = [(g.ambient, g.push(0, pair1.mu.measure_at(t)), g.push(1, pair2.mu.measure_at(t)))
@@ -747,7 +726,6 @@ def f_distance_within(
         couplings=couplings,
         mode=e_mode,
         J_indices=J_idx,
-        swapped=swapped,
     )
 
 

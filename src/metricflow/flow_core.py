@@ -459,11 +459,28 @@ def conj_backward(flow: MetricFlow, t0: float, mu0: ProbMeasure) -> ConjHeatFlow
     return ConjHeatFlowField(tuple(range(i0 + 1)), measures)
 
 
-def _common_times(a, b) -> list:
-    """The sorted grid indices where both fields are defined (at least two)."""
+def _on_slice(flow: MetricFlow, field, t_idx: int, name: str) -> np.ndarray:
+    """The values of a :class:`HeatFlowField`, or the weights of a
+    :class:`ConjHeatFlowField`, at grid index ``t_idx``; InputError unless the
+    field ``name`` is defined there with one entry per point of the slice."""
+    if t_idx not in field.time_indices:
+        raise InputError(f"{name} is not defined at grid index {t_idx}")
+    vals = field.value_at(t_idx) if isinstance(field, HeatFlowField) else field.measure_at(t_idx).weights
+    n = flow.slices[t_idx].n
+    if np.shape(vals) != (n,):
+        raise InputError(f"{name} at grid index {t_idx} has shape {np.shape(vals)}, not one entry per point "
+                         f"of the {n}-point slice")
+    return vals
+
+
+def _common_times(flow: MetricFlow, a, b) -> list:
+    """The sorted grid indices where both fields are defined (at least two,
+    all on ``flow``'s grid)."""
     common = sorted(set(a.time_indices) & set(b.time_indices))
     if len(common) < 2:
         raise InputError(f"need at least two common times to compare, got {len(common)}")
+    if common[0] < 0 or common[-1] >= flow.grid.n:
+        raise InputError(f"common time indices {common} run off the {flow.grid.n}-time grid")
     return common
 
 
@@ -473,10 +490,9 @@ def pairing_invariant_check(
     """The pairing t -> sum_x u_t(x) mu_t(x) is constant along a heat flow /
     conjugate heat flow pair; report the worst deviation on common times
     (passes at most 1e-10)."""
-    common = _common_times(u, mu)
-    pairings = [float(u.value_at(i) @ mu.measure_at(i).weights) for i in common]
-    ref = pairings[0]
-    worst = max(abs(p - ref) for p in pairings)
+    common = _common_times(flow, u, mu)
+    pairings = [float(_on_slice(flow, u, i, "u") @ _on_slice(flow, mu, i, "mu")) for i in common]
+    worst = max(abs(p - pairings[0]) for p in pairings)
     return CheckRecord(
         name="pairing-invariant",
         passed=worst <= 1e-10,
@@ -573,6 +589,14 @@ def _time_pair(flow: MetricFlow, t: float, s: float) -> tuple:
     return t_idx, s_idx
 
 
+def _point(flow: MetricFlow, t_idx: int, x) -> int:
+    """``x`` as a point index of the slice at ``t_idx``, else InputError (a negative ``x`` too)."""
+    n = flow.slices[t_idx].n
+    if not (x == int(x) and 0 <= x < n):
+        raise InputError(f"point index {x!r} is not a point of the {n}-point slice at grid index {t_idx}")
+    return int(x)
+
+
 def h_centers(flow: MetricFlow, x_idx: int, t: float, s: float, H: float) -> np.ndarray:
     """All points z of the slice at s with Var(delta_z, nu_{x;s}) <= H (t-s).
 
@@ -583,10 +607,11 @@ def h_centers(flow: MetricFlow, x_idx: int, t: float, s: float, H: float) -> np.
     result nevertheless raises :class:`InternalInvariantError`.
     """
     t_idx, s_idx = _time_pair(flow, t, s)
+    x_idx = _point(flow, t_idx, x_idx)
     h_min, _ = h_concentration_constant(flow)
     if H < h_min:
         raise InputError(f"H={H} below the flow's concentration constant {h_min}")
-    nu = flow.kernel(s_idx, t_idx)[int(x_idx)]
+    nu = flow.kernel(s_idx, t_idx)[x_idx]
     second = (flow.slices[s_idx].dist ** 2) @ nu
     budget = H * (t - s)
     mask = second <= budget + 4e-16 * max(1.0, budget)
@@ -663,7 +688,7 @@ def w1_kernel_monotonicity_check(
     """t -> d_W1(mu1_t, mu2_t) must be non-decreasing along two conjugate
     heat flows; report the worst decrease over common time pairs (passes at
     most 1e-9). The W1 values are one batch of block-diagonal LPs."""
-    common = _common_times(mu1, mu2)
+    common = _common_times(flow, mu1, mu2)
     pairs = [(flow.slices[i], mu1.measure_at(i), mu2.measure_at(i)) for i in common]
     return _non_decreasing("w1-monotonicity", common, [res.value for res in _w1_results(pairs)])
 
@@ -696,7 +721,7 @@ def var_plus_Ht_monotonicity_check(
 ) -> CheckRecord:
     """t -> Var(mu1_t, mu2_t) + H t must be non-decreasing for an
     H-concentrated flow; report the worst decrease (passes at most 1e-9)."""
-    common = _common_times(mu1, mu2)
+    common = _common_times(flow, mu1, mu2)
     vals = [
         variance(flow.slices[i], mu1.measure_at(i), mu2.measure_at(i))
         + H * flow.grid.times[i]
@@ -729,10 +754,9 @@ def pstar_contains(
     """
     if not (A > 0.0 and T_minus >= 0.0 and T_plus >= 0.0):
         raise InputError("need A > 0 and T_minus, T_plus >= 0")
-    t_c, x_c = center
-    t_p, x_p = point
-    tc_idx = flow.grid.index_of(t_c)
-    tp_idx = flow.grid.index_of(t_p)
+    (t_c, x_c), (t_p, x_p) = center, point
+    tc_idx, tp_idx = flow.grid.index_of(t_c), flow.grid.index_of(t_p)
+    x_c, x_p = _point(flow, tc_idx, x_c), _point(flow, tp_idx, x_p)
     cutoff = t_c - T_minus
     below = flow.grid.window(flow.grid.times[0], cutoff)
     if below.size == 0:
@@ -742,8 +766,8 @@ def pstar_contains(
     s_idx = int(below[-1])
     if tp_idx not in flow.grid.window(cutoff, t_c + T_plus):
         return False
-    nu_c = ProbMeasure(flow.kernel(s_idx, tc_idx)[int(x_c)])
-    nu_p = ProbMeasure(flow.kernel(s_idx, tp_idx)[int(x_p)])
+    nu_c = ProbMeasure(flow.kernel(s_idx, tc_idx)[x_c])
+    nu_p = ProbMeasure(flow.kernel(s_idx, tp_idx)[x_p])
     return w1_distance(flow.slices[s_idx], nu_c, nu_p).value < A
 
 
@@ -772,15 +796,9 @@ def support_at(flow: MetricFlow, mu: ConjHeatFlowField, t: float) -> SupportRepo
     """
     t_idx = flow.grid.index_of(t)
     if t_idx == flow.grid.n - 1:
-        return SupportReport(
-            indices=tuple(range(flow.slices[t_idx].n)),
-            whole_slice=True,
-            independent_ok=True,
-            mismatches=(),
-        )
-    if t_idx not in mu.time_indices:
-        raise InputError(f"mu is not defined at grid index {t_idx}")
-    supp = set(int(i) for i in mu.measure_at(t_idx).support())
+        return SupportReport(tuple(range(flow.slices[t_idx].n)), whole_slice=True,
+                             independent_ok=True, mismatches=())
+    supp = set(int(i) for i in np.flatnonzero(_on_slice(flow, mu, t_idx, "mu") > 0.0))
     mismatches = []
     nxt = t_idx + 1
     k = flow.kernel(t_idx, nxt)
@@ -873,9 +891,7 @@ def cartesian_product_flow(f1: MetricFlow, f2: MetricFlow) -> MetricFlow:
 def d_integral(flow: MetricFlow, mu: ConjHeatFlowField, t: float) -> float:
     """The first distance moment ∬ d_t dmu_t dmu_t of a conjugate heat flow."""
     t_idx = flow.grid.index_of(t)
-    if t_idx not in mu.time_indices:
-        raise InputError(f"mu is not defined at grid index {t_idx}")
-    w = mu.measure_at(t_idx).weights
+    w = _on_slice(flow, mu, t_idx, "mu")
     return float(w @ flow.slices[t_idx].dist @ w)
 
 

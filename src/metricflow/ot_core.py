@@ -720,9 +720,10 @@ def _solve(lps: Sequence) -> list:
     """Read-only plan and column duals of each transport LP ``(cost, a, b)``
     of ``lps``: read from the :func:`solve_once` scope's memo (outside every
     scope, a memo local to this call), repeats solved once, and the rest
-    solved in order as block-diagonal LPs of at most ``_BLOCK_COLUMNS``
-    columns (``_transport_block``). A failed block, and a block of one LP,
-    is solved one LP at a time by ``_transport_lp``, which raises
+    solved in ``_lp_key`` order, so the result does not depend on the order
+    of ``lps``, as block-diagonal LPs of at most ``_BLOCK_COLUMNS`` columns
+    (``_transport_block``). A failed block, and a block of one LP, is
+    solved one LP at a time by ``_transport_lp``, which raises
     :class:`CertificateError` when an LP fails.
     """
     memo = _SOLVED.get()
@@ -731,7 +732,7 @@ def _solve(lps: Sequence) -> list:
     keys = [_lp_key(*lp) for lp in lps]
     todo = {key: lp for key, lp in zip(keys, lps) if key not in memo}
     blocks, width = [], _BLOCK_COLUMNS  # starts full, so the first LP opens a block
-    for key, lp in todo.items():
+    for key, lp in sorted(todo.items(), key=lambda item: item[0]):
         if width + lp[0].size > _BLOCK_COLUMNS:
             blocks.append([])
             width = 0
@@ -773,15 +774,14 @@ def _plans(pairs: Sequence, p: float = 1.0):
     ``stay`` is zero. An LP moves the rest over the supports ``rows`` and
     ``cols`` of ``a - stay`` and ``b - stay``, each divided by its mass
     ``sa`` or ``sb`` (excess entries can sit near HiGHS's 1e-10 feasibility
-    tolerance); one ``_solve`` call solves all LPs in the order of
-    ``pairs``. Bit-equal weights, and an excess on one side only (a mass
-    imbalance below ProbMeasure's 1e-12 sum tolerance), need no LP. The
-    plan is ``diag(stay)`` plus the LP's plan times the mean excess mass,
-    in one scatter (``rows`` and ``cols`` are disjoint), clamped at zero
-    and refitted by ``_fit_marginals`` where it misses ``(a, b)`` by more
-    than 1e-13. Masses more than 1e-13 apart have no such coupling, so both
-    sides are fitted to their mean mass; the one-sided plan is then
-    ``diag((a + b)/2)``.
+    tolerance); one ``_solve`` call solves all LPs. Bit-equal weights, and
+    an excess on one side only (a mass imbalance below ProbMeasure's 1e-12
+    sum tolerance), need no LP. The plan is ``diag(stay)`` plus the LP's
+    plan times the mean excess mass, in one scatter (``rows`` and ``cols``
+    are disjoint), clamped at zero and refitted by ``_fit_marginals`` where
+    it misses ``(a, b)`` by more than 1e-13. Masses more than 1e-13 apart
+    have no such coupling, so both sides are fitted to their mean mass; the
+    one-sided plan is then ``diag((a + b)/2)``.
     """
     by_size: dict = {}
     for i, (space, mu1, mu2) in enumerate(pairs):
@@ -812,8 +812,7 @@ def _plans(pairs: Sequence, p: float = 1.0):
         sub = _pieces(cost[rows[:, :, None] & cols[:, None, :]], m * q)
         lps.update((where[k], (sub[k].reshape(m[k], q[k]), src[k], dst[k])) for k in np.flatnonzero(lp))
         groups.append((where, mu1, mu2, swapped, a, b, equal, stay, rows, cols, sa, sb, lp))
-    order = sorted(lps)
-    solved = dict(zip(order, _solve([lps[i] for i in order])))
+    solved = dict(zip(lps, _solve(list(lps.values()))))
     for where, mu1, mu2, swapped, a, b, equal, stay, rows, cols, sa, sb, lp in groups:
         K, n = a.shape
         cost = np.stack([pairs[i][0].dist for i in where]) ** p

@@ -803,6 +803,21 @@ def test_monotonicity_checks_need_two_common_times(two_point_flow_fx):
             check()
 
 
+def test_monotonicity_checks_need_common_times_on_the_grid(two_point_flow_fx):
+    """Fields sharing a time index past the grid are refused by name, not by
+    an IndexError from the slice lookup."""
+    flow = two_point_flow_fx
+    far = mf.ConjHeatFlowField((0, flow.grid.n), (ProbMeasure.uniform(2),) * 2)
+    far_u = mf.HeatFlowField((0, flow.grid.n), (np.ones(2),) * 2)
+    for check in (
+        lambda: mf.pairing_invariant_check(flow, far_u, far),
+        lambda: mf.w1_kernel_monotonicity_check(flow, far, far),
+        lambda: mf.var_plus_Ht_monotonicity_check(flow, far, far, 1.0),
+    ):
+        with pytest.raises(InputError, match=rf"common time indices \[0, {flow.grid.n}\] run off the"):
+            check()
+
+
 # ---------------------------------------------------------------------------
 # parabolic neighborhoods, restriction, rescaling
 # ---------------------------------------------------------------------------
@@ -823,6 +838,41 @@ def test_pstar_membership():
     for t in (0.1, 1.0):
         assert not mf.pstar_contains(fast, center=(0.7, 0), A=3.0, T_minus=0.5, T_plus=0.2,
                                      point=(t, 0))
+
+
+@pytest.mark.parametrize("ask", [
+    lambda flow, x: mf.h_centers(flow, x, t=1.0, s=0.0, H=1e3),
+    lambda flow, x: mf.hcenter_mass_bound_check(flow, x, t=1.0, s=0.0, H=1e3),
+    lambda flow, x: mf.pstar_contains(flow, (1.0, 0), 1.0, 0.5, 0.0, (1.0, x)),
+    lambda flow, x: mf.pstar_contains(flow, (1.0, x), 1.0, 0.5, 0.0, (0.0, 0)),
+], ids=["h_centers", "hcenter_mass_bound_check", "pstar_contains_point", "pstar_contains_center"])
+def test_point_indices_name_a_point_of_their_slice(two_point_flow_fx, ask):
+    """A point index must name a point of the slice at its time: -1 does not
+    read the last point and n does not reach numpy's IndexError, even for
+    a point outside the neighborhood's time window."""
+    for x in (-1, 2):
+        with pytest.raises(InputError, match=rf"point index {x} is not a point of the 2-point slice"):
+            ask(two_point_flow_fx, x)
+
+
+@pytest.mark.parametrize("ask", [
+    lambda flow, u, mu: mf.d_integral(flow, mu, 0.0),
+    lambda flow, u, mu: mf.intd_diff_bounds_check(flow, mu, 1e3, s=0.0, t=1.0),
+    lambda flow, u, mu: mf.support_at(flow, mu, 0.0),
+    lambda flow, u, mu: mf.pairing_invariant_check(
+        flow, u, mf.conj_backward(flow, 1.0, ProbMeasure.uniform(2))),
+    lambda flow, u, mu: mf.pairing_invariant_check(flow, mf.heat_forward(flow, 0.0, np.ones(2)), mu),
+], ids=["d_integral", "intd_diff_bounds_check", "support_at", "pairing_heat_field",
+        "pairing_conj_field"])
+def test_fields_live_on_the_flows_slices(two_point_flow_fx, ask):
+    """A field with three entries per time on a flow of 2-point slices is
+    refused by name, not by numpy, and not read as a support."""
+    flow = two_point_flow_fx
+    times = tuple(range(flow.grid.n))
+    u = mf.HeatFlowField(times, (np.ones(3),) * flow.grid.n)
+    mu = mf.ConjHeatFlowField(times, (ProbMeasure.uniform(3),) * flow.grid.n)
+    with pytest.raises(InputError, match=r"at grid index 0 has shape \(3,\), not one entry per point"):
+        ask(flow, u, mu)
 
 
 def test_support_at_final_time_is_whole_slice(two_point_flow_fx):

@@ -726,6 +726,21 @@ def test_block_lp_agrees_with_single_lps():
         )
 
 
+def test_solve_gives_the_same_bits_in_any_request_order():
+    """``_solve`` fills its blocks in ``_lp_key`` order, so the LPs of a
+    batch asked for in a shuffled order get bit-identical plans and duals;
+    the batch spans several blocks, on tied costs and zero weights too."""
+    rng = np.random.default_rng(79)
+    lps = [_transport_case(rng, n, ties, zeros)
+           for n in (3, 5, 8, 12) for ties in (False, True) for zeros in (False, True) for _ in range(3)]
+    assert sum(cost.size for cost, _, _ in lps) > 2 * ot_core._BLOCK_COLUMNS
+    order = rng.permutation(len(lps))
+    first = ot_core._solve(lps)
+    shuffled = ot_core._solve([lps[i] for i in order])
+    for i, (plan, beta) in zip(order, shuffled):
+        assert np.array_equal(plan, first[i][0]) and np.array_equal(beta, first[i][1])
+
+
 def test_prefetched_w1_agrees_with_single_solves(monkeypatch):
     """W1 answered from prefetched block LPs matches W1 solved one LP at a
     time within 1e-12 relative, and certifies; the prefetch solves the
