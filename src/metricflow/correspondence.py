@@ -69,6 +69,7 @@ from .ot_core import (
     ProbMeasure,
     _coupling_columns,
     _fit_marginals,
+    _measures,
     _prefetch_w1,
     _w1_results,
     check_metric_axioms,
@@ -129,9 +130,11 @@ class GluedSpace:
         return ProbMeasure(self.push_weights(which, mu.weights))
 
     def push_weights(self, which: int, weights: np.ndarray) -> np.ndarray:
+        """Pushforward of constituent weights into the ambient; each row of
+        a stack (..., n) is pushed as it would be alone."""
         idx = np.asarray(self.embeddings[which], dtype=int)
-        w = np.zeros(self.ambient.n)
-        np.add.at(w, idx, weights)
+        w = np.zeros(np.shape(weights)[:-1] + (self.ambient.n,))
+        np.add.at(w, (..., idx), weights)
         return w
 
 
@@ -488,31 +491,41 @@ class FDistanceReport:
 
 
 def _cost_matrices(
-    c: Correspondence, pair1: MetricFlowPair, pair2: MetricFlowPair, idxs: Sequence[int]
-) -> dict:
-    """The read-only cost matrices c_{s,t}(x1, x2) for every s <= t of
-    ``idxs``, keyed ``(s, t)``: W1 on Z_s between the pushed kernels
-    nu^1_{x1;s} and nu^2_{x2;s}; the ambient distance when s = t.
+    c: Correspondence, pair1: MetricFlowPair, pair2: MetricFlowPair, idxs: Sequence[int],
+    top_times: Sequence[int] = (),
+) -> tuple:
+    """``(costs, tops)``: the read-only cost matrices c_{s,t}(x1, x2) for
+    every s <= t of ``idxs``, keyed ``(s, t)``: W1 on Z_s between the pushed
+    kernels nu^1_{x1;s} and nu^2_{x2;s}; the ambient distance when s = t.
+    ``tops`` maps each time of ``top_times`` to the W1 problem (ambient,
+    pushed basepoint measure of pair 1, of pair 2) of that time.
 
-    Each ambient is checked isometric first, and the LPs of every entry are
-    solved ahead in block-diagonal LPs (:func:`_prefetch_w1`), which do not
-    depend on the order of the entries: the matrices of the two orientations
-    of a correspondence are transposes, bit for bit. Each entry is certified
-    with a single call's tolerances, as array operations over the batch, and
-    read by one ``w1_distance`` call, which the benchmark's tracer counts.
+    Each ambient is checked isometric first. Each kernel matrix is pushed
+    into the ambient in one step, its rows checked as measures as one stack.
+    The LPs of every entry and of every top are then solved ahead in one
+    batch of block-diagonal LPs (:func:`_prefetch_w1`), which do not depend
+    on the order of the entries: the matrices of the two orientations of a
+    correspondence are transposes, bit for bit. Each W1 is certified with a
+    single call's tolerances, as array operations over the batch; each
+    entry is read by one ``w1_distance`` call, which the benchmark's tracer
+    counts, and each top is left for the caller to read the same way.
     """
     for t_idx in idxs:
         c.ambient_at(t_idx).validate((pair1.flow.slices[t_idx], pair2.flow.slices[t_idx]))
     entries = {}
     for pos, t_idx in enumerate(idxs):
         cols = [pair.flow.column(t_idx, idxs[:pos]) for pair in (pair1, pair2)]
-        for s_idx, *kernels in zip(idxs[:pos], *cols):
-            glued = c.ambient_at(s_idx)
-            pushed = [
-                [ProbMeasure(glued.push_weights(which, row)) for row in k] for which, k in enumerate(kernels)
-            ]
-            entries[s_idx, t_idx] = [[(glued.ambient, m1, m2) for m2 in pushed[1]] for m1 in pushed[0]]
-    _prefetch_w1([entry for block in entries.values() for row in block for entry in row])
+        ambients = [c.ambient_at(s_idx) for s_idx in idxs[:pos]]
+        pushed = _measures([glued.push_weights(which, k) for glued, *kernels in zip(ambients, *cols)
+                            for which, k in enumerate(kernels)])
+        for s_idx, glued, pushed1, pushed2 in zip(idxs[:pos], ambients, pushed[::2], pushed[1::2]):
+            entries[s_idx, t_idx] = [[(glued.ambient, m1, m2) for m2 in pushed2] for m1 in pushed1]
+    ambients = [c.ambient_at(t_idx) for t_idx in top_times]
+    pushed = _measures([glued.push_weights(which, pair.mu.measure_at(t_idx).weights[None])
+                        for t_idx, glued in zip(top_times, ambients) for which, pair in enumerate((pair1, pair2))])
+    tops = {t_idx: (glued.ambient, m1, m2)
+            for t_idx, glued, [m1], [m2] in zip(top_times, ambients, pushed[::2], pushed[1::2])}
+    _prefetch_w1([entry for block in entries.values() for row in block for entry in row] + list(tops.values()))
     costs = {}
     for t_idx in idxs:
         glued = c.ambient_at(t_idx)
@@ -521,7 +534,7 @@ def _cost_matrices(
         costs[key] = np.array([[w1_distance(*entry).value for entry in row] for row in block])
     for out in costs.values():
         out.setflags(write=False)
-    return costs
+    return costs, tops
 
 
 def _resolve_J(grid: TimeGrid, idxs: tuple, J) -> tuple:
@@ -615,9 +628,12 @@ def f_distance_within(
     first: above 20 000 it raises :class:`InputError` before any LP runs,
     as does an unknown ``e_mode``, and so does a search past
     ``_NODE_BUDGET`` nodes. Each distinct transport LP is solved once
-    (:func:`solve_once`), all the cost matrices' LPs ahead, in
-    block-diagonal LPs (:func:`_cost_matrices`); each min-max LP drops the
-    cost rows that another row bounds entrywise.
+    (:func:`solve_once`). All the W1 run ahead as one batch of
+    block-diagonal LPs (:func:`_cost_matrices`): the cost-matrix entries
+    and the pushed top measures of every participating time, of which the
+    final check reads only the times outside E. Each min-max LP drops the
+    cost rows that another row bounds entrywise, found once per time for
+    every s <= t.
     """
     if c.n_flows != 2:
         raise InputError("f_distance_within expects a two-flow correspondence (use pair_view)")
@@ -640,32 +656,48 @@ def f_distance_within(
     if e_mode not in ("empty", "exhaustive"):
         raise InputError(f"unknown e_mode {e_mode!r} (use empty or exhaustive)")
 
-    costs = _cost_matrices(c, pair1, pair2, idxs)
+    costs, tops = _cost_matrices(c, pair1, pair2, idxs, idxs)
+    tables: dict = {}
     solves: dict = {}
+
+    def table(t_idx: int) -> tuple:
+        """The times s <= t by position, their cost rows c_{s,t} as one
+        stack, and for each row the bits of the positions whose row implies
+        it. A cost row that another row bounds entrywise is implied (q >= 0),
+        and of equal rows all but the first; HiGHS called LPs with such rows
+        infeasible."""
+        if t_idx not in tables:
+            below = [s for s in idxs if s <= t_idx]
+            rows = np.array([costs[s, t_idx] for s in below]).reshape(len(below), -1)
+            ge = (rows[None, :, :] >= rows[:, None, :]).all(axis=2)  # ge[i, j]: row j >= row i
+            order = np.arange(len(below))
+            implies = ge & (~ge.T | (order[:, None] > order))
+            bits = [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in implies]
+            tables[t_idx] = {s: k for k, s in enumerate(below)}, rows, bits
+        return tables[t_idx]
 
     def solve_time(t_idx: int, s_list: Sequence[int]) -> tuple:
         """Min-max LP at one time: the marginal-repaired coupling of the two
-        basepoint measures minimizing the largest s-integral over
-        ``s_list``, and its integrals keyed by s. A cost row that another
-        row bounds entrywise is implied (q >= 0) and dropped, of equal rows
-        all but the first: HiGHS called LPs with such rows infeasible. Each
+        basepoint measures minimizing the largest s-integral over the
+        increasing times ``s_list``, and its integrals keyed by s. The
+        implied cost rows of ``s_list`` (``table``) are dropped. Each
         distinct LP is solved once (the E-search asks for many repeats), in
         whichever of (a, b, kept rows) and (b, a, each row transposed) has
-        the bytes that sort first, with its integrals at every s <= t; the
-        plan is returned in the caller's orientation. The integrals, and so
-        r_t, are certified from the plan with the unscaled costs."""
-        rows = np.array([costs[s, t_idx].ravel() for s in s_list])
-        ge = (rows[None, :, :] >= rows[:, None, :]).all(axis=2)  # ge[i, j]: row j >= row i
-        implied = (ge & (~ge.T | np.tri(len(rows), k=-1, dtype=bool))).any(axis=1)
-        key = (t_idx, tuple(s for s, drop in zip(s_list, implied) if not drop))
+        the bytes that sort first, with its integrals at every s <= t as
+        one stack; the plan is returned in the caller's orientation. The
+        integrals, and so r_t, are certified from the plan with the unscaled
+        costs."""
+        at, rows, bits = table(t_idx)
+        asked = sum(1 << at[s] for s in s_list)
+        key = (t_idx, tuple(s for s in s_list if not bits[at[s]] & asked))
         if key not in solves:
             a, b = pair1.mu.measure_at(t_idx).weights, pair2.mu.measure_at(t_idx).weights
             n1, n2 = a.size, b.size
-            kept = rows[~implied]
+            kept, stack = rows[[at[s] for s in key[1]]], rows.reshape(len(rows), n1, n2)
             mirror = kept.reshape(-1, n1, n2).transpose(0, 2, 1).reshape(len(kept), -1)
             flip = (b.tobytes(), a.tobytes(), mirror.tobytes()) < (a.tobytes(), b.tobytes(), kept.tobytes())
             if flip:
-                a, b, kept, n1, n2 = b, a, mirror, n2, n1
+                a, b, kept, stack, n1, n2 = b, a, mirror, stack.transpose(0, 2, 1), n2, n1
             nq, m = n1 * n2, len(kept)
             # variables (q, r): rows -inf <= <c_s, q> - r <= 0, then the
             # marginals of q; the r column holds -1 in each of the m cost rows.
@@ -673,21 +705,19 @@ def f_distance_within(
             # largest entry (exact), so HiGHS sees the same LP at every scale
             kept = np.ldexp(kept, 1 - math.frexp(float(kept.max()))[1])
             indptr, indices, data = _coupling_columns(n1, n2, kept)
-            b_eq = np.concatenate([a, b])
             res = linprog(
-                np.append(np.zeros(nq), 1.0),
-                np.append(indptr, indptr[-1] + m),
+                np.concatenate([np.zeros(nq), [1.0]]),
+                np.concatenate([indptr, [indptr[-1] + m]]),
                 np.concatenate([indices, np.arange(m, dtype=np.int32)]),
                 np.concatenate([data, np.full(m, -1.0)]),
-                np.concatenate([np.full(m, -np.inf), b_eq]),
-                np.concatenate([np.zeros(m), b_eq]),
+                np.concatenate([np.full(m, -np.inf), a, b]),
+                np.concatenate([np.zeros(m), a, b]),
             )
             if res.x is None:
                 raise InternalInvariantError(f"min-max transport LP failed at t_idx={t_idx}: {res.message}")
             plan = _fit_marginals(res.x[:nq].reshape(n1, n2), a, b)
-            turn = (lambda x: np.ascontiguousarray(x.T)) if flip else (lambda x: x)
-            ints = {s: float(np.sum(turn(costs[s, t_idx]) * plan)) for s in idxs if s <= t_idx}
-            solves[key] = turn(plan), ints
+            ints = (stack * plan).reshape(len(rows), -1).sum(axis=1)
+            solves[key] = np.ascontiguousarray(plan.T) if flip else plan, dict(zip(at, ints.tolist()))
         plan, ints = solves[key]
         return plan, {s: ints[s] for s in s_list}
 
@@ -707,11 +737,8 @@ def f_distance_within(
         couplings[t] = Coupling(matrix=plan)
 
     # the s = t specialization, from W1 solves independent of the min-max LPs
-    tops = [(g.ambient, g.push(0, pair1.mu.measure_at(t)), g.push(1, pair2.mu.measure_at(t)))
-            for t, g in zip(active, map(c.ambient_at, active))]
-    _prefetch_w1(tops)
-    for t, entry in zip(active, tops):
-        top = w1_distance(*entry).value
+    for t in active:
+        top = w1_distance(*tops[t]).value
         if top > value + 1e-9:
             raise CertificateError(
                 f"pushed top-measure W1 at t_idx={t} is {top:.12g} > value {value:.12g} + 1e-9"
@@ -777,7 +804,7 @@ def f_triangle_check(
     e_union = sorted(set(d12.E_indices) | set(d23.E_indices))
     e_measure = c123.grid.measure(e_union)
     active = [t for t in idxs if t not in e_union]
-    costs13 = _cost_matrices(c123.pair_view(0, 2), pair1, pair3, active)
+    costs13, _ = _cost_matrices(c123.pair_view(0, 2), pair1, pair3, active)
     cert_worst = math.sqrt(e_measure)
     for t in active:
         q12 = d12.couplings[t]

@@ -792,13 +792,15 @@ def support_at(flow: MetricFlow, mu: ConjHeatFlowField, t: float) -> SupportRepo
     kernels nu_{x;t} of every point x of the next slice, and each kernel
     whose support differs is reported as ``(t_idx + 1, x, support)``
     (``independent_ok=False``). At the final grid time the support is the
-    whole slice by convention.
+    whole slice by convention. At every time ``mu`` must be defined there
+    with one weight per point of the slice (:class:`InputError` otherwise).
     """
     t_idx = flow.grid.index_of(t)
+    weights = _on_slice(flow, mu, t_idx, "mu")
     if t_idx == flow.grid.n - 1:
         return SupportReport(tuple(range(flow.slices[t_idx].n)), whole_slice=True,
                              independent_ok=True, mismatches=())
-    supp = set(int(i) for i in np.flatnonzero(_on_slice(flow, mu, t_idx, "mu") > 0.0))
+    supp = set(int(i) for i in np.flatnonzero(weights > 0.0))
     mismatches = []
     nxt = t_idx + 1
     k = flow.kernel(t_idx, nxt)

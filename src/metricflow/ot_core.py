@@ -345,6 +345,30 @@ class ProbMeasure:
         return ProbMeasure(np.full(n, 1.0 / n))
 
 
+def _measures(stacks: Sequence) -> list:
+    """``[[ProbMeasure(row) for row in rows] for rows in stacks]`` for (k, n)
+    arrays ``stacks``, bit for bit, the checks run once over all the rows of
+    one width as one stack. Where a row fails one, each row is measured
+    alone, in order, so the first that fails raises what it raises alone."""
+    by_width: dict = {}
+    for i, rows in enumerate(stacks):
+        by_width.setdefault(rows.shape[1], []).append(i)
+    out = [None] * len(stacks)
+    for where in by_width.values():
+        w = np.concatenate([stacks[i] for i in where])
+        worst = w.min(axis=1, initial=0.0)
+        w[w < 0.0] = 0.0
+        with np.errstate(invalid="ignore", over="ignore"):
+            bad = ~np.isfinite(w).all(axis=1) | (worst < -EXACT_TOL) | ~(np.abs(w.sum(axis=1) - 1.0) <= EXACT_TOL)
+        if bad.any():
+            return [[ProbMeasure(row) for row in rows] for rows in stacks]
+        w.setflags(write=False)
+        measures = [_certified(ProbMeasure, weights=row) for row in w]
+        for i, ms in zip(where, _pieces(measures, np.array([len(stacks[i]) for i in where]))):
+            out[i] = ms
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Coupling:
     """A joint mass matrix with unit total mass.
@@ -578,49 +602,36 @@ def _coupling_columns(n1: int, n2: int, rows: np.ndarray):
     return indptr, idx[keep], val[keep]
 
 
-@functools.lru_cache(maxsize=64)
-def _transport_columns(n1: int, n2: int):
-    """``_coupling_columns`` with no extra rows: the constraint layout of
-    every n1 x n2 transport LP, built once per shape and shared read-only."""
-    columns = _coupling_columns(n1, n2, np.empty((0, n1 * n2)))
-    for arr in columns:
-        arr.setflags(write=False)
-    return columns
-
-
 def _transport_block(problems: Sequence):
     """Solve the transport LPs ``problems``, each a ``(cost, a, b)`` of min
-    <cost, q> over couplings of (a, b), as one block-diagonal LP: problem
-    k's ``_transport_columns`` layout sits at its own row and column
-    offsets, so no constraint links two problems and each block of the
-    solution is an optimal solution of its problem. Returns ``(solved,
-    message)``; ``solved`` lists each problem's ``(plan, alpha, beta)``,
-    its plan and the row duals of its two marginals, or is ``None`` when
-    the solve failed, and ``message`` then says why.
+    <cost, q> over couplings of (a, b), as one block-diagonal LP. Problem
+    k's n1*n2 coupling columns and n1 + n2 marginal rows follow those of
+    problem k - 1, and its column i*n2 + j holds ones in its rows i and
+    n1 + j (the layout of ``_coupling_columns`` with no extra rows), all
+    built as array operations over the block. No constraint links two
+    problems, so each block of the solution is an optimal solution of its
+    problem. Returns ``(solved, message)``; ``solved`` lists each problem's
+    ``(plan, alpha, beta)``, its plan and the row duals of its two
+    marginals, or is ``None`` when the solve failed, and ``message`` then
+    says why.
     """
-    indptr, indices, data = [np.zeros(1, dtype=np.int32)], [], []
-    n_rows = n_nonzero = 0
-    for cost, _, _ in problems:
-        start, index, value = _transport_columns(*cost.shape)
-        indptr.append(start[1:] + n_nonzero)
-        indices.append(index + n_rows)
-        data.append(value)
-        n_rows += sum(cost.shape)
-        n_nonzero += int(start[-1])
+    n1, n2 = np.array([cost.shape for cost, _, _ in problems]).T
+    size, height = n1 * n2, n1 + n2
+    k = np.repeat(np.arange(len(problems)), size)  # each column's problem
+    i, j = np.divmod(np.arange(size.sum()) - (np.cumsum(size) - size)[k], n2[k])
+    top = (np.cumsum(height) - height)[k]
+    indices = np.stack([top + i, top + n1[k] + j], axis=1).ravel().astype(np.int32)
     ab = np.concatenate([v for _, a, b in problems for v in (a, b)])
     res = linprog(
-        np.concatenate([cost.ravel() for cost, _, _ in problems]),
-        np.concatenate(indptr), np.concatenate(indices), np.concatenate(data), ab, ab,
+        np.concatenate([cost for cost, _, _ in problems], axis=None),
+        np.arange(0, indices.size + 1, 2, dtype=np.int32), indices, np.ones(indices.size), ab, ab,
     )
     if res.x is None:
         return None, res.message
-    solved, col, row = [], 0, 0
-    for cost, _, _ in problems:
-        n1, n2 = cost.shape
-        plan = res.x[col : col + n1 * n2].reshape(n1, n2)
-        solved.append((plan, res.row_dual[row : row + n1], res.row_dual[row + n1 : row + n1 + n2]))
-        col, row = col + n1 * n2, row + n1 + n2
-    return solved, res.message
+    res.x.setflags(write=False)  # and so every piece
+    res.row_dual.setflags(write=False)
+    pieces = zip(problems, _pieces(res.x, size), _pieces(res.row_dual, height), n1.tolist())
+    return [(x.reshape(cost.shape), duals[:m], duals[m:]) for (cost, _, _), x, duals, m in pieces], res.message
 
 
 def _transport_lp(cost: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -743,10 +754,7 @@ def _solve(lps: Sequence) -> list:
         solved = _transport_block(problems)[0] if len(problems) > 1 else None
         if solved is None:
             solved = [_transport_lp(*lp) for lp in problems]
-        for key, (plan, _, beta) in zip(block, solved):
-            plan.setflags(write=False)
-            beta.setflags(write=False)
-            memo[key] = (plan, beta)
+        memo.update((key, (plan, beta)) for key, (plan, _, beta) in zip(block, solved))
     return [memo[key] for key in keys]
 
 
@@ -767,16 +775,20 @@ def _pieces(x: np.ndarray, sizes: np.ndarray) -> list:
 def _plans(pairs: Sequence, p: float = 1.0):
     """Optimal plans of the transport problems ``(space, mu1, mu2)`` of
     ``pairs`` under the cost ``space.dist ** p``, as ``_Plans`` stacks made
-    one at a time. The weights whose bytes sort first are the source ``a``,
-    so swapping the measures gives the same plan. For p = 1 the shared mass
-    ``stay = min(a, b)`` stays on the diagonal, which is optimal when the
-    cost satisfies the triangle inequality (W1 on a metric); otherwise
-    ``stay`` is zero. An LP moves the rest over the supports ``rows`` and
-    ``cols`` of ``a - stay`` and ``b - stay``, each divided by its mass
-    ``sa`` or ``sb`` (excess entries can sit near HiGHS's 1e-10 feasibility
-    tolerance); one ``_solve`` call solves all LPs. Bit-equal weights, and
-    an excess on one side only (a mass imbalance below ProbMeasure's 1e-12
-    sum tolerance), need no LP. The plan is ``diag(stay)`` plus the LP's
+    one at a time. Pairs are stacked by size, and each stack is handled as
+    array operations, not entry by entry: a measure whose size is not its
+    space's is refused for the first such pair, before any LP. The weights
+    whose bytes sort first are the source ``a`` (the bytes are compared at
+    the first that differ), so swapping the measures gives the same plan.
+    For p = 1 the shared mass ``stay = min(a, b)`` stays on the diagonal,
+    which is optimal when the cost satisfies the triangle inequality (W1 on
+    a metric); otherwise ``stay`` is zero. An LP moves the rest over the
+    supports ``rows`` and ``cols`` of ``a - stay`` and ``b - stay``, each
+    divided by its mass ``sa`` or ``sb``, a row sum over the stack (excess
+    entries can sit near HiGHS's 1e-10 feasibility tolerance); one
+    ``_solve`` call solves all LPs. Bit-equal weights, and an excess on one
+    side only (a mass imbalance below ProbMeasure's 1e-12 sum tolerance),
+    need no LP. The plan is ``diag(stay)`` plus the LP's
     plan times the mean excess mass, in one scatter (``rows`` and ``cols``
     are disjoint), clamped at zero and refitted by ``_fit_marginals`` where
     it misses ``(a, b)`` by more than 1e-13. Masses more than 1e-13 apart
@@ -785,44 +797,46 @@ def _plans(pairs: Sequence, p: float = 1.0):
     """
     by_size: dict = {}
     for i, (space, mu1, mu2) in enumerate(pairs):
-        _check_measure_space(space, mu1, "mu1")
-        _check_measure_space(space, mu2, "mu2")
-        by_size.setdefault(space.n, []).append(i)
+        by_size.setdefault((space.n, mu1.n, mu2.n), []).append(i)
+    for (n, n1, n2), idx in by_size.items():
+        if (n1, n2) != (n, n):  # raises for the first pair of the first mis-sized stack
+            space, mu1, mu2 = pairs[idx[0]]
+            _check_measure_space(space, mu1, "mu1")
+            _check_measure_space(space, mu2, "mu2")
     chunks, groups, lps = [], [], {}
-    for n, idx in by_size.items():
+    for (n, _, _), idx in by_size.items():
         step = max(1, _STACK_ELEMENTS // (n * n))
         chunks += [idx[k : k + step] for k in range(0, len(idx), step)]
     for where in chunks:
-        cost = np.stack([pairs[i][0].dist for i in where]) ** p
-        mu1, mu2 = (np.stack([pairs[i][j].weights for i in where]) for j in (1, 2))
-        swapped = np.array([pairs[i][1].weights.tobytes() > pairs[i][2].weights.tobytes()
-                            for i in where])
+        cost = np.array([pairs[i][0].dist for i in where]) ** p
+        mu1, mu2 = (np.array([pairs[i][j].weights for i in where]) for j in (1, 2))
+        # a's bytes sort first: compare the weights' bytes at the first that differ
+        bytes1, bytes2 = mu1.view(np.uint8), mu2.view(np.uint8)
+        k, first = np.arange(len(where)), (bytes1 != bytes2).argmax(axis=1)
+        swapped = bytes1[k, first] > bytes2[k, first]
         a, b = np.where(swapped[:, None], mu2, mu1), np.where(swapped[:, None], mu1, mu2)
         equal = (mu1 == mu2).all(axis=1)
         stay = np.minimum(a, b) if p == 1.0 else np.zeros_like(a)
         da, db = a - stay, b - stay
         rows, cols = da != 0.0, db != 0.0
-        # the masses sum each compacted excess as one array does, bit for bit
-        sa, sb = (np.array([float(v.sum()) for v in _pieces(d[s], s.sum(axis=1))])
-                  for d, s in ((da, rows), (db, cols)))
+        sa, sb = da.sum(axis=1), db.sum(axis=1)  # zero off the excesses
         lp = rows.any(axis=1) & cols.any(axis=1) & ~equal
         rows, cols = rows & lp[:, None], cols & lp[:, None]
         m, q = rows.sum(axis=1), cols.sum(axis=1)
         src, dst = _pieces(da[rows] / np.repeat(sa, m), m), _pieces(db[cols] / np.repeat(sb, q), q)
         sub = _pieces(cost[rows[:, :, None] & cols[:, None, :]], m * q)
         lps.update((where[k], (sub[k].reshape(m[k], q[k]), src[k], dst[k])) for k in np.flatnonzero(lp))
-        groups.append((where, mu1, mu2, swapped, a, b, equal, stay, rows, cols, sa, sb, lp))
+        groups.append((where, cost, mu1, mu2, swapped, a, b, equal, stay, rows, cols, sa, sb, lp))
     solved = dict(zip(lps, _solve(list(lps.values()))))
-    for where, mu1, mu2, swapped, a, b, equal, stay, rows, cols, sa, sb, lp in groups:
+    for where, cost, mu1, mu2, swapped, a, b, equal, stay, rows, cols, sa, sb, lp in groups:
         K, n = a.shape
-        cost = np.stack([pairs[i][0].dist for i in where]) ** p
         block = rows[:, :, None] & cols[:, None, :]
         balanced = np.abs(sa - sb) <= 1e-13  # the masses differ as their excesses do
         plan = np.zeros((K, n, n))
         plan[:, np.arange(n), np.arange(n)] = np.where((lp | balanced)[:, None], stay, 0.5 * (a + b))
         got = [(np.empty(0), np.empty(0))] + [solved[where[k]] for k in np.flatnonzero(lp)]
         scale = np.repeat(0.5 * (sa + sb), block.sum(axis=(1, 2)))
-        plan[block] += scale * np.concatenate([x.ravel() for x, _ in got])
+        plan[block] += scale * np.concatenate([x for x, _ in got], axis=None)
         beta = np.where(lp[:, None], -np.inf, np.zeros((K, n)))
         beta[cols] = np.concatenate([duals for _, duals in got])
         plan[plan < 0.0] = 0.0
@@ -847,7 +861,9 @@ def _w1_results(pairs: Sequence) -> list:
     ``pairs``, each ``_Plans`` stack passing the checks of :class:`Coupling`
     (unit mass, failed by a non-finite plan), :meth:`Coupling.check_marginals`
     and :meth:`TransportCertificate.validate`, with their tolerances, as
-    array operations. The potential is the c-transform of the LP's column
+    array operations; the centring of unbalanced potentials and the duality
+    gaps take each row's dot product by ``_dots``, bit for bit as one pair
+    alone. The potential is the c-transform of the LP's column
     duals over its columns (-inf elsewhere): a min of 1-Lipschitz functions
     (triangle inequality) whose dual value dominates the reduced LP's dual
     optimum, as ``a - b`` is the difference of the two excesses.
@@ -856,12 +872,13 @@ def _w1_results(pairs: Sequence) -> list:
     for g in _plans(pairs):
         f = (g.cost - g.beta[:, None, :]).min(axis=2)
         f[g.equal] = 0.0
-        for k in np.flatnonzero(~g.balanced):
+        off = ~g.balanced
+        if off.any():
             # masses that differ make f @ (a - b) depend on f's free constant:
             # centre f on a + b, so the imbalance adds nothing to first order
-            w = g.a[k] + g.b[k]
-            f[k] -= float(f[k] @ w) / float(w.sum())
-        gap = g.value - np.array([float(fk @ dk) for fk, dk in zip(f, g.a - g.b)])
+            w = g.a[off] + g.b[off]
+            f[off] -= (_dots(f[off], w) / w.sum(axis=1))[:, None]
+        gap = g.value - _dots(f, g.a - g.b)
         gap[(gap < 0.0) & (gap >= -EXACT_TOL * np.maximum(1.0, g.cost.max(axis=(1, 2))))] = 0.0
         _refuse(gap < 0.0, gap, "negative duality gap {:.3e}")
         f[g.swapped] *= -1.0
@@ -872,14 +889,18 @@ def _w1_results(pairs: Sequence) -> list:
         oriented = np.where(g.swapped[:, None, None], g.plan.transpose(0, 2, 1), g.plan)
         res = _marginal_residuals(oriented, g.mu1, g.mu2)
         _refuse(~(res <= EXACT_TOL), res, "coupling marginals off by {:.3e}")
-        g.plan.setflags(write=False)
+        oriented.setflags(write=False)
         f.setflags(write=False)
-        for k, i in enumerate(g.where):
-            q, value = g.plan[k].T if g.swapped[k] else g.plan[k], float(g.value[k])
-            cert = _certified(TransportCertificate, primal_value=value, dual_potential=f[k],
-                              gap=float(gap[k]))
+        for i, q, fk, value, gk in zip(g.where, oriented, f, g.value.tolist(), gap.tolist()):
+            cert = _certified(TransportCertificate, primal_value=value, dual_potential=fk, gap=gk)
             results[i] = W1Result(value, _certified(Coupling, matrix=q), cert)
     return results
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x[k] @ y[k]`` for each row k of two (K, n) stacks, bit for bit: the
+    stacked matmul runs the same vector-vector loop once per row."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def _prefetch_w1(pairs: Sequence) -> None:

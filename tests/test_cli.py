@@ -924,6 +924,38 @@ def test_triangle_solves_each_distinct_lp_once(tmp_path, capsys, monkeypatch):
     assert mf.ot_core._SOLVED.get() is None
 
 
+def test_one_w1_batch_per_flow_distance(tmp_path, capsys, monkeypatch):
+    """A flow distance certifies all its W1, the cost-matrix entries and the
+    pushed top measures of every participating time, as one batch: one
+    batch for a 2-file distance in either e-mode, four for a triangle
+    (three distances and the certificate's cost matrices). The benchmark
+    tracer still counts 165 W1 reads and 5 min-max LPs for a 2-file
+    distance on 4-point, 5-time cycle walks, and 655 and 15 for a triangle."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import inputs
+    import tracer
+
+    rng = np.random.default_rng(7)
+    times = inputs.jittered_grid(rng, 5)
+    files = [str(tmp_path / f"flow{k}.json") for k in range(3)]
+    for path in files:
+        inputs.write_doc(inputs.static_cycle_doc(rng, 4, times), path)
+    batches = []
+    real = mf.ot_core._w1_results
+    monkeypatch.setattr(mf.ot_core, "_w1_results", lambda pairs: batches.append(len(pairs)) or real(pairs))
+    for argv, n_batches, counts in (
+        ([*files[:2], "--e-mode", "empty"], 1, (165, 5)),
+        ([*files[:2], "--e-mode", "exhaustive"], 1, None),
+        ([*files, "--e-mode", "empty"], 4, (655, 15)),
+    ):
+        batches.clear()
+        with tracer.Tracer() as traced:
+            rc, _, _ = run_cli(capsys, "distance", *argv)
+        assert rc == 0 and len(batches) == n_batches, argv
+        if counts:
+            assert (traced.calls["ot_core.w1"], traced.calls["correspondence.minmax_lp"]) == counts
+
+
 def test_oversized_flow_distance_is_refused_before_any_lp(tmp_path, capsys, monkeypatch):
     """Two 24-point, 60-time flows need 1 770 x 576 + 60 W1 solves, hours
     of work: the command says so and exits 2 at once, with no LP run."""

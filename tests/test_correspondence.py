@@ -19,7 +19,7 @@ from metricflow import (
     ProbMeasure,
     TimeGrid,
 )
-from metricflow import correspondence
+from metricflow import correspondence, ot_core
 
 from conftest import C_STAR, euclidean_space, random_space, two_point_space
 
@@ -246,6 +246,60 @@ def test_combined_correspondence_ambient_layout():
         assert np.array_equal(d[:4, 4:], cross)
         assert np.array_equal(d[4:, :4], cross.T)
         assert g.embeddings == ((0, 1), (2, 3), (6, 7))
+
+
+def _ambients_of_each_kind() -> list:
+    """A union, a two-slice and a combined ambient (the last with three
+    embeddings), each with its constituent spaces."""
+    fa, fb, fc = _layout_flows()
+    ident = [(0, 0), (1, 1)]
+    c12 = mf.build_union_correspondence(fa, fb, ident)
+    c23 = mf.build_union_correspondence(fb, fc, ident)
+    union = (c12.ambient_at(1), (fa.slices[1], fb.slices[1]))
+    space_s, space_t = two_point_space(1.0), two_point_space(0.8)
+    two_slice = mf.glue_two_slices(space_s, space_t, {0: np.array([0.8, 0.2]), 1: np.array([0.2, 0.8])}, 0.25)
+    combined = mf.combine_correspondences(c12, c23).ambient_at(1)
+    return [union, (two_slice, (space_s, space_t)), (combined, (fa.slices[1], fb.slices[1], fc.slices[1]))]
+
+
+def test_stacked_pushes_equal_single_pushes_bit_for_bit():
+    """A kernel matrix pushed into an ambient in one step and checked as one
+    stack gives, row by row, the bytes of ``GluedSpace.push(which,
+    ProbMeasure(row))``, noise clamped alike, on union, two-slice and
+    combined ambients, several stacks of several widths at once."""
+    rng = np.random.default_rng(5)
+    stacks, expected = [], []
+    for glued, spaces in _ambients_of_each_kind():
+        for which, space in enumerate(spaces):
+            rows = rng.dirichlet(np.ones(space.n), size=4)
+            rows[2, 0] += rows[2, -1] + 4e-13
+            rows[2, -1] = -4e-13  # noise below the tolerance, clamped to zero
+            stacks.append(glued.push_weights(which, rows))
+            expected.append([glued.push(which, ProbMeasure(row)).weights for row in rows])
+    for measures, want in zip(ot_core._measures(stacks), expected):
+        assert [m.weights.tobytes() for m in measures] == [w.tobytes() for w in want]
+        assert all(not m.weights.flags.writeable for m in measures)
+
+
+@pytest.mark.parametrize("fault", ["negative", "mis-summed", "both"])
+def test_stacked_pushes_refuse_the_first_bad_row_as_alone(fault):
+    """A pushed row that fails the measure checks raises the InputError a
+    single push raises for it; with bad rows in several stacks, the first
+    bad row in order decides."""
+    rng = np.random.default_rng(6)
+    (glued, spaces), *_ = _ambients_of_each_kind()
+    rows = rng.dirichlet(np.ones(2), size=3)
+    negative, mis_summed = rows.copy(), rows.copy()
+    negative[2] = [1.0 + 1e-9, -1e-9]
+    mis_summed[1] = [0.5, 0.5 + 1e-9]
+    first = {"negative": negative[2], "mis-summed": mis_summed[1], "both": mis_summed[1]}[fault]
+    with pytest.raises(InputError) as alone:
+        ProbMeasure(glued.push_weights(1, first))
+    bad = {"negative": [negative], "mis-summed": [mis_summed], "both": [mis_summed, negative]}[fault]
+    stacks = [glued.push_weights(0, rows)] + [glued.push_weights(1, b) for b in bad]
+    with pytest.raises(InputError) as stacked:
+        ot_core._measures(stacks)
+    assert str(stacked.value) == str(alone.value)
 
 
 # ---------------------------------------------------------------------------

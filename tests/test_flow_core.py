@@ -885,6 +885,19 @@ def test_support_at_final_time_is_whole_slice(two_point_flow_fx):
     )
 
 
+def test_support_at_final_time_reads_its_field():
+    """The final grid time is no exception to the field checks: a field not
+    defined there, or with a weight count not the slice's, is refused."""
+    flow = mf.two_point_flow(C_STAR, 1.0, TimeGrid.uniform(0.0, 1.0, 3))
+    top = flow.grid.n - 1
+    wrong_size = mf.ConjHeatFlowField((top,), (ProbMeasure.uniform(5),))
+    with pytest.raises(InputError, match=rf"mu at grid index {top} has shape \(5,\), not one entry per point"):
+        mf.support_at(flow, wrong_size, 1.0)
+    elsewhere = mf.ConjHeatFlowField((top - 1,), (ProbMeasure.uniform(2),))
+    with pytest.raises(InputError, match=f"mu is not defined at grid index {top}"):
+        mf.support_at(flow, elsewhere, 1.0)
+
+
 def test_support_at_positive_markov_kernel_is_independent(two_point_flow_fx):
     flow = two_point_flow_fx
     assert flow.is_markov

@@ -430,7 +430,7 @@ def _solver_cases(seed):
     rng = np.random.default_rng(seed)
     lps = []
     for n in (2, 3, 5, 8):
-        columns = ot_core._transport_columns(n, n)
+        columns = _coupling_columns(n, n, np.empty((0, n * n)))
         for ties in (False, True):
             for zeros in (False, True):
                 cost, a, b = _transport_case(rng, n, ties, zeros)
@@ -751,17 +751,15 @@ def test_prefetched_w1_agrees_with_single_solves(monkeypatch):
     rng = np.random.default_rng(73)
     pairs = _mixed_w1_pairs(rng)
     single = [mf.w1_distance(*pair) for pair in pairs]
-    solves, checks = [], []
-    real, real_check = ot_core.linprog, ot_core._check_measure_space
+    solves, reduced = [], []
+    real, real_plans = ot_core.linprog, ot_core._plans
     monkeypatch.setattr(ot_core, "linprog", lambda *a: solves.append(1) or real(*a))
-    monkeypatch.setattr(
-        ot_core, "_check_measure_space", lambda *a: checks.append(1) or real_check(*a)
-    )
+    monkeypatch.setattr(ot_core, "_plans", lambda batch: reduced.extend(batch) or real_plans(batch))
     with mf.solve_once():
         ot_core._prefetch_w1(pairs)
         n_blocks, n_solved = len(solves), len(ot_core._SOLVED.get())
         blocked = [mf.w1_distance(*pair) for pair in pairs]
-        assert len(checks) == 2 * len(pairs) and ot_core._HANDED.get() == {}
+        assert len(reduced) == len(pairs) and ot_core._HANDED.get() == {}
         copied = [mf.w1_distance(space, ProbMeasure(mu.weights), nu) for space, mu, nu in pairs]
     assert len(solves) == n_blocks and 1 <= n_blocks < n_solved / 4
     for res, copy in zip(blocked, copied):
@@ -774,6 +772,22 @@ def test_prefetched_w1_agrees_with_single_solves(monkeypatch):
         assert res.coupling.check_marginals(mu, nu)[0]
     with pytest.raises(mf.InternalInvariantError, match="solve_once"):
         ot_core._prefetch_w1(pairs)
+
+
+def test_batch_refuses_the_first_mis_sized_measure():
+    """A batch checks measure sizes per stack, before any LP, and refuses
+    the first pair in order whose measure does not fit its space, mu1 before
+    mu2, as a single W1 call refuses it."""
+    rng = np.random.default_rng(81)
+    three, four = random_space(rng, 3), random_space(rng, 4)
+    fits, short = random_measure(rng, 3), random_measure(rng, 2)
+    pairs = [(three, fits, fits), (four, random_measure(rng, 4), fits), (three, short, fits)]
+    for batch, name in ((pairs, "mu2: measure on 3 points but space has 4"),
+                        (pairs[::-1], "mu1: measure on 2 points but space has 3")):
+        with pytest.raises(InputError, match=name):
+            ot_core._w1_results(batch)
+        with pytest.raises(InputError, match=name):
+            mf.w1_distance(*next(p for p in batch if p[1].n != p[0].n or p[2].n != p[0].n))
 
 
 def test_failed_block_leaves_its_lps_to_single_solves(monkeypatch):
@@ -887,6 +901,26 @@ def test_batch_equals_batch_of_one_bit_for_bit(seed):
         assert res.value == swapped.value
         assert np.array_equal(res.coupling.matrix, swapped.coupling.matrix.T)
         assert np.array_equal(res.certificate.dual_potential, -swapped.certificate.dual_potential)
+
+
+def test_batch_on_larger_spaces_matches_the_one_pair_reference():
+    """On spaces of 9 points and more, a stack's excess masses are row sums
+    whose float order is not that of each excess summed alone, so a batch
+    may move a W1 at the ulp level: values, couplings and potentials stay
+    within 1e-12 relative (of the largest distance) of the one-pair
+    reference, and the batch still certifies."""
+    rng = np.random.default_rng(85)
+    pairs = [(space, mu, nu) for n in (9, 12, 24) for space in (random_space(rng, n),)
+             for mu, nu in _measure_pairs(rng, n)]
+    with mf.solve_once():
+        batch = ot_core._w1_results(pairs)
+        for (space, mu, nu), res in zip(pairs, batch):
+            value, coupling, potential, _ = _reference_w1(space, mu, nu)
+            tol = 1e-12 * max(1.0, space.diameter)
+            assert res.value == pytest.approx(value, rel=1e-12, abs=tol)
+            assert np.allclose(res.coupling.matrix, coupling, rtol=0.0, atol=1e-12)
+            assert np.allclose(res.certificate.dual_potential, potential, rtol=0.0, atol=tol)
+            res.certificate.validate(space, mu, nu)
 
 
 def test_small_stacks_certify_as_one_stack_per_size(monkeypatch):

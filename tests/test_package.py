@@ -5,11 +5,14 @@ import ast
 import importlib
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import metricflow
+from conftest import PYPROJECT
 
 
 @pytest.mark.parametrize("module", [
@@ -95,3 +98,28 @@ def test_ci_job_has_a_timeout():
     workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
     job = re.search(r"^  tests:\n((?:    .*\n|\s*\n)*)", workflow.read_text(), re.M)
     assert job and re.search(r"^    timeout-minutes: 15$", job.group(1), re.M)
+
+
+def test_a_failing_property_test_does_not_end_the_session(tmp_path):
+    """Under the project's warning filters, a failing hypothesis test is
+    reported as one failure and the tests after it still run: the plugin's
+    report imports libcst, whose DeprecationWarning must not become an
+    INTERNALERROR that skips the rest of the session."""
+    pytest.importorskip("hypothesis")
+    (tmp_path / "test_pair.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_runs_after():\n"
+        "    assert True\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(PYPROJECT),
+         "--rootdir", str(tmp_path), "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    out = run.stdout + run.stderr
+    assert run.returncode == 1, out
+    assert "INTERNALERROR" not in out
+    assert "1 failed, 1 passed" in out
