@@ -1062,6 +1062,9 @@ class Axiom6Entry:
     ``saturated`` counts swept configurations whose propagated values left
     float64 range and were excluded (never happens for kernels with positive
     entries). ``gating`` is False when the verdict is informational only.
+    Point pairs at distance 0 are judged by the slice-metrics record alone:
+    an entry with no pair at positive distance left reads 0.0, 0.0 and 0
+    cases.
     """
 
     s_idx: int
@@ -1095,6 +1098,10 @@ class FlowVerifyReport:
 
 # slope rows per sweep block: one 32 × 999 float64 buffer (256 KB) stays in L2
 _SWEEP_ROWS = 32
+# an entry with no point pair at positive distance: points at distance 0 fail
+# slice-metrics and are left out of the ratio, and as data they admit only
+# equal values, so a two-point pair with either slice at distance 0 has no case
+_NO_PAIR = (0.0, 0.0, 0, 0)
 
 
 def _sweep_two_point(groups, u_step, a_step):
@@ -1116,9 +1123,14 @@ def _sweep_two_point(groups, u_step, a_step):
     run in blocks of ``_SWEEP_ROWS`` through scratch buffers allocated once
     per call. Phi at ±f for each block is shared by every pair, so a case
     costs 2 ``ndtri`` per pair plus 2 ``erfc`` per slope row and u value for
-    all pairs together; the slope sign -1 is swept only for pairs whose
-    kernel is asymmetric. Returns one (worst_ratio, worst_excess, n_cases,
-    saturated) per group.
+    all pairs together. A kernel whose rows are bitwise equal (rank one)
+    maps every datum to a constant: both sides propagate the same floats,
+    so its output slope is exactly 0 and it costs no ``ndtri``, only its
+    saturated count. The slope sign -1 is skipped only when the kernel
+    equals its point swap, ``(k == k[::-1, ::-1]).all()``: then the data of
+    sign -1 are those of sign +1 with the points exchanged. Returns one
+    (worst_ratio, worst_excess, n_cases, saturated) per group, and
+    ``_NO_PAIR`` for a group with either slice at distance 0.
     """
     u = np.arange(u_step, 1.0, u_step)
     f_plus = phi_inv(u)
@@ -1126,25 +1138,27 @@ def _sweep_two_point(groups, u_step, a_step):
     a = np.arange(0.0, 1.0, a_step)
     big_a = a / (1.0 - a)
 
-    pairs = []
-    for k, d_s, d_t, tau in groups:
-        du = float(d_s[0, 1])
+    pairs = []  # (group index, sides, d_t, bound, symmetric, rank one) per swept group
+    for g, (k, d_s, d_t, tau) in enumerate(groups):
+        du, dt_ = float(d_s[0, 1]), float(d_t[0, 1])
+        if du == 0.0 or dt_ == 0.0:
+            continue  # no case to sweep (see _NO_PAIR)
         bound = big_a / np.sqrt(tau * big_a**2 + du * du)
         p00, p01, p10, p11 = (float(p) for p in k.ravel())
         sides = ((p00 * u, p00 * v_plus, p01), (p10 * u, p10 * v_plus, p11))
-        symmetric = abs(k[0, 0] - k[1, 1]) == 0.0
-        pairs.append((sides, float(d_t[0, 1]), bound, symmetric))
-    top = np.zeros((len(groups), big_a.size))  # each slope row's largest |f0 - f1|
-    saturated = [0] * len(groups)
+        symmetric = bool((k == k[::-1, ::-1]).all())
+        pairs.append((g, sides, dt_, bound, symmetric, bool((k[0] == k[1]).all())))
+    top = np.zeros((len(pairs), big_a.size))  # each slope row's largest |f0 - f1|
+    saturated = [0] * len(pairs)
 
     shape = (_SWEEP_ROWS, u.size)
     scratch = [np.empty(shape) for _ in range(7)] + [np.empty(shape, dtype=bool) for _ in range(4)]
     row_max = np.empty(_SWEEP_ROWS)
 
-    def invert(u_minus, v_minus, side, w_u, w_v, x, below, bad):
-        # x = sqrt2·ndtri(min(u, v)) for the side's propagated value u and its
-        # complement v, so f = x where u <= v (``below``) and -x elsewhere;
-        # ``bad`` marks both sides underflowed to 0, where x is set to 0
+    def propagate(u_minus, v_minus, side, w_u, w_v, below, bad):
+        # w_u = min(u, v) for the side's propagated value u and its
+        # complement v, ``below`` where u <= v; ``bad`` marks both sides
+        # underflowed to 0
         p_u, p_v, p = side
         np.multiply(u_minus, p, out=w_u)
         np.add(w_u, p_u, out=w_u)
@@ -1153,12 +1167,16 @@ def _sweep_two_point(groups, u_step, a_step):
         np.less_equal(w_u, w_v, out=below)
         np.minimum(w_u, w_v, out=w_u)
         np.less_equal(w_u, 0.0, out=bad)
+
+    def invert(w_u, x, bad):
+        # x = sqrt2·ndtri(w_u), so f = x where ``below`` and -x elsewhere;
+        # x is 0 where ``bad``
         np.copyto(w_u, 0.5, where=bad)
         ndtri(w_u, out=x)  # Phi(f) = ndtr(f / sqrt2)
         np.multiply(x, _SQRT2, out=x)
 
     for sigma in (1.0, -1.0):
-        active = [i for i, pair in enumerate(pairs) if sigma > 0.0 or not pair[-1]]
+        active = [i for i, (*_, symmetric, _) in enumerate(pairs) if sigma > 0.0 or not symmetric]
         if not active:
             continue
         for lo in range(0, big_a.size, _SWEEP_ROWS):
@@ -1175,9 +1193,14 @@ def _sweep_two_point(groups, u_step, a_step):
             np.multiply(u_minus, 0.5, out=u_minus)
             np.multiply(v_minus, 0.5, out=v_minus)
             for i in active:
-                side0, side1 = pairs[i][0]
-                invert(u_minus, v_minus, side0, w_u, w_v, x0, below0, bad0)
-                invert(u_minus, v_minus, side1, w_u, w_v, x1, below1, bad1)
+                _, (side0, side1), *_, rank_one = pairs[i]
+                propagate(u_minus, v_minus, side0, w_u, w_v, below0, bad0)
+                if rank_one:  # f0 == f1, so the row maxima stay 0
+                    saturated[i] += int(np.count_nonzero(bad0))
+                    continue
+                invert(w_u, x0, bad0)
+                propagate(u_minus, v_minus, side1, w_u, w_v, below1, bad1)
+                invert(w_u, x1, bad1)
                 # |f0 - f1| = |x0 - x1| where the signs agree, |x0 + x1| where not
                 np.not_equal(below0, below1, out=below0)
                 np.negative(x1, out=x1, where=below0)
@@ -1189,15 +1212,15 @@ def _sweep_two_point(groups, u_step, a_step):
                 np.max(x0, axis=1, out=row_max[:hi - lo])
                 np.maximum(top[i, lo:hi], row_max[:hi - lo], out=top[i, lo:hi])
 
-    out = []
-    for i, (_, dt_, bound, symmetric) in enumerate(pairs):
+    out = [_NO_PAIR] * len(groups)
+    for i, (g, _, dt_, bound, symmetric, _) in enumerate(pairs):
         # x / b and x - b (b > 0) round monotonically in x, so each slope
         # row's extremes come from its largest |f0 - f1|
         ratio = top[i] / dt_
         worst = np.zeros_like(bound)
         np.divide(ratio, bound, out=worst, where=bound > 0.0)
         n_cases = (1 if symmetric else 2) * big_a.size * u.size
-        out.append((float(worst.max()), float((ratio - bound).max()), n_cases, saturated[i]))
+        out[g] = (float(worst.max()), float((ratio - bound).max()), n_cases, saturated[i])
     return out
 
 
@@ -1214,11 +1237,12 @@ def _battery_cone(k, d_s, d_t, tau, T_values, offsets, seeds, rng):
     cones (a max of T^{-1/2}-Lipschitz functions is T^{-1/2}-Lipschitz).
     Each seeded datum is the max of three cones; for each T in turn the
     battery draws from ``rng`` all ``seeds × 3`` anchors, then all signs,
-    then all offsets in [-3, 3).
+    then all offsets in [-3, 3). Output pairs at distance 0 are left out;
+    with none left it still draws (later entries read the same stream) and
+    returns ``_NO_PAIR``.
     """
     n_s = d_s.shape[0]
-    n_t = d_t.shape[0]
-    pair_i, pair_j = np.triu_indices(n_t, k=1)
+    pair_i, pair_j = np.nonzero(np.triu(d_t > 0.0, k=1))
     d_pairs = d_t[pair_i, pair_j]
     worst_ratio = 0.0
     worst_excess = -math.inf
@@ -1236,6 +1260,8 @@ def _battery_cone(k, d_s, d_t, tau, T_values, offsets, seeds, rng):
         J = rng.integers(0, n_s, size=(seeds, 3))
         S = rng.integers(0, 2, size=(seeds, 3))
         C = rng.uniform(-3.0, 3.0, size=(seeds, 3))
+        if not pair_i.size:
+            continue
         seeded = np.max(_SIGNS[S][None] * lam * d_s[:, J] + C[None], axis=2)
         f_s = np.concatenate([cones, seeded], axis=1)
         u_s = phi(f_s)
@@ -1255,9 +1281,10 @@ def _battery_cone(k, d_s, d_t, tau, T_values, offsets, seeds, rng):
             n_cases += valid.size
             saturated += int(valid.size - int(valid.sum()))
             ratio = np.where(valid, diffs, 0.0) / d_pairs[:, None]
-            worst_excess = max(worst_excess, float((ratio - bound).max()))
-            worst_ratio = max(worst_ratio, float(ratio.max()) / bound)
-    return worst_ratio, worst_excess, n_cases, saturated
+            # np.maximum keeps a NaN, which then fails the entry
+            worst_excess = float(np.maximum(worst_excess, (ratio - bound).max()))
+            worst_ratio = float(np.maximum(worst_ratio, ratio.max() / bound))
+    return (worst_ratio, worst_excess, n_cases, saturated) if pair_i.size else _NO_PAIR
 
 
 def _dedupe_pairs(flow: MetricFlow):

@@ -7,6 +7,7 @@ import math
 import re
 import subprocess
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -557,6 +558,73 @@ def test_verify_passes_a_narrow_admissible_two_point_flow(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "verify", narrow)
     assert rc == 0
     assert "summary: PASS" in out
+
+
+def _strict_json(path) -> dict:
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv, at, dist", [
+    (["two-point", "--steps", "2"], 0, [[0.0, 0.0], [0.0, 0.0]]),
+    (["two-point", "--steps", "2"], 1, [[0.0, 0.0], [0.0, 0.0]]),
+    (["static", "--m", "3", "--steps", "2"], 1, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+], ids=["two-point-start", "two-point-middle", "three-point"])
+def test_zero_distance_slices_verify_to_strict_json(tmp_path, capsys, argv, at, dist):
+    """Points at distance 0 fail slice-metrics and are left out of the
+    smoothing ratio, so every entry stays finite and no division warns."""
+    path = make_doc(tmp_path, "f.json", "generate", *argv)
+    doc = json.loads(Path(path).read_text())
+    doc["slices"][at]["dist"] = dist
+    bent = tmp_path / "zero.json"
+    bent.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, "verify", str(bent), "--json", str(report))
+    assert not caught, [str(w.message) for w in caught]
+    assert rc == 1 and "axiom check slice-metrics: FAIL" in out
+    assert "Traceback" not in out + err
+    payload = _strict_json(report)
+    assert payload["summary"] == "FAIL"
+    if len(dist) == 2:  # a two-point pair touching the slice has no case left
+        touched = [e for e in payload["axiom6"] if at in (e["s_idx"], e["t_idx"])]
+        assert [(e["worst_ratio"], e["worst_excess"], e["n_cases"]) for e in touched] == [
+            (0.0, 0.0, 0)
+        ] * 2
+
+
+def test_one_point_flow_verifies(tmp_path, capsys):
+    """One-point slices have no pair to judge: verify passes instead of
+    raising on an empty maximum."""
+    space = mf.FiniteMetricSpace(labels=("a",), dist=np.zeros((1, 1)))
+    flow = mf.MetricFlow(TimeGrid((0.0, 0.5, 1.0)), (space,) * 3,
+                         adjacent_kernels=[np.ones((1, 1))] * 2)
+    path = tmp_path / "one.json"
+    save_flow(flow, str(path))
+    report = tmp_path / "report.json"
+    rc, out, err = run_cli(capsys, "verify", str(path), "--json", str(report))
+    assert rc == 0 and "summary: PASS" in out
+    assert "Traceback" not in out + err
+    assert {(e["worst_ratio"], e["worst_excess"], e["n_cases"])
+            for e in _strict_json(report)["axiom6"]} == {(0.0, 0.0, 0)}
+
+
+def test_verify_reads_an_exactly_uniform_kernel_as_slope_zero(tmp_path, capsys):
+    """At C_min the lag 0.8 composes to the kernel with both rows (0.5, 0.5),
+    which maps every datum to a constant; the adjacent steps do not."""
+    flow = mf.two_point_flow(C_STAR, 1.0, TimeGrid((0.0, 0.4, 0.8)))
+    assert (flow.kernel(0, 2) == 0.5).all() and not (flow.kernel(0, 1) == 0.5).all()
+    path = tmp_path / "uniform.json"
+    save_flow(flow, str(path))
+    report = tmp_path / "report.json"
+    rc, out, _ = run_cli(capsys, "verify", str(path), "--json", str(report))
+    assert rc == 0 and "summary: PASS" in out
+    (entry,) = [e for e in _strict_json(report)["axiom6"] if (e["s_idx"], e["t_idx"]) == (0, 2)]
+    assert (entry["worst_ratio"], entry["worst_excess"], entry["n_cases"]) == (0.0, 0.0, 999_000)
 
 
 @pytest.mark.filterwarnings("ignore:box half-width:UserWarning")

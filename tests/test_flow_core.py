@@ -1301,7 +1301,7 @@ def _reference_sweep(k, d_s, d_t, tau, u_step, a_step):
     a = np.arange(0.0, 1.0, a_step)
     big_a = a / (1.0 - a)
     bound = big_a / np.sqrt(tau * big_a**2 + du * du)
-    sigmas = (1.0,) if k[0, 0] == k[1, 1] else (1.0, -1.0)
+    sigmas = (1.0,) if (k == k[::-1, ::-1]).all() else (1.0, -1.0)
     worst_ratio, worst_excess, n_cases, saturated = 0.0, -math.inf, 0, 0
     for sigma in sigmas:
         for lo in range(0, big_a.size, 128):
@@ -1332,6 +1332,9 @@ _SWEEP_GROUPS = [
     (np.array([[0.0, 1.0], [0.4, 0.6]]), _D2, _D2, 0.05),  # saturates at steep slopes
     (np.array([[0.3, 0.7], [0.0, 1.0]]), _D1, _D2, 0.1),  # saturates on both signs
     (np.array([[0.0, 1.0], [0.0, 1.0]]), _D2, _D1, 0.4),  # both sides saturate at once
+    # rank one like the group above: f0 == f1 without inverting
+    (np.array([[0.5, 0.5], [0.5, 0.5]]), _D1, _D2, 0.25),
+    (np.array([[0.3, 0.7], [0.3, 0.7]]), _D2, _D2, 0.15),  # asymmetric: both signs
 ]
 
 
@@ -1343,11 +1346,45 @@ def test_multi_group_sweep_matches_single_pair_sweeps():
         for g, res in zip(_SWEEP_GROUPS, together):
             assert flow_core._sweep_two_point([g], u_step, a_step) == [res]
             assert res == _reference_sweep(*g, u_step, a_step)
-    # the last three groups propagate one point's value alone on one side or
+    # groups 3 to 5 propagate one point's value alone on one side or
     # both, which underflows with its complement once |f_-| passes about 54:
     # from slope row 980 of the 1e-3 grid on, inside its second-to-last block
-    assert [res[3] > 0 for res in together] == [False, False, True, True, True]
+    assert [res[3] > 0 for res in together] == [False, False, True, True, True, False, False]
     assert all(res[3] < res[2] // 20 for res in together)
+    assert [res[:2] for res in together[-3:]] == [(0.0, 0.0)] * 3
+    assert [res[2] for res in together[-3:]] == [1_998_000, 999_000, 1_998_000]
+
+
+def test_rank_one_pairs_invert_nothing(monkeypatch):
+    """Only the 999-entry phi_inv(u) of the sweep's set-up reaches ndtri when
+    every kernel has equal rows; a full-rank pair inverts both sides of each
+    of its cases."""
+    rank_one = [g for g in _SWEEP_GROUPS if (g[0][0] == g[0][1]).all()]
+    assert len(rank_one) == 3
+    want = [_reference_sweep(*g, 1e-3, 1e-3) for g in rank_one]
+    counts = []
+    real = flow_core.ndtri
+
+    def counting(x, *args, **kwargs):
+        counts.append(np.size(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(flow_core, "ndtri", counting)
+    assert flow_core._sweep_two_point(rank_one, 1e-3, 1e-3) == want
+    assert counts == [999]
+    counts.clear()
+    flow_core._sweep_two_point(_SWEEP_GROUPS[:1], 1e-3, 1e-3)  # symmetric: one sign
+    assert sum(counts) == 999 + 2 * 999_000
+
+
+def test_sign_rule_needs_the_whole_point_swap():
+    """Equal diagonals alone do not make a kernel equal its point swap: an
+    off-diagonal ulp apart sends the sweep over both slope signs."""
+    k = np.array([[0.7, np.nextafter(0.3, 1.0)], [0.3, 0.7]])
+    assert k[0, 0] == k[1, 1] and abs(k.sum(axis=1) - 1.0).max() <= 1e-12
+    res = flow_core._sweep_two_point([(k, _D1, _D1, 0.3)], 1e-3, 1e-3)[0]
+    assert res[2] == 1_998_000
+    assert res == _reference_sweep(k, _D1, _D1, 0.3, 1e-3, 1e-3)
 
 
 def test_sweep_working_set_stays_small():
