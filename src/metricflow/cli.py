@@ -626,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("files", nargs="+", metavar="FLOW.json")
     d.add_argument("--relation", default=None, help="JSON file with matched point pairs")
     d.add_argument("--J", default=None, help="comma-separated protected times")
-    d.add_argument("--e-mode", dest="e_mode", default="empty",
+    d.add_argument("--e-mode", dest="e_mode", default="empty", choices=["empty", "exhaustive"],
                    help="exceptional-set search: empty (default) or exhaustive")
     d.add_argument("--basepoint", default="uniform", help="'uniform' or a top-slice point index")
     d.add_argument("--out", default=None, help="write the JSON report here")

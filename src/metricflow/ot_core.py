@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import functools
 import math
 import threading
 from collections import namedtuple
@@ -522,12 +521,6 @@ class LPSolution(NamedTuple):
     message: str
 
 
-@functools.lru_cache(maxsize=64)
-def _column_bounds(n: int) -> tuple:
-    """The bounds 0 <= x < inf of n columns, as lists; HiGHS copies them."""
-    return [0.0] * n, [math.inf] * n
-
-
 def linprog(c, indptr, indices, data, lhs, rhs) -> LPSolution:
     """Solve ``min c @ x  s.t.  lhs <= A x <= rhs,  x >= 0`` with HiGHS.
 
@@ -537,10 +530,13 @@ def linprog(c, indptr, indices, data, lhs, rhs) -> LPSolution:
     ``"presolve": False``, without its input cleaning: the same arrays,
     bounds and options reach HiGHS, and the result is bit-identical to that
     linprog call's. Each thread solves on its own HiGHS instance, made on
-    its first solve (:func:`_highs`); ``passModel`` resets that instance's
-    model and basis, so no solve warm-starts from the one before. The
-    solution is accepted under linprog's own rule, an optimal model status
-    and no bound or row violated by more than ``_LP_CHECK_TOL``.
+    its first solve (:func:`_highs`). The arrays reach HiGHS as they are,
+    through the array overload of ``passModel``, which resets the
+    instance's model and basis, so no solve warm-starts from the one before.
+    Arrays that disagree in size, or a model HiGHS refuses (``kError``),
+    fail before any solve. The solution is accepted under linprog's own
+    rule, an optimal model status and no bound or row violated by more than
+    ``_LP_CHECK_TOL``.
 
     Every LP of the package goes through this function. Callers look it up
     as a module attribute, ``ot_core.linprog`` and ``correspondence.linprog``
@@ -549,20 +545,18 @@ def linprog(c, indptr, indices, data, lhs, rhs) -> LPSolution:
     both modules to count and time transport and min-max solves apart.
     """
     core, highs = _highs()
-    lp = core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = c.size
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(rhs)
-    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
-    # the setters copy a list into HiGHS faster than an array
-    lp.a_matrix_.start_ = indptr.tolist()
-    lp.a_matrix_.index_ = indices.tolist()
-    lp.a_matrix_.value_ = data.tolist()
-    lp.col_cost_ = c.tolist()
-    lp.col_lower_, lp.col_upper_ = _column_bounds(c.size)
-    lp.row_lower_ = lhs.tolist()
-    lp.row_upper_ = rhs.tolist()
-
-    highs.passModel(lp)
+    n, m = c.size, rhs.size
+    # HiGHS reads n, m and data.size entries of these arrays unchecked
+    if lhs.size != m or indptr.size != n + 1 or indices.size != data.size:
+        return LPSolution(None, None, "LP arrays disagree in size")
+    status = highs.passModel(
+        n, m, data.size, core.MatrixFormat.kColwise, core.ObjSense.kMinimize, 0.0,
+        c, np.zeros(n), np.full(n, math.inf), lhs, rhs, indptr, indices, data,
+        np.zeros(n, np.int32),
+    )
+    # kWarning (a matrix entry below 1e-9 dropped, say) still solves
+    if status == core.HighsStatus.kError:
+        return LPSolution(None, None, f"HiGHS refused the model: passModel returned {status.name}")
     highs.run()
     status = highs.getModelStatus()
     if status != core.HighsModelStatus.kOptimal:

@@ -246,6 +246,18 @@ def test_bad_arguments_exit_2(tp4, tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists() and not missing.parent.exists()
 
 
+def test_unknown_e_mode_exits_2_before_any_flow_loads(tp4, capsys, monkeypatch):
+    """``distance --e-mode`` is checked by the parser: a typo names the
+    choices and exits 2 before a flow file is read."""
+    def no_load(path):
+        raise AssertionError(f"{path} loaded for an unknown e-mode")
+
+    monkeypatch.setattr(mf.cli, "load_flow", no_load)
+    rc, out, err = run_cli(capsys, "distance", tp4, tp4, "--e-mode", "exhaustve")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "invalid choice: 'exhaustve'" in err and "'exhaustive'" in err
+
+
 @pytest.mark.parametrize("argv, entries, flag", [
     (["two-point", "--steps", "100000000"], "400,000,000", "--steps"),
     (["two-point", "--steps", "262145"], "1,048,580", "--steps"),

@@ -451,20 +451,58 @@ def _same_solution(got, ref):
     )
 
 
+def _solve_counted(lp):
+    """``linprog(*lp)`` and the simplex iterations its HiGHS instance ran."""
+    res = linprog(*lp)
+    return res, ot_core._highs()[1].getInfo().simplex_iteration_count
+
+
 def test_reused_highs_instance_solves_as_a_fresh_one(monkeypatch):
-    """Every LP solved in sequence on this thread's one instance (an
+    """Every LP solved twice in sequence on this thread's one instance (an
     infeasible LP just before each min-max LP) returns the vertex and duals a
-    fresh instance with the same options returns, bit for bit."""
-    lps = _solver_cases(21)
+    fresh instance with the same options returns, bit for bit, after as many
+    simplex iterations: no solve warm-starts from the basis before it."""
+    lps = [lp for lp in _solver_cases(21) for _ in range(2)]
     _, highs = ot_core._highs()
-    reused = [linprog(*lp) for lp in lps]
+    reused = [_solve_counted(lp) for lp in lps]
     assert ot_core._highs()[1] is highs
-    assert sum(res.x is None for res in reused) == 4
-    for lp, got in zip(lps, reused):
+    assert sum(res.x is None for res, _ in reused) == 8
+    assert sum(iterations for _, iterations in reused) > 0
+    for lp, (got, iterations) in zip(lps, reused):
         monkeypatch.setattr(ot_core, "_THREAD", threading.local())
-        ref = linprog(*lp)
+        ref, fresh_iterations = _solve_counted(lp)
         assert ot_core._highs()[1] is not highs
         assert _same_solution(got, ref)
+        assert iterations == fresh_iterations
+
+
+@pytest.mark.parametrize("short, message", [
+    ((4, 5), "HiGHS refused the model: passModel returned kError"),
+    ((4,), "LP arrays disagree in size"),
+    ((1,), "LP arrays disagree in size"),
+    ((2,), "LP arrays disagree in size"),
+], ids=["lhs-rhs", "lhs", "indptr", "indices"])
+def test_linprog_refuses_mis_sized_arrays(monkeypatch, short, message):
+    """An LP with the arguments ``short`` one entry short fails with a
+    message that says so, before any solve (with ``lhs`` and ``rhs`` short,
+    the matrix names a row HiGHS does not have), and the instance then
+    solves the whole LP as a fresh one does."""
+    lp = _solver_cases(23)[0]
+    res = linprog(*(array[:-1] if k in short else array for k, array in enumerate(lp)))
+    assert (res.x, res.row_dual, res.message) == (None, None, message)
+    got = linprog(*lp)
+    monkeypatch.setattr(ot_core, "_THREAD", threading.local())
+    assert got.x is not None and _same_solution(got, linprog(*lp))
+
+
+def test_linprog_solves_a_model_highs_warns_about():
+    """HiGHS loads a model with a matrix entry below 1e-9 with a warning and
+    drops the entry: ``linprog`` solves it as the model with that entry 0."""
+    c, indptr, indices, data, lhs, rhs = _minmax_case(np.random.default_rng(24), 3, 4)
+    tiny, dropped = data.copy(), data.copy()
+    tiny[0], dropped[0] = 1e-12, 0.0
+    got = linprog(c, indptr, indices, tiny, lhs, rhs)
+    assert got.x is not None and _same_solution(got, linprog(c, indptr, indices, dropped, lhs, rhs))
 
 
 def test_threads_solve_on_their_own_highs_instances():
@@ -1059,9 +1097,9 @@ def _linprog_check(rng, monkeypatch):
         def __getattr__(self, name):
             return getattr(highs, name)
 
-        def passModel(self, lp):
-            self.cost = np.array(lp.col_cost_)
-            return highs.passModel(lp)
+        def passModel(self, *model):
+            self.cost = model[6]  # after the sizes, the formats and the offset
+            return highs.passModel(*model)
 
         def getSolution(self):
             solution = highs.getSolution()
