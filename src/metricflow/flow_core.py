@@ -45,7 +45,7 @@ from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
-from scipy.special import erfc, ndtri
+from scipy.special import erfc, erfcx, ndtri
 
 from .ot_core import (
     EXACT_TOL,
@@ -128,7 +128,7 @@ def phi(x):
 
 
 def phi_inv(y):
-    """Inverse of :func:`phi` on (0, 1). Raises :class:`InputError` at 0 and 1.
+    """Inverse of :func:`phi` on (0, 1). Raises :class:`InputError` outside it, NaN included.
 
     float64 path: ``_phi_inv_pair(y, 1 - y)``, so the sweep's rule is the
     only one; it inverts on the smaller of y and 1 - y (exact for y >= 1/2),
@@ -145,7 +145,7 @@ def phi_inv(y):
             raise InputError(f"phi_inv domain is the open interval (0, 1); got {y}")
         return 2 * mpmath.erfinv(2 * y - 1)
     arr = np.asarray(y, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):  # written so that NaN fails too
         raise InputError("phi_inv domain is the open interval (0, 1)")
     out = _phi_inv_pair(arr, 1.0 - arr)[0]
     return float(out) if np.isscalar(y) or arr.ndim == 0 else out
@@ -1098,10 +1098,128 @@ class FlowVerifyReport:
 
 # slope rows per sweep block: one 32 × 999 float64 buffer (256 KB) stays in L2
 _SWEEP_ROWS = 32
+# every 64th slope row is swept in full before the rest, so that pruning
+# starts from worst values that cases attain
+_SEED_STRIDE = 64
+# the bound is first taken once per chunk of this many slope rows at each u
+_CHUNK_ROWS = 8
 # an entry with no point pair at positive distance: points at distance 0 fail
 # slice-metrics and are left out of the ratio, and as data they admit only
 # equal values, so a two-point pair with either slice at distance 0 has no case
 _NO_PAIR = (0.0, 0.0, 0, 0)
+
+_EPS = 2.0**-52
+# scipy's ndtri is within this many ulps of the exact inverse, relative to
+# the result, over (0, 1/2 + 1e-9] with subnormals (tested against mpmath)
+_NDTRI_ULPS = 16
+
+
+def _profile_table():
+    """A floor under the isoperimetric profile I = Phi'∘Phi^-1 at each power of two.
+
+    Returns ``x`` with x[e + 1074] <= Phi^-1(2^e) for e = -1074, ..., -1,
+    and ``floor`` with floor[e + 1074] <= I(2^e) for e = -1074, ..., 0.
+    Each x starts at sqrt2·ndtri(2^e) and moves down by a relative and an
+    absolute 2^-30 until the forward map certifies Phi(x) < 2^e. The check
+    runs in logs, log Phi(x) = log(erfcx(-x/2)/2) - x²/4 for x <= 0, so it
+    does not underflow where 2^e is subnormal, and it keeps 2^-30 of room
+    for the rounding of erfcx, log and x². Phi' decreases in |x|, so
+    Phi'(x) <= I(2^e); the floor is Phi'(x) as computed, shrunk by 2^-30 and
+    by two subnormal ulps for its own rounding. I(1) = 0.
+    """
+    e = np.arange(-1074, 0)
+    step = 2.0**-30
+    x = _SQRT2 * ndtri(np.ldexp(1.0, e)) * (1.0 + step) - step
+    while True:
+        z = -0.5 * x
+        high = np.log(0.5 * erfcx(z)) - z * z >= e * math.log(2.0) - step
+        if not high.any():
+            break
+        x[high] = x[high] * (1.0 + step) - step
+    floor = np.exp(-0.25 * x * x) * ((1.0 - step) / math.sqrt(4.0 * math.pi)) - 2.0**-1073
+    return x, np.append(np.maximum(floor, 0.0), 0.0)
+
+
+def _chord_tables(x, floor):
+    """Per octave [2^e, 2^(e+1)): a line J(m) = base + slope·m below I, and
+    ``noise``, the allowance for ndtri's error.
+
+    Entry e + 1074 holds octave e = -1074, ..., -1, which is ``np.frexp``'s
+    exponent plus 1073. Up to e = -2, J is the chord of ``floor``, below I
+    as I is concave. Octaves below 2^-1022 carry J = 0: there the rounding
+    of base + slope·m is absolute, so their cases are never pruned. ``np.frexp``
+    puts 0 in the top octave too, and the sweep's m reach that octave only
+    at 0 (a saturated side) and in [1/2, 1/2 + 1e-9], so it carries the chord
+    from the origin, 2·floor(1/2)·m, shrunk by 2^-26: 0 at 0, and at most
+    floor(1/2) <= I on the rest. ``noise`` is ndtri's error on both sides
+    plus the rounding of sqrt2·ndtri, at the octave's largest |Phi^-1|: |x|
+    at its low end, and 1e-8 > |Phi^-1(1/2 + 1e-9)| at the top.
+    """
+    e = np.arange(-1022, -1)
+    lo, hi = floor[e + 1074], floor[e + 1075]
+    base, slope = np.zeros(1074), np.zeros(1074)
+    base[e + 1074] = 2.0 * lo - hi
+    slope[e + 1074] = np.ldexp(hi - lo, -e)
+    slope[-1] = 2.0 * floor[-2] * (1.0 - 2.0**-26)
+    noise = 2 * (_NDTRI_ULPS + 4) * _EPS * np.maximum(-x, 1e-8)
+    return base, slope, noise
+
+
+_PROFILE_X, _PROFILE_FLOOR = _profile_table()
+_CHORD_BASE, _CHORD_SLOPE, _NDTRI_NOISE = _chord_tables(_PROFILE_X, _PROFILE_FLOOR)
+# the bound's relative margin: the rounding of the gap (3 ulps), of the
+# computed |f0 - f1| and of the bound itself; J's rounding stays inside the
+# table's 2^-30
+_BOUND_REL = 16 * _EPS
+
+
+def _two_point_gap(m0, m1, flip, out, scratch):
+    """|w0 - w1| for each case: the distance of the two sides' values of Phi.
+
+    Side i inverts m_i = min(u_i, v_i), so f_i = Phi^-1(w_i) with w_i = m_i
+    where it has u <= v and 1 - m_i elsewhere; ``flip`` marks the cases
+    whose sides differ there. The gap is |m0 - m1| on equal sides and
+    |(1/2 - m0) + (1/2 - m1)| across, each within 3 ulps. ``scratch`` is
+    two float buffers shaped like ``out``.
+    """
+    np.subtract(m0, m1, out=out)
+    if flip.any():
+        t0, t1 = scratch
+        np.subtract(0.5, m0, out=t0)
+        np.subtract(0.5, m1, out=t1)
+        np.add(t0, t1, out=t0)
+        np.copyto(out, t0, where=flip)
+    return np.abs(out, out=out)
+
+
+def _two_point_bound(gap, lo, out, scratch):
+    """Bound |f0 - f1| from above by the gap |w0 - w1|, without inverting Phi.
+
+    ``lo`` is min(m0, m1) (see :func:`_two_point_gap`). I = Phi'∘Phi^-1 is
+    concave and symmetric about 1/2, so on [w0, w1] it is smallest at an end,
+    and |f0 - f1| <= |w0 - w1| / min I there. With each m_i in
+    [0, 1/2 + 1e-9], that end's I is at least I(lo)(1 - 1e-17), and the
+    chord floor J(lo) of :func:`_chord_tables` is below it with the table's
+    2^-30 to spare. Writes (1 + _BOUND_REL)·gap/J(lo) + noise(lo) into
+    ``out``: inf or NaN where J is 0, and elsewhere at least the |f0 - f1|
+    that the sweep computes. The argument holds as well for any larger gap
+    or smaller lo, as I grows up to 1/2: taken at a set's largest gap and
+    smallest lo, the bound covers every case of the set.
+    ``scratch`` is two float buffers, an int32 and an int64 buffer shaped
+    like ``out``.
+    """
+    t0, t1, exp, octave = scratch
+    np.frexp(lo, out=(t0, exp))
+    np.add(exp, 1073, out=octave)
+    np.take(_CHORD_SLOPE, octave, out=t0, mode="clip")
+    np.multiply(t0, lo, out=t0)
+    np.take(_CHORD_BASE, octave, out=t1, mode="clip")
+    np.add(t0, t1, out=t0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # J = 0: inf or NaN, kept
+        np.divide(gap, t0, out=out)
+    np.multiply(out, 1.0 + _BOUND_REL, out=out)
+    np.take(_NDTRI_NOISE, octave, out=t0, mode="clip")
+    return np.add(out, t0, out=out)
 
 
 def _sweep_two_point(groups, u_step, a_step):
@@ -1121,16 +1239,38 @@ def _sweep_two_point(groups, u_step, a_step):
 
     ``groups`` holds one (k, d_s, d_t, tau) per slice pair. The slope rows
     run in blocks of ``_SWEEP_ROWS`` through scratch buffers allocated once
-    per call. Phi at ±f for each block is shared by every pair, so a case
-    costs 2 ``ndtri`` per pair plus 2 ``erfc`` per slope row and u value for
-    all pairs together. A kernel whose rows are bitwise equal (rank one)
-    maps every datum to a constant: both sides propagate the same floats,
-    so its output slope is exactly 0 and it costs no ``ndtri``, only its
-    saturated count. The slope sign -1 is skipped only when the kernel
-    equals its point swap, ``(k == k[::-1, ::-1]).all()``: then the data of
-    sign -1 are those of sign +1 with the points exchanged. Returns one
-    (worst_ratio, worst_excess, n_cases, saturated) per group, and
-    ``_NO_PAIR`` for a group with either slice at distance 0.
+    per call. Phi at ±f for each block is shared by every pair, so ``erfc``
+    costs 2 calls per slope row and u value for all pairs together.
+
+    ``ndtri`` runs only on the cases that can still set a result. Every
+    ``_SEED_STRIDE``-th slope row is swept in full first; after that each
+    pair keeps its running worst ratio r and worst excess x, computed from
+    its row maxima as the result is, so both are attained. Each unsaturated
+    case's |f0 - f1| is bounded without ``ndtri`` (:func:`_two_point_bound`):
+    the isoperimetric profile I = Phi'∘Phi^-1 is concave, so
+    |f0 - f1| <= |w0 - w1| / J for the values w_i = Phi(f_i) and a chord J
+    below I, certified at import. J undercuts I by 2^-30, which covers J's
+    own rounding; the margins are 16 ulps relative for the rounding of the
+    gap and of the division, plus ndtri's error (16 ulps on each side) at
+    the octave's largest |Phi^-1|. The bound is taken once per chunk of ``_CHUNK_ROWS`` slope
+    rows at each u, at the chunk's largest gap and smallest min(m0, m1),
+    then per case in the chunks that reach. A case is inverted only if its
+    bound reaches min(r·b, x + b)·d_t·(1 - 1e-12) for its row's bound b. A
+    case left out has |f0 - f1| strictly below that, and the 1e-12
+    outweighs the rounding of the ratio and of the excess, so it can set
+    neither: the result is the grid maximum itself, bit for bit. The bound
+    assumes kernel entries >= 0 and row sums <= 1 + 1e-9, which keep each
+    propagated min(u, v) below 1/2 + 1e-9; a pair outside that inverts
+    every case.
+
+    A kernel whose rows are bitwise equal (rank one) maps every datum to a
+    constant: both sides propagate the same floats, so its output slope is
+    exactly 0 and it costs no ``ndtri``, only its saturated count. The slope
+    sign -1 is skipped only when the kernel equals its point swap,
+    ``(k == k[::-1, ::-1]).all()``: then the data of sign -1 are those of
+    sign +1 with the points exchanged. Returns one (worst_ratio,
+    worst_excess, n_cases, saturated) per group, and ``_NO_PAIR`` for a
+    group with either slice at distance 0.
     """
     u = np.arange(u_step, 1.0, u_step)
     f_plus = phi_inv(u)
@@ -1138,7 +1278,7 @@ def _sweep_two_point(groups, u_step, a_step):
     a = np.arange(0.0, 1.0, a_step)
     big_a = a / (1.0 - a)
 
-    pairs = []  # (group index, sides, d_t, bound, symmetric, rank one) per swept group
+    pairs = []  # (group index, sides, d_t, bound, symmetric, rank one, prunable) per swept group
     for g, (k, d_s, d_t, tau) in enumerate(groups):
         du, dt_ = float(d_s[0, 1]), float(d_t[0, 1])
         if du == 0.0 or dt_ == 0.0:
@@ -1147,80 +1287,136 @@ def _sweep_two_point(groups, u_step, a_step):
         p00, p01, p10, p11 = (float(p) for p in k.ravel())
         sides = ((p00 * u, p00 * v_plus, p01), (p10 * u, p10 * v_plus, p11))
         symmetric = bool((k == k[::-1, ::-1]).all())
-        pairs.append((g, sides, dt_, bound, symmetric, bool((k[0] == k[1]).all())))
-    top = np.zeros((len(pairs), big_a.size))  # each slope row's largest |f0 - f1|
+        prunable = bool((k >= 0.0).all() and (k.sum(axis=1) <= 1.0 + 1e-9).all())
+        pairs.append((g, sides, dt_, bound, symmetric, bool((k[0] == k[1]).all()), prunable))
+    top = np.zeros((len(pairs), big_a.size))  # each slope row's largest evaluated |f0 - f1|
     saturated = [0] * len(pairs)
+    best_ratio = [0.0] * len(pairs)
+    best_excess = [-math.inf] * len(pairs)
 
     shape = (_SWEEP_ROWS, u.size)
-    scratch = [np.empty(shape) for _ in range(7)] + [np.empty(shape, dtype=bool) for _ in range(4)]
+    f_minus, u_minus, v_minus, m0, m1, lo, gap, x0, x1 = (np.empty(shape) for _ in range(9))
+    # f_minus is free once erfc has read it: it holds each side's complement,
+    # then the bounds of a block's candidates, then its evaluated |f0 - f1|
+    w_v = diffs = f_minus
+    below0, below1, bad, flip = (np.empty(shape, dtype=bool) for _ in range(4))
+    exp, octave = np.empty(shape, dtype=np.int32), np.empty(shape, dtype=np.int64)
     row_max = np.empty(_SWEEP_ROWS)
+    # per chunk of _CHUNK_ROWS rows at each u: largest gap, smallest lo, least theta
+    chunks = -(-_SWEEP_ROWS // _CHUNK_ROWS)
+    c_gap, c_lo, c0, c1 = (np.empty((chunks, u.size)) for _ in range(4))
+    c_exp, c_octave = np.empty(c0.shape, dtype=np.int32), np.empty(c0.shape, dtype=np.int64)
+    c_theta = np.empty((chunks, 1))
 
-    def propagate(u_minus, v_minus, side, w_u, w_v, below, bad):
+    def propagate(side, w_u, below):
         # w_u = min(u, v) for the side's propagated value u and its
-        # complement v, ``below`` where u <= v; ``bad`` marks both sides
-        # underflowed to 0
+        # complement v, ``below`` where u <= v
         p_u, p_v, p = side
-        np.multiply(u_minus, p, out=w_u)
+        np.multiply(u_minus[:n], p, out=w_u)
         np.add(w_u, p_u, out=w_u)
-        np.multiply(v_minus, p, out=w_v)
-        np.add(w_v, p_v, out=w_v)
-        np.less_equal(w_u, w_v, out=below)
-        np.minimum(w_u, w_v, out=w_u)
-        np.less_equal(w_u, 0.0, out=bad)
+        np.multiply(v_minus[:n], p, out=w_v[:n])
+        np.add(w_v[:n], p_v, out=w_v[:n])
+        np.less_equal(w_u, w_v[:n], out=below)
+        np.minimum(w_u, w_v[:n], out=w_u)
 
-    def invert(w_u, x, bad):
-        # x = sqrt2·ndtri(w_u), so f = x where ``below`` and -x elsewhere;
-        # x is 0 where ``bad``
-        np.copyto(w_u, 0.5, where=bad)
-        ndtri(w_u, out=x)  # Phi(f) = ndtr(f / sqrt2)
-        np.multiply(x, _SQRT2, out=x)
+    def extremes(row_tops, b, dt_):
+        # worst ratio and worst excess over slope rows with bounds b: x / b
+        # and x - b (b > 0) round monotonically in x, so each row's extremes
+        # come from its largest |f0 - f1|
+        ratio = row_tops / dt_
+        worst = np.zeros_like(b)
+        np.divide(ratio, b, out=worst, where=b > 0.0)
+        return float(worst.max()), float((ratio - b).max())
 
-    for sigma in (1.0, -1.0):
-        active = [i for i, (*_, symmetric, _) in enumerate(pairs) if sigma > 0.0 or not symmetric]
+    def by_chunk(ufunc, x, out):
+        # ufunc over each run of _CHUNK_ROWS rows of x[:n] (the last may be short)
+        whole = n - n % _CHUNK_ROWS
+        ufunc.reduce(x[:whole].reshape(-1, _CHUNK_ROWS, x.shape[1]), axis=1,
+                     out=out[:whole // _CHUNK_ROWS])
+        if whole < n:
+            ufunc.reduce(x[whole:n], axis=0, out=out[whole // _CHUNK_ROWS])
+        return out[:-(-n // _CHUNK_ROWS)]
+
+    def candidates(theta):
+        # the unsaturated cases whose bound reaches their row's theta: one
+        # bound per chunk first, then one per case of each chunk that reaches
+        _two_point_gap(m0[:n], m1[:n], flip[:n], gap[:n], (x0[:n], x1[:n]))
+        nc = -(-n // _CHUNK_ROWS)
+        c_ub = _two_point_bound(by_chunk(np.maximum, gap, c_gap), by_chunk(np.minimum, lo, c_lo),
+                                c_gap[:nc], (c0[:nc], c1[:nc], c_exp[:nc], c_octave[:nc]))
+        reach = np.flatnonzero(~(c_ub < by_chunk(np.minimum, theta[:, None], c_theta)))
+        chunk, col = np.divmod(reach, u.size)
+        row = chunk[:, None] * _CHUNK_ROWS + np.arange(_CHUNK_ROWS)
+        idx = (row * u.size + col[:, None])[row < n]
+        idx = idx[~bad[:n].reshape(-1)[idx]]
+        k = idx.size
+        ub = _two_point_bound(gap[:n].reshape(-1)[idx], lo[:n].reshape(-1)[idx],
+                              diffs.reshape(-1)[:k], (x0.reshape(-1)[:k], x1.reshape(-1)[:k],
+                                                      exp.reshape(-1)[:k], octave.reshape(-1)[:k]))
+        return idx[~(ub < theta[idx // u.size])]
+
+    seeded = np.zeros(big_a.size, dtype=bool)
+    seeded[::_SEED_STRIDE] = True
+    blocks = [(sigma, rows[start:start + _SWEEP_ROWS], full)
+              for rows, full in ((np.flatnonzero(seeded), True), (np.flatnonzero(~seeded), False))
+              for sigma in (1.0, -1.0) for start in range(0, rows.size, _SWEEP_ROWS)]
+    for sigma, rows, full in blocks:
+        active = [i for i, p in enumerate(pairs) if sigma > 0.0 or not p[4]]
         if not active:
             continue
-        for lo in range(0, big_a.size, _SWEEP_ROWS):
-            hi = min(big_a.size, lo + _SWEEP_ROWS)
-            f_minus, u_minus, v_minus, w_u, w_v, x0, x1, below0, below1, bad0, bad1 = (
-                buf[:hi - lo] for buf in scratch
-            )
-            # Phi(f_-) and Phi(-f_-) = 0.5·erfc(∓f_-/2), with f_- = f_+ + sigma·A
-            np.add(f_plus, sigma * big_a[lo:hi, None], out=f_minus)
-            np.multiply(f_minus, -0.5, out=f_minus)
-            erfc(f_minus, out=u_minus)
-            np.negative(f_minus, out=f_minus)
-            erfc(f_minus, out=v_minus)
-            np.multiply(u_minus, 0.5, out=u_minus)
-            np.multiply(v_minus, 0.5, out=v_minus)
-            for i in active:
-                _, (side0, side1), *_, rank_one = pairs[i]
-                propagate(u_minus, v_minus, side0, w_u, w_v, below0, bad0)
-                if rank_one:  # f0 == f1, so the row maxima stay 0
-                    saturated[i] += int(np.count_nonzero(bad0))
+        slope = big_a[rows]
+        n = slope.size
+        # Phi(f_-) and Phi(-f_-) = 0.5·erfc(∓f_-/2), with f_- = f_+ + sigma·A
+        np.add(f_plus, sigma * slope[:, None], out=f_minus[:n])
+        np.multiply(f_minus[:n], -0.5, out=f_minus[:n])
+        erfc(f_minus[:n], out=u_minus[:n])
+        np.negative(f_minus[:n], out=f_minus[:n])
+        erfc(f_minus[:n], out=v_minus[:n])
+        np.multiply(u_minus[:n], 0.5, out=u_minus[:n])
+        np.multiply(v_minus[:n], 0.5, out=v_minus[:n])
+        for i in active:
+            _, (side0, side1), dt_, bound, _, rank_one, prunable = pairs[i]
+            propagate(side0, m0[:n], below0[:n])
+            if rank_one:  # f0 == f1, so the row maxima stay 0
+                saturated[i] += int(np.count_nonzero(np.less_equal(m0[:n], 0.0, out=bad[:n])))
+                continue
+            propagate(side1, m1[:n], below1[:n])
+            # a side whose min(u, v) underflowed to 0 saturates the case
+            np.minimum(m0[:n], m1[:n], out=lo[:n])
+            np.less_equal(lo[:n], 0.0, out=bad[:n])
+            saturated[i] += int(np.count_nonzero(bad[:n]))
+            np.not_equal(below0[:n], below1[:n], out=flip[:n])
+            b = bound[rows]
+            if full or not prunable:
+                keep = np.flatnonzero(~bad[:n])
+            else:
+                theta = np.minimum(best_ratio[i] * b, best_excess[i] + b) * (dt_ * (1.0 - 1e-12))
+                keep = candidates(theta)
+                if not keep.size:
                     continue
-                invert(w_u, x0, bad0)
-                propagate(u_minus, v_minus, side1, w_u, w_v, below1, bad1)
-                invert(w_u, x1, bad1)
-                # |f0 - f1| = |x0 - x1| where the signs agree, |x0 + x1| where not
-                np.not_equal(below0, below1, out=below0)
-                np.negative(x1, out=x1, where=below0)
-                np.subtract(x0, x1, out=x0)
-                np.abs(x0, out=x0)
-                np.logical_or(bad0, bad1, out=bad0)
-                np.copyto(x0, 0.0, where=bad0)
-                saturated[i] += int(np.count_nonzero(bad0))
-                np.max(x0, axis=1, out=row_max[:hi - lo])
-                np.maximum(top[i, lo:hi], row_max[:hi - lo], out=top[i, lo:hi])
+            # |f0 - f1| = |x0 - x1| where the signs agree, |x0 + x1| where not,
+            # with x = sqrt2·ndtri(min(u, v)) on each side
+            y0, y1 = x0.reshape(-1)[:keep.size], x1.reshape(-1)[:keep.size]
+            np.take(m0[:n], keep, out=y0)
+            np.take(m1[:n], keep, out=y1)
+            ndtri(y0, out=y0)  # Phi(f) = ndtr(f / sqrt2)
+            ndtri(y1, out=y1)
+            np.multiply(y0, _SQRT2, out=y0)
+            np.multiply(y1, _SQRT2, out=y1)
+            np.negative(y1, out=y1, where=np.take(flip[:n], keep))
+            np.subtract(y0, y1, out=y0)
+            np.abs(y0, out=y0)
+            diffs[:n].fill(0.0)
+            np.put(diffs[:n], keep, y0)
+            np.max(diffs[:n], axis=1, out=row_max[:n])
+            top[i, rows] = np.maximum(top[i, rows], row_max[:n])
+            ratio, excess = extremes(top[i, rows], b, dt_)
+            best_ratio[i], best_excess[i] = max(best_ratio[i], ratio), max(best_excess[i], excess)
 
     out = [_NO_PAIR] * len(groups)
-    for i, (g, _, dt_, bound, symmetric, _) in enumerate(pairs):
-        # x / b and x - b (b > 0) round monotonically in x, so each slope
-        # row's extremes come from its largest |f0 - f1|
-        ratio = top[i] / dt_
-        worst = np.zeros_like(bound)
-        np.divide(ratio, bound, out=worst, where=bound > 0.0)
+    for i, (g, _, dt_, bound, symmetric, _, _) in enumerate(pairs):
         n_cases = (1 if symmetric else 2) * big_a.size * u.size
-        out[g] = (float(worst.max()), float((ratio - bound).max()), n_cases, saturated[i])
+        out[g] = (*extremes(top[i], bound, dt_), n_cases, saturated[i])
     return out
 
 

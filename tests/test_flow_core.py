@@ -117,6 +117,14 @@ def test_phi_inv_roundtrip():
             assert type(got) is float and np.float64(got).view(np.int64) == want.view(np.int64)
 
 
+def test_phi_inv_refuses_nan():
+    """NaN is outside (0, 1) too, whether alone or in an array."""
+    with pytest.raises(InputError):
+        phi_inv(float("nan"))
+    with pytest.raises(InputError):
+        phi_inv(np.array([0.25, np.nan, 0.75]))
+
+
 # ---------------------------------------------------------------------------
 # time grids and flow construction
 # ---------------------------------------------------------------------------
@@ -1357,8 +1365,8 @@ def test_multi_group_sweep_matches_single_pair_sweeps():
 
 def test_rank_one_pairs_invert_nothing(monkeypatch):
     """Only the 999-entry phi_inv(u) of the sweep's set-up reaches ndtri when
-    every kernel has equal rows; a full-rank pair inverts both sides of each
-    of its cases."""
+    every kernel has equal rows; a full-rank pair inverts both sides of
+    fewer than a quarter of its cases, and its result stays exact."""
     rank_one = [g for g in _SWEEP_GROUPS if (g[0][0] == g[0][1]).all()]
     assert len(rank_one) == 3
     want = [_reference_sweep(*g, 1e-3, 1e-3) for g in rank_one]
@@ -1373,8 +1381,10 @@ def test_rank_one_pairs_invert_nothing(monkeypatch):
     assert flow_core._sweep_two_point(rank_one, 1e-3, 1e-3) == want
     assert counts == [999]
     counts.clear()
-    flow_core._sweep_two_point(_SWEEP_GROUPS[:1], 1e-3, 1e-3)  # symmetric: one sign
-    assert sum(counts) == 999 + 2 * 999_000
+    # symmetric: one sign, 999 000 cases of two sides each, most pruned
+    res = flow_core._sweep_two_point(_SWEEP_GROUPS[:1], 1e-3, 1e-3)
+    assert sum(counts) - 999 < 2 * 999_000 // 4
+    assert res == [_reference_sweep(*_SWEEP_GROUPS[0], 1e-3, 1e-3)]
 
 
 def test_sign_rule_needs_the_whole_point_swap():
@@ -1397,6 +1407,131 @@ def test_sweep_working_set_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def _mp_phi_inv(y):
+    """Phi^-1(y) at mpmath's working precision: Newton from ndtri on the
+    standard normal cdf, which mpmath evaluates without underflow."""
+    z = mpmath.mpf(float(flow_core.ndtri(y)))
+    for _ in range(6):
+        z -= (mpmath.ncdf(z) - mpmath.mpf(y)) / mpmath.npdf(z)
+    return mpmath.sqrt(2) * z
+
+
+def test_profile_floor_is_below_the_profile():
+    """Each table end is below I(2^e) = Phi'(Phi^-1(2^e)), and each x below
+    Phi^-1(2^e), checked at 50 digits; I(1) = 0."""
+    assert flow_core._PROFILE_FLOOR.size == 1075
+    assert flow_core._PROFILE_FLOOR[-1] == 0.0
+    with mpmath.workdps(50):
+        for e in (-1, -2, -10, -60, -500, -1022, -1074):
+            x = _mp_phi_inv(math.ldexp(1.0, e))
+            profile = mpmath.exp(-x * x / 4) / mpmath.sqrt(4 * mpmath.pi)
+            assert flow_core._PROFILE_X[e + 1074] < x
+            assert 0 < flow_core._PROFILE_FLOOR[e + 1074] <= profile
+            if e >= -1022:  # normal: the floor is within 1e-5 of I
+                assert flow_core._PROFILE_FLOOR[e + 1074] >= profile * (1 - mpmath.mpf(1e-5))
+
+
+def _sweep_cases(k, sigma, u_step=1e-3, a_step=1e-3):
+    """Every (slope, u) case of one sign as the sweep propagates it: each
+    side's min(u, v), where the sides differ in u <= v, and |f0 - f1| as
+    the sweep computes it."""
+    u = np.arange(u_step, 1.0, u_step)
+    f_plus = phi_inv(u)
+    v_plus = phi(-f_plus)
+    a = np.arange(0.0, 1.0, a_step)
+    f_minus = f_plus[None, :] + sigma * (a / (1.0 - a))[:, None]
+    u_minus, v_minus = phi(f_minus), phi(-f_minus)
+    ms, belows, xs = [], [], []
+    for row in k:
+        w_u = u_minus * float(row[1]) + float(row[0]) * u
+        w_v = v_minus * float(row[1]) + float(row[0]) * v_plus
+        belows.append(w_u <= w_v)
+        ms.append(np.minimum(w_u, w_v))
+        xs.append(flow_core.ndtri(np.where(ms[-1] > 0.0, ms[-1], 0.5)) * flow_core._SQRT2)
+    flip = belows[0] != belows[1]
+    diff = np.abs(xs[0] - np.where(flip, -xs[1], xs[1]))
+    return ms[0], ms[1], flip, diff
+
+
+def test_two_point_bound_covers_every_case():
+    """The bound, as computed, is at least the computed |f0 - f1| on every
+    unsaturated case of every sweep group, both signs, and so is its value
+    at each 8-row chunk's largest gap and smallest lo."""
+    rows = flow_core._CHUNK_ROWS
+    for k, *_ in _SWEEP_GROUPS:
+        for sigma in (1.0, -1.0):
+            m0, m1, flip, diff = _sweep_cases(k, sigma)
+            lo = np.minimum(m0, m1)
+            gap = flow_core._two_point_gap(m0, m1, flip, np.empty_like(m0),
+                                           (np.empty_like(m0), np.empty_like(m0)))
+            ub = np.empty_like(m0)
+            scratch = (np.empty_like(m0), np.empty_like(m0), np.empty(m0.shape, np.int32),
+                       np.empty(m0.shape, np.int64))
+            flow_core._two_point_bound(gap, lo, ub, scratch)
+            live = lo > 0.0
+            assert not (ub < diff)[live].any()
+            assert (ub[live] < np.inf).mean() > 0.9  # it prunes: finite almost everywhere
+            chunk = (m0.shape[0] // rows, rows, m0.shape[1])
+            c_gap, c_lo = gap.reshape(chunk).max(axis=1), lo.reshape(chunk).min(axis=1)
+            c_ub = np.empty_like(c_gap)
+            flow_core._two_point_bound(c_gap, c_lo, c_ub, tuple(s[:chunk[0]] for s in scratch))
+            c_diff = np.where(live, diff, 0.0).reshape(chunk).max(axis=1)
+            assert not (c_ub < c_diff).any()
+
+
+def _random_sweep_groups(rng):
+    def d():
+        return np.array([[0.0, 1.0], [1.0, 0.0]]) * rng.uniform(0.3, 2.0)
+
+    groups = []
+    for e in (3, 6, 9, 12):  # near rank one, one symmetric and one not
+        p = 0.5 + 10.0**-e
+        groups.append((np.array([[p, 1.0 - p], [1.0 - p, p]]), d(), d(), rng.uniform(0.01, 1.0)))
+        groups.append((np.array([[p, 1.0 - p], [0.5, 0.5]]), d(), d(), rng.uniform(0.01, 1.0)))
+    for _ in range(4):  # asymmetric
+        p, q = rng.uniform(0.0, 1.0, 2)
+        groups.append((np.array([[p, 1.0 - p], [q, 1.0 - q]]), d(), d(), rng.uniform(0.01, 1.0)))
+    for p in (0.0, 1.0):  # zero entries
+        q = rng.uniform(0.0, 1.0)
+        groups.append((np.array([[p, 1.0 - p], [q, 1.0 - q]]), d(), d(), rng.uniform(0.01, 1.0)))
+        groups.append((np.array([[p, 1.0 - p], [1.0 - p, p]]), d(), d(), rng.uniform(0.01, 1.0)))
+    return groups
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pruned_sweep_matches_reference_on_random_kernels(seed):
+    """The pruned sweep returns the grid maximum bit for bit: random two-point
+    kernels near rank one, asymmetric and with zero entries, with d_s != d_t,
+    on coarse grids whose slope counts leave short blocks and chunks."""
+    rng = np.random.default_rng(seed)
+    groups = _random_sweep_groups(rng)
+    for u_step, a_step in ((0.01, 1 / 197), (0.02, 1 / 300)):
+        together = flow_core._sweep_two_point(groups, u_step, a_step)
+        for g, res in zip(groups, together):
+            assert res == _reference_sweep(*g, u_step, a_step)
+
+
+def test_ndtri_is_within_the_bounds_allowance():
+    """scipy's ndtri is within _NDTRI_ULPS of Phi^-1 relative to the result on
+    sampled m: uniform and log-uniform over (0, 1/2], near 1/2, up to
+    1/2 + 1e-9, and subnormal."""
+    rng = np.random.default_rng(11)
+    m = np.concatenate([
+        rng.uniform(0.0, 0.5, 150),
+        np.exp(-rng.uniform(0.0, 700.0, 150)),
+        0.5 - rng.uniform(0.0, 1e-6, 50),
+        0.5 + rng.uniform(0.0, 1e-9, 50),
+        rng.integers(1, 2**52, 50) * 2.0**-1074,
+        np.ldexp(1.0, -np.arange(1, 1075, 53)),
+    ])
+    assert flow_core.ndtri(0.5) == 0.0
+    allowance = flow_core._NDTRI_ULPS * flow_core._EPS
+    with mpmath.workdps(40):
+        for y in m[m != 0.5]:
+            want = _mp_phi_inv(y) / mpmath.sqrt(2)
+            assert abs(float(flow_core.ndtri(y)) - want) <= allowance * abs(want), y
 
 
 def _reference_battery(k, d_s, d_t, tau, T_values, offsets, seeds, rng):
