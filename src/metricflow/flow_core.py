@@ -1101,8 +1101,6 @@ _SWEEP_ROWS = 32
 # every 64th slope row is swept in full before the rest, so that pruning
 # starts from worst values that cases attain
 _SEED_STRIDE = 64
-# the bound is first taken once per chunk of this many slope rows at each u
-_CHUNK_ROWS = 8
 # an entry with no point pair at positive distance: points at distance 0 fail
 # slice-metrics and are left out of the ratio, and as data they admit only
 # equal values, so a two-point pair with either slice at distance 0 has no case
@@ -1222,6 +1220,100 @@ def _two_point_bound(gap, lo, out, scratch):
     return np.add(out, t0, out=out)
 
 
+# a sweep cell: the slope rows of one block by this many consecutive u columns
+_CELL_COLS = 4
+# scipy's erfc(z) is within _erfc_rel(z) of erfc relative, plus _ERFC_ABS
+# absolute where erfc is subnormal (it flushes to 0 from z ≈ 26.64 on); the
+# error grows like z²/2 ulps from the rounding of z² (tested against mpmath)
+_ERFC_ABS = 2.0**-1022
+
+
+def _erfc_rel(z):
+    return (8.0 + np.square(np.maximum(z, 0.0))) * _EPS
+
+
+def _phi_cells(f_plus, big_a, sigma, first, last):
+    """Enclose Phi(f_-) and Phi(-f_-), as the sweep computes them, on cells.
+
+    The blocks have slope sign ``sigma``, and block b's slope rows run from
+    ``first[b]`` to ``last[b]``. f_- = fl(f_+ + sigma·A) is monotone in the
+    column and in the row when ``f_plus`` and ``big_a`` increase, so on the
+    cell of columns [4c, 4c + 3] it lies between its values at the corner
+    knots 4c and 4c + 4 (clipped), computed as the sweep computes its
+    cases. The true Phi is monotone. Each corner value of 0.5·erfc is
+    widened by three times erfc's allowance at the cell's largest argument,
+    which covers the error at the corner and at every case, plus three
+    times ``_ERFC_ABS`` and 8 ulps for the rounding of the widening.
+    Returns ((lo, hi) of Phi(f_-), (lo, hi) of Phi(-f_-)), each shaped
+    (blocks, cells).
+    """
+    knots = np.minimum(np.arange(0, f_plus.size + _CELL_COLS, _CELL_COLS), f_plus.size - 1)
+    a_lo, a_hi = (big_a[first], big_a[last]) if sigma > 0.0 else (big_a[last], big_a[first])
+    f_lo = f_plus[knots[:-1]] + sigma * a_lo[:, None]
+    f_hi = f_plus[knots[1:]] + sigma * a_hi[:, None]
+
+    k_u = 3.0 * _erfc_rel(-0.5 * f_lo) + 8.0 * _EPS
+    k_v = 3.0 * _erfc_rel(0.5 * f_hi) + 8.0 * _EPS
+    pad = 3.0 * _ERFC_ABS
+    return ((0.5 * erfc(-0.5 * f_lo) * (1.0 - k_u) - pad, 0.5 * erfc(-0.5 * f_hi) * (1.0 + k_u) + pad),
+            (0.5 * erfc(0.5 * f_hi) * (1.0 - k_v) - pad, 0.5 * erfc(0.5 * f_lo) * (1.0 + k_v) + pad))
+
+
+def _cell_bounds(k, sides, rank_one, phi_cells, u, v_plus):
+    """A bound on every case's |f0 - f1|, as the sweep computes it, in each
+    cell of :func:`_phi_cells`; ``sides`` is as the sweep holds it.
+
+    A side's w_u = fl(fl(Phi(f_-)·p) + fl(p'·u)) rounds monotonically in
+    both terms for p >= 0, so the cell's enclosure of Phi(f_-) and the range
+    of p'·u over its columns enclose w_u exactly, and w_v likewise. Where
+    both sides are surely ``below`` (w_u <= w_v), w0 - w1 is
+    (p00 - p10)·u + (p01 - p11)·Phi(f_-) up to the rounding of the
+    propagation, at most 2 ulps of each side's value. So the gap is at most
+    the largest |·| over the box of u and Phi(f_-), which a linear form
+    takes at a corner, plus 8 ulps of u + Phi(f_-) for that rounding and
+    for the rounding of the coefficients and of the corners. Surely above,
+    the same holds with v_plus and Phi(-f_-). The bound is then
+    :func:`_two_point_bound` at that gap and at the lower enclosure of
+    min(m0, m1). It is inf on a cell whose sides are not surely on one side,
+    or whose lower enclosure is <= 0, where a case may saturate. A rank-one
+    pair has f0 == f1: its bound is 0, and inf where m0 may be 0.
+    """
+    (um_lo, um_hi), (vm_lo, vm_hi) = phi_cells
+    starts = np.arange(0, u.size, _CELL_COLS)
+    vecs, p01, p11 = sides
+
+    def enclose(p_u, p_v, p):
+        # the lower enclosure of min(w_u, w_v), and the cells where
+        # w_u <= w_v surely and where w_u > w_v surely
+        wu_lo = um_lo * p + np.minimum.reduceat(p_u, starts)
+        wu_hi = um_hi * p + np.maximum.reduceat(p_u, starts)
+        wv_lo = vm_lo * p + np.minimum.reduceat(p_v, starts)
+        wv_hi = vm_hi * p + np.maximum.reduceat(p_v, starts)
+        return np.minimum(wu_lo, wv_lo), wu_hi <= wv_lo, wu_lo > wv_hi
+
+    lo, below, above = enclose(vecs[0], vecs[1], p01)
+    if rank_one:
+        return np.where(lo > 0.0, 0.0, math.inf)
+    lo1, below1, above1 = enclose(vecs[2], vecs[3], p11)
+    np.minimum(lo, lo1, out=lo)
+    d0, d1 = float(k[0, 0] - k[1, 0]), float(k[0, 1] - k[1, 1])
+
+    def gap(x, y_lo, y_hi):
+        # largest |d0·x + d1·y| over x in each cell's columns and y in [y_lo, y_hi]
+        x_lo, x_hi = np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts)
+        most = np.maximum(d0 * x_lo, d0 * x_hi) + np.maximum(d1 * y_lo, d1 * y_hi)
+        least = np.minimum(d0 * x_lo, d0 * x_hi) + np.minimum(d1 * y_lo, d1 * y_hi)
+        return np.maximum(most, -least) + 8.0 * _EPS * (x_hi + y_hi) + 2.0**-1069
+
+    g = np.where(below & below1, gap(u, um_lo, um_hi),
+                 np.where(above & above1, gap(v_plus, vm_lo, vm_hi), math.inf))
+    scratch = (np.empty(g.shape), np.empty(g.shape), np.empty(g.shape, dtype=np.int32),
+               np.empty(g.shape, dtype=np.int64))
+    ub = _two_point_bound(g, lo, np.empty(g.shape), scratch)
+    ub[~(lo > 0.0)] = math.inf
+    return ub
+
+
 def _sweep_two_point(groups, u_step, a_step):
     """Complete extremal sweep of the smoothing axiom on two-point slices.
 
@@ -1240,32 +1332,53 @@ def _sweep_two_point(groups, u_step, a_step):
     ``groups`` holds one (k, d_s, d_t, tau) per slice pair. The slope rows
     run in blocks of ``_SWEEP_ROWS`` through scratch buffers allocated once
     per call. Phi at ±f for each block is shared by every pair, so ``erfc``
-    costs 2 calls per slope row and u value for all pairs together.
+    costs 2 calls per evaluated case for all pairs together.
 
-    ``ndtri`` runs only on the cases that can still set a result. Every
-    ``_SEED_STRIDE``-th slope row is swept in full first; after that each
-    pair keeps its running worst ratio r and worst excess x, computed from
-    its row maxima as the result is, so both are attained. Each unsaturated
-    case's |f0 - f1| is bounded without ``ndtri`` (:func:`_two_point_bound`):
-    the isoperimetric profile I = Phi'∘Phi^-1 is concave, so
-    |f0 - f1| <= |w0 - w1| / J for the values w_i = Phi(f_i) and a chord J
-    below I, certified at import. J undercuts I by 2^-30, which covers J's
-    own rounding; the margins are 16 ulps relative for the rounding of the
-    gap and of the division, plus ndtri's error (16 ulps on each side) at
-    the octave's largest |Phi^-1|. The bound is taken once per chunk of ``_CHUNK_ROWS`` slope
-    rows at each u, at the chunk's largest gap and smallest min(m0, m1),
-    then per case in the chunks that reach. A case is inverted only if its
-    bound reaches min(r·b, x + b)·d_t·(1 - 1e-12) for its row's bound b. A
-    case left out has |f0 - f1| strictly below that, and the 1e-12
-    outweighs the rounding of the ratio and of the excess, so it can set
-    neither: the result is the grid maximum itself, bit for bit. The bound
-    assumes kernel entries >= 0 and row sums <= 1 + 1e-9, which keep each
-    propagated min(u, v) below 1/2 + 1e-9; a pair outside that inverts
-    every case.
+    Every ``_SEED_STRIDE``-th slope row is swept in full first; after that
+    each pair keeps its running worst ratio r and worst excess x, computed
+    from its row maxima as the result is, so both are attained. A case can
+    still set a result only if its |f0 - f1| reaches
+    theta = min(r·b, x + b)·d_t·(1 - 1e-12) for its row's bound b; a case
+    below that can set neither, as the 1e-12 outweighs the rounding of the
+    ratio and of the excess. Two bounds leave the other cases out, so the
+    result is the grid maximum itself, bit for bit.
+
+    Cells. Before any ``erfc`` of a later block, each cell of the block's
+    rows by ``_CELL_COLS`` columns is bounded from its corners
+    (:func:`_phi_cells`, :func:`_cell_bounds`): f_- is monotone in the row
+    and the column (checked once per call: ``f_plus`` and the slopes
+    increase, or no cell is skipped), the true Phi is monotone, and each
+    corner value is widened by erfc's allowance, ``_erfc_rel(z)`` relative
+    plus ``_ERFC_ABS`` (tested against mpmath). Propagation with p >= 0
+    rounds monotonically, so the enclosures of each side's values are
+    exact, and the gap of a cell whose sides are surely on one side of 1/2
+    is bounded by a linear form at its box corners plus 8 ulps for
+    rounding. A sign's cell bounds are built before its first block after
+    the seed rows, as they do not depend on theta. A pair reaches a cell
+    unless the cell's bound is below its least theta over the block's rows;
+    a cell whose sides are unsure or whose lower enclosure of min(m0, m1)
+    is <= 0 always reaches, so a cell left out holds no saturated case.
+    ``erfc``, the propagation and everything after run only on the columns
+    of the cells that some pair reaches, gathered with ``np.take``, and
+    only for those pairs; a block that no pair reaches costs nothing. So
+    ``n_cases`` and ``saturated`` count every case as before.
+
+    Cases. On the gathered columns, each unsaturated case's |f0 - f1| is
+    bounded without ``ndtri`` (:func:`_two_point_bound`): the isoperimetric
+    profile I = Phi'∘Phi^-1 is concave, so |f0 - f1| <= |w0 - w1| / J for
+    the values w_i = Phi(f_i) and a chord J below I, certified at import.
+    J undercuts I by 2^-30, which covers J's own rounding; the margins are
+    16 ulps relative for the rounding of the gap and of the division, plus
+    ndtri's error (16 ulps on each side) at the octave's largest |Phi^-1|.
+    A case is inverted only if this bound reaches its row's theta. Both
+    bounds assume kernel entries >= 0 and row sums <= 1 + 1e-9, which keep
+    each propagated min(u, v) below 1/2 + 1e-9; a pair outside that reaches
+    every cell and inverts every case.
 
     A kernel whose rows are bitwise equal (rank one) maps every datum to a
     constant: both sides propagate the same floats, so its output slope is
-    exactly 0 and it costs no ``ndtri``, only its saturated count. The slope
+    exactly 0 and it costs no ``ndtri``, only its saturated count, and it
+    reaches only the cells where it may saturate. The slope
     sign -1 is skipped only when the kernel equals its point swap,
     ``(k == k[::-1, ::-1]).all()``: then the data of sign -1 are those of
     sign +1 with the points exchanged. Returns one (worst_ratio,
@@ -1278,46 +1391,66 @@ def _sweep_two_point(groups, u_step, a_step):
     a = np.arange(0.0, 1.0, a_step)
     big_a = a / (1.0 - a)
 
-    pairs = []  # (group index, sides, d_t, bound, symmetric, rank one, prunable) per swept group
+    pairs = []  # (group index, k, sides, d_t, bound, symmetric, rank one, prunable) per swept group
     for g, (k, d_s, d_t, tau) in enumerate(groups):
         du, dt_ = float(d_s[0, 1]), float(d_t[0, 1])
         if du == 0.0 or dt_ == 0.0:
             continue  # no case to sweep (see _NO_PAIR)
         bound = big_a / np.sqrt(tau * big_a**2 + du * du)
         p00, p01, p10, p11 = (float(p) for p in k.ravel())
-        sides = ((p00 * u, p00 * v_plus, p01), (p10 * u, p10 * v_plus, p11))
+        # per column p_i0·u and p_i0·v_plus of each side i, and its weight p_i1 on point 1
+        sides = (np.stack((p00 * u, p00 * v_plus, p10 * u, p10 * v_plus)), p01, p11)
         symmetric = bool((k == k[::-1, ::-1]).all())
         prunable = bool((k >= 0.0).all() and (k.sum(axis=1) <= 1.0 + 1e-9).all())
-        pairs.append((g, sides, dt_, bound, symmetric, bool((k[0] == k[1]).all()), prunable))
+        pairs.append((g, k, sides, dt_, bound, symmetric, bool((k[0] == k[1]).all()), prunable))
     top = np.zeros((len(pairs), big_a.size))  # each slope row's largest evaluated |f0 - f1|
     saturated = [0] * len(pairs)
     best_ratio = [0.0] * len(pairs)
     best_excess = [-math.inf] * len(pairs)
 
-    shape = (_SWEEP_ROWS, u.size)
-    f_minus, u_minus, v_minus, m0, m1, lo, gap, x0, x1 = (np.empty(shape) for _ in range(9))
-    # f_minus is free once erfc has read it: it holds each side's complement,
-    # then the bounds of a block's candidates, then its evaluated |f0 - f1|
-    w_v = diffs = f_minus
-    below0, below1, bad, flip = (np.empty(shape, dtype=bool) for _ in range(4))
-    exp, octave = np.empty(shape, dtype=np.int32), np.empty(shape, dtype=np.int64)
-    row_max = np.empty(_SWEEP_ROWS)
-    # per chunk of _CHUNK_ROWS rows at each u: largest gap, smallest lo, least theta
-    chunks = -(-_SWEEP_ROWS // _CHUNK_ROWS)
-    c_gap, c_lo, c0, c1 = (np.empty((chunks, u.size)) for _ in range(4))
-    c_exp, c_octave = np.empty(c0.shape, dtype=np.int32), np.empty(c0.shape, dtype=np.int64)
-    c_theta = np.empty((chunks, 1))
+    seeded = np.zeros(big_a.size, dtype=bool)
+    seeded[::_SEED_STRIDE] = True
+    monotone = bool((np.diff(f_plus) > 0.0).all() and (np.diff(big_a) > 0.0).all())
 
-    def propagate(side, w_u, below):
+    def blocks():
+        # (sigma, slope rows, active pairs, seed rows or not, and after the
+        # seed rows each active pair's bound on each cell, or None); one
+        # sign's cell bounds are built before its first block after the seeds
+        for rows, full in ((np.flatnonzero(seeded), True), (np.flatnonzero(~seeded), False)):
+            for sigma in (1.0, -1.0):
+                active = [i for i, p in enumerate(pairs) if sigma > 0.0 or not p[5]]
+                starts = range(0, rows.size, _SWEEP_ROWS) if active else ()
+                cell_ub = None
+                if starts and not full and monotone:
+                    ends = np.minimum(np.array(starts) + _SWEEP_ROWS, rows.size) - 1
+                    phi_cells = _phi_cells(f_plus, big_a, sigma, rows[list(starts)], rows[ends])
+                    cell_ub = np.full((len(active), *phi_cells[0][0].shape), math.inf)
+                    for j, i in enumerate(active):
+                        _, k, sides, _, _, _, rank_one, prunable = pairs[i]
+                        if prunable:
+                            cell_ub[j] = _cell_bounds(k, sides, rank_one, phi_cells, u, v_plus)
+                for b, start in enumerate(starts):
+                    # a copy, so no block holds a sign's bounds past its last block
+                    yield (sigma, rows[start:start + _SWEEP_ROWS], active, full,
+                           None if cell_ub is None else cell_ub[:, b].copy())
+
+    all_cols = np.arange(u.size)
+
+    size = _SWEEP_ROWS * u.size
+    floats = [np.empty(size) for _ in range(9)]
+    bools = [np.empty(size, dtype=bool) for _ in range(4)]
+    exp_buf, octave_buf = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int64)
+    row_max = np.empty(_SWEEP_ROWS)
+
+    def propagate(p_u, p_v, p, w_u, below):
         # w_u = min(u, v) for the side's propagated value u and its
         # complement v, ``below`` where u <= v
-        p_u, p_v, p = side
-        np.multiply(u_minus[:n], p, out=w_u)
+        np.multiply(u_minus, p, out=w_u)
         np.add(w_u, p_u, out=w_u)
-        np.multiply(v_minus[:n], p, out=w_v[:n])
-        np.add(w_v[:n], p_v, out=w_v[:n])
-        np.less_equal(w_u, w_v[:n], out=below)
-        np.minimum(w_u, w_v[:n], out=w_u)
+        np.multiply(v_minus, p, out=w_v)
+        np.add(w_v, p_v, out=w_v)
+        np.less_equal(w_u, w_v, out=below)
+        np.minimum(w_u, w_v, out=w_u)
 
     def extremes(row_tops, b, dt_):
         # worst ratio and worst excess over slope rows with bounds b: x / b
@@ -1328,93 +1461,88 @@ def _sweep_two_point(groups, u_step, a_step):
         np.divide(ratio, b, out=worst, where=b > 0.0)
         return float(worst.max()), float((ratio - b).max())
 
-    def by_chunk(ufunc, x, out):
-        # ufunc over each run of _CHUNK_ROWS rows of x[:n] (the last may be short)
-        whole = n - n % _CHUNK_ROWS
-        ufunc.reduce(x[:whole].reshape(-1, _CHUNK_ROWS, x.shape[1]), axis=1,
-                     out=out[:whole // _CHUNK_ROWS])
-        if whole < n:
-            ufunc.reduce(x[whole:n], axis=0, out=out[whole // _CHUNK_ROWS])
-        return out[:-(-n // _CHUNK_ROWS)]
-
-    def candidates(theta):
-        # the unsaturated cases whose bound reaches their row's theta: one
-        # bound per chunk first, then one per case of each chunk that reaches
-        _two_point_gap(m0[:n], m1[:n], flip[:n], gap[:n], (x0[:n], x1[:n]))
-        nc = -(-n // _CHUNK_ROWS)
-        c_ub = _two_point_bound(by_chunk(np.maximum, gap, c_gap), by_chunk(np.minimum, lo, c_lo),
-                                c_gap[:nc], (c0[:nc], c1[:nc], c_exp[:nc], c_octave[:nc]))
-        reach = np.flatnonzero(~(c_ub < by_chunk(np.minimum, theta[:, None], c_theta)))
-        chunk, col = np.divmod(reach, u.size)
-        row = chunk[:, None] * _CHUNK_ROWS + np.arange(_CHUNK_ROWS)
-        idx = (row * u.size + col[:, None])[row < n]
-        idx = idx[~bad[:n].reshape(-1)[idx]]
-        k = idx.size
-        ub = _two_point_bound(gap[:n].reshape(-1)[idx], lo[:n].reshape(-1)[idx],
-                              diffs.reshape(-1)[:k], (x0.reshape(-1)[:k], x1.reshape(-1)[:k],
-                                                      exp.reshape(-1)[:k], octave.reshape(-1)[:k]))
-        return idx[~(ub < theta[idx // u.size])]
-
-    seeded = np.zeros(big_a.size, dtype=bool)
-    seeded[::_SEED_STRIDE] = True
-    blocks = [(sigma, rows[start:start + _SWEEP_ROWS], full)
-              for rows, full in ((np.flatnonzero(seeded), True), (np.flatnonzero(~seeded), False))
-              for sigma in (1.0, -1.0) for start in range(0, rows.size, _SWEEP_ROWS)]
-    for sigma, rows, full in blocks:
-        active = [i for i, p in enumerate(pairs) if sigma > 0.0 or not p[4]]
-        if not active:
-            continue
+    for sigma, rows, active, full, cell_ub in blocks():
+        n = rows.size
+        thetas = {}
+        cols = all_cols
+        if not full:
+            for i in active:
+                _, _, _, dt_, bound, _, rank_one, prunable = pairs[i]
+                if prunable and not rank_one:
+                    b = bound[rows]
+                    thetas[i] = np.minimum(best_ratio[i] * b, best_excess[i] + b) * (dt_ * (1.0 - 1e-12))
+            if cell_ub is not None:
+                # a pair reaches a cell unless the cell's bound is below the
+                # pair's least theta over the block's rows; a rank-one pair
+                # reaches only where it may saturate
+                least = [thetas[i].min() if i in thetas else math.inf for i in active]
+                reach = ~(cell_ub < np.array(least)[:, None])
+                active = [i for i, r in zip(active, reach.any(axis=1)) if r]
+                if not active:
+                    continue
+                cols = np.flatnonzero(np.repeat(reach.any(axis=0), _CELL_COLS)[:u.size])
+        w = cols.size
+        f_minus, u_minus, v_minus, m0, m1, lo, gap, x0, x1 = (
+            buf[:n * w].reshape(n, w) for buf in floats)
+        # f_minus is free once erfc has read it: it holds each side's
+        # complement, then the bounds of a block's cases, then its evaluated
+        # |f0 - f1|
+        w_v = diffs = f_minus
+        below0, below1, bad, flip = (buf[:n * w].reshape(n, w) for buf in bools)
+        exp, octave = exp_buf[:n * w].reshape(n, w), octave_buf[:n * w].reshape(n, w)
         slope = big_a[rows]
-        n = slope.size
         # Phi(f_-) and Phi(-f_-) = 0.5·erfc(∓f_-/2), with f_- = f_+ + sigma·A
-        np.add(f_plus, sigma * slope[:, None], out=f_minus[:n])
-        np.multiply(f_minus[:n], -0.5, out=f_minus[:n])
-        erfc(f_minus[:n], out=u_minus[:n])
-        np.negative(f_minus[:n], out=f_minus[:n])
-        erfc(f_minus[:n], out=v_minus[:n])
-        np.multiply(u_minus[:n], 0.5, out=u_minus[:n])
-        np.multiply(v_minus[:n], 0.5, out=v_minus[:n])
+        np.add(np.take(f_plus, cols), sigma * slope[:, None], out=f_minus)
+        np.multiply(f_minus, -0.5, out=f_minus)
+        erfc(f_minus, out=u_minus)
+        np.negative(f_minus, out=f_minus)
+        erfc(f_minus, out=v_minus)
+        np.multiply(u_minus, 0.5, out=u_minus)
+        np.multiply(v_minus, 0.5, out=v_minus)
         for i in active:
-            _, (side0, side1), dt_, bound, _, rank_one, prunable = pairs[i]
-            propagate(side0, m0[:n], below0[:n])
+            _, _, (vecs, p01, p11), dt_, bound, _, rank_one, _ = pairs[i]
+            pu0, pv0, pu1, pv1 = np.take(vecs, cols, axis=1)
+            propagate(pu0, pv0, p01, m0, below0)
             if rank_one:  # f0 == f1, so the row maxima stay 0
-                saturated[i] += int(np.count_nonzero(np.less_equal(m0[:n], 0.0, out=bad[:n])))
+                saturated[i] += int(np.count_nonzero(np.less_equal(m0, 0.0, out=bad)))
                 continue
-            propagate(side1, m1[:n], below1[:n])
+            propagate(pu1, pv1, p11, m1, below1)
             # a side whose min(u, v) underflowed to 0 saturates the case
-            np.minimum(m0[:n], m1[:n], out=lo[:n])
-            np.less_equal(lo[:n], 0.0, out=bad[:n])
-            saturated[i] += int(np.count_nonzero(bad[:n]))
-            np.not_equal(below0[:n], below1[:n], out=flip[:n])
-            b = bound[rows]
-            if full or not prunable:
-                keep = np.flatnonzero(~bad[:n])
-            else:
-                theta = np.minimum(best_ratio[i] * b, best_excess[i] + b) * (dt_ * (1.0 - 1e-12))
-                keep = candidates(theta)
+            np.minimum(m0, m1, out=lo)
+            np.less_equal(lo, 0.0, out=bad)
+            saturated[i] += int(np.count_nonzero(bad))
+            np.not_equal(below0, below1, out=flip)
+            if i in thetas:
+                # the unsaturated cases whose bound reaches their row's theta
+                _two_point_gap(m0, m1, flip, gap, (x0, x1))
+                ub = _two_point_bound(gap, lo, diffs, (x0, x1, exp, octave))
+                keep = np.flatnonzero(~(ub < thetas[i][:, None]) & ~bad)
                 if not keep.size:
                     continue
+            else:
+                keep = np.flatnonzero(~bad)
             # |f0 - f1| = |x0 - x1| where the signs agree, |x0 + x1| where not,
             # with x = sqrt2·ndtri(min(u, v)) on each side
             y0, y1 = x0.reshape(-1)[:keep.size], x1.reshape(-1)[:keep.size]
-            np.take(m0[:n], keep, out=y0)
-            np.take(m1[:n], keep, out=y1)
+            np.take(m0, keep, out=y0)
+            np.take(m1, keep, out=y1)
             ndtri(y0, out=y0)  # Phi(f) = ndtr(f / sqrt2)
             ndtri(y1, out=y1)
             np.multiply(y0, _SQRT2, out=y0)
             np.multiply(y1, _SQRT2, out=y1)
-            np.negative(y1, out=y1, where=np.take(flip[:n], keep))
+            np.negative(y1, out=y1, where=np.take(flip, keep))
             np.subtract(y0, y1, out=y0)
             np.abs(y0, out=y0)
-            diffs[:n].fill(0.0)
-            np.put(diffs[:n], keep, y0)
-            np.max(diffs[:n], axis=1, out=row_max[:n])
+            diffs.fill(0.0)
+            np.put(diffs, keep, y0)
+            np.max(diffs, axis=1, out=row_max[:n])
+            b = bound[rows]
             top[i, rows] = np.maximum(top[i, rows], row_max[:n])
             ratio, excess = extremes(top[i, rows], b, dt_)
             best_ratio[i], best_excess[i] = max(best_ratio[i], ratio), max(best_excess[i], excess)
 
     out = [_NO_PAIR] * len(groups)
-    for i, (g, _, dt_, bound, symmetric, _, _) in enumerate(pairs):
+    for i, (g, _, _, dt_, bound, symmetric, *_) in enumerate(pairs):
         n_cases = (1 if symmetric else 2) * big_a.size * u.size
         out[g] = (*extremes(top[i], bound, dt_), n_cases, saturated[i])
     return out

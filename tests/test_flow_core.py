@@ -1459,7 +1459,7 @@ def test_two_point_bound_covers_every_case():
     """The bound, as computed, is at least the computed |f0 - f1| on every
     unsaturated case of every sweep group, both signs, and so is its value
     at each 8-row chunk's largest gap and smallest lo."""
-    rows = flow_core._CHUNK_ROWS
+    rows = 8
     for k, *_ in _SWEEP_GROUPS:
         for sigma in (1.0, -1.0):
             m0, m1, flip, diff = _sweep_cases(k, sigma)
@@ -1532,6 +1532,114 @@ def test_ndtri_is_within_the_bounds_allowance():
         for y in m[m != 0.5]:
             want = _mp_phi_inv(y) / mpmath.sqrt(2)
             assert abs(float(flow_core.ndtri(y)) - want) <= allowance * abs(want), y
+
+
+def test_erfc_is_within_the_cell_allowance():
+    """scipy's erfc is within _erfc_rel(z) of erfc relative, plus _ERFC_ABS
+    absolute, on z in [-505, 27.3]: uniform, dense over (0, 4) and
+    (4, 27.3), and across the early flush to 0 near z = 26.64, where erfc
+    is still subnormal."""
+    rng = np.random.default_rng(12)
+    z = np.concatenate([
+        rng.uniform(-505.0, 0.0, 100),
+        rng.uniform(-1.0, 4.0, 300),
+        rng.uniform(4.0, 27.3, 600),
+        np.linspace(26.5, 26.8, 301),
+        [-505.0, 0.0, 27.3],
+    ])
+    got = flow_core.erfc(z)
+    assert got[z >= 26.65].max() == 0.0 and got[z <= 26.6].min() > 0.0  # flushed early
+    with mpmath.workdps(40):
+        for zi, gi, rel in zip(z, got, flow_core._erfc_rel(z)):
+            want = mpmath.erfc(mpmath.mpf(float(zi)))
+            assert abs(mpmath.mpf(float(gi)) - want) <= rel * want + flow_core._ERFC_ABS, zi
+
+
+def test_phi_cells_enclose_erfc_between_corners():
+    """Computed erfc is not monotone from one float to the next, so a cell
+    four ulps of f_- wide needs the allowance: each enclosure holds Phi(f_-)
+    and Phi(-f_-) as the sweep computes them at every column of its cell."""
+    for start in (-2.0, 1.0):
+        f = start + np.arange(40_001) * 2.0**-52
+        (u_lo, u_hi), (v_lo, v_hi) = flow_core._phi_cells(
+            f, np.zeros(1), 1.0, np.zeros(1, dtype=int), np.zeros(1, dtype=int))
+        cell = np.arange(f.size) // flow_core._CELL_COLS
+        u, v = 0.5 * flow_core.erfc(-0.5 * f), 0.5 * flow_core.erfc(0.5 * f)
+        assert (u_lo[0, cell] <= u).all() and (u <= u_hi[0, cell]).all()
+        assert (v_lo[0, cell] <= v).all() and (v <= v_hi[0, cell]).all()
+
+
+def _cell_cases(k, sigma, u_step=1e-3, a_step=1e-3):
+    """The sweep cells of one sign after the seed rows: each cell's bound as
+    the sweep takes it, its cases' largest unsaturated |f0 - f1|, and for
+    each side, whether the cell holds a case where that side saturates and
+    the bound of the rank-one pair with that side as both rows, which is inf
+    exactly where the side's lower enclosure of min(u, v) is <= 0."""
+    u = np.arange(u_step, 1.0, u_step)
+    f_plus = phi_inv(u)
+    v_plus = phi(-f_plus)
+    a = np.arange(0.0, 1.0, a_step)
+    big_a = a / (1.0 - a)
+    later = np.flatnonzero(np.arange(big_a.size) % flow_core._SEED_STRIDE != 0)
+    blocks = [later[i:i + flow_core._SWEEP_ROWS] for i in range(0, later.size, flow_core._SWEEP_ROWS)]
+    cells = flow_core._phi_cells(f_plus, big_a, sigma, np.array([r[0] for r in blocks]),
+                                 np.array([r[-1] for r in blocks]))
+
+    def bound(kk, rank_one):
+        p00, p01, p10, p11 = (float(p) for p in kk.ravel())
+        sides = (np.stack((p00 * u, p00 * v_plus, p10 * u, p10 * v_plus)), p01, p11)
+        return flow_core._cell_bounds(kk, sides, rank_one, cells, u, v_plus)
+
+    m0, m1, _, diff = _sweep_cases(k, sigma, u_step, a_step)
+    pad = -u.size % flow_core._CELL_COLS
+
+    def per_cell(x, rows):  # largest x over each cell of the block
+        x = np.pad(x[rows], ((0, 0), (0, pad)), constant_values=-np.inf)
+        return x.reshape(rows.size, -1, flow_core._CELL_COLS).max(axis=(0, 2))
+
+    live = np.where((m0 > 0.0) & (m1 > 0.0), diff, 0.0)
+    tops = np.array([per_cell(live, rows) for rows in blocks])
+    sat = [np.array([per_cell((m <= 0.0).astype(float), rows) for rows in blocks]) > 0.0
+           for m in (m0, m1)]
+    return bound(k, False), tops, sat, [bound(k[[s, s]], True) for s in (0, 1)]
+
+
+@pytest.mark.parametrize("groups", ["fixed", "random"])
+def test_cell_bound_covers_every_case(groups):
+    """On every cell of the 1e-3 grid, both signs, each unsaturated case's
+    |f0 - f1| as the sweep computes it is at most the cell's bound, and a
+    saturated side lies only in cells where that side's lower enclosure of
+    min(u, v) is <= 0; the bound prunes most cells."""
+    groups = _SWEEP_GROUPS if groups == "fixed" else _random_sweep_groups(np.random.default_rng(0))
+    finite = []
+    for k, *_ in groups:
+        for sigma in (1.0, -1.0):
+            ub, tops, sat, side_ub = _cell_cases(k, sigma)
+            assert not (ub < tops).any()
+            for s in (0, 1):
+                assert (side_ub[s][sat[s]] == np.inf).all()
+                assert (ub[sat[s]] == np.inf).all()
+            finite.append(np.isfinite(ub).mean())
+    assert np.median(finite) > 0.9
+
+
+def test_cells_keep_most_cases_from_erfc(monkeypatch):
+    """On a symmetric kernel 1e-10 from uniform, with d = 1 and tau = 0.5 as
+    in the benchmark's flows, fewer than a quarter of the 1 998 000 grid
+    entries reach erfc, and the result is the grid maximum."""
+    p = 0.5 + 1e-10
+    group = (np.array([[p, 1.0 - p], [1.0 - p, p]]), _D1, _D1, 0.5)
+    want = _reference_sweep(*group, 1e-3, 1e-3)
+    counts = []
+    real = flow_core.erfc
+
+    def counting(x, *args, **kwargs):
+        counts.append(np.size(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(flow_core, "erfc", counting)
+    assert flow_core._sweep_two_point([group], 1e-3, 1e-3) == [want]
+    assert sum(counts) < 1_998_000 // 4
 
 
 def _reference_battery(k, d_s, d_t, tau, T_values, offsets, seeds, rng):
